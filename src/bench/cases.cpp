@@ -143,7 +143,7 @@ std::vector<scenario::ScenarioSpec> registry_specs() {
 std::string large_result_text() {
   const scenario::ScenarioSpec spec = fleet_specs()[2];
   const scenario::ScenarioResult result = single_thread_engine().run(spec);
-  return scenario::result_to_json(result).dump();
+  return scenario::result_bytes(result);
 }
 
 /// The serve request shape: one spec document as a client would POST it
@@ -314,6 +314,25 @@ std::vector<BenchCase> builtin_cases() {
         return PreparedCase{.op =
                                 [document] {
                                   const std::string text = document->dump(0);
+                                  g_sink = text.size();
+                                },
+                            .iterations = 1,
+                            .bytes_per_op = bytes};
+      }});
+
+  cases.push_back(BenchCase{
+      .group = "json",
+      .name = "result_write_grid50",
+      .description = "scenario::result_bytes (pretty) of the 50x50 grid result -- the "
+                     "render stage of a large /v1/run miss: the kind modules write "
+                     "the canonical bytes with no result DOM",
+      .setup = [] {
+        auto result = std::make_shared<const scenario::ScenarioResult>(
+            single_thread_engine().run(grid_spec()));
+        const double bytes = static_cast<double>(scenario::result_bytes(*result).size());
+        return PreparedCase{.op =
+                                [result] {
+                                  const std::string text = scenario::result_bytes(*result);
                                   g_sink = text.size();
                                 },
                             .iterations = 1,

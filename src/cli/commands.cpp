@@ -137,6 +137,11 @@ std::optional<dse::FrontierAxisSpec> frontier_axis_preset(const std::string& nam
   return std::nullopt;
 }
 
+/// Write a result's canonical JSON file: the `--format json` bytes.
+void write_result_file(const std::string& path, const scenario::ScenarioResult& result) {
+  io::write_json_text(path, scenario::result_document(result));
+}
+
 /// Shared tail of `run` and `mc`: evaluate the spec, render per --format,
 /// write the optional legacy machine-readable exports.
 int run_and_emit(const CommandContext& context, const scenario::ScenarioSpec& spec,
@@ -149,7 +154,7 @@ int run_and_emit(const CommandContext& context, const scenario::ScenarioSpec& sp
     return code;
   }
   if (json_out) {
-    io::write_json_file(*json_out, scenario::result_to_json(result));
+    write_result_file(*json_out, result);
     out << "wrote " << *json_out << "\n";
   }
   if (csv_out) {
@@ -1242,23 +1247,17 @@ int run_batch(const CommandContext& context, const std::vector<std::string>& arg
     filenames.push_back(std::move(candidate));
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
-    io::write_json_file((fs::path(out_dir) / filenames[i]).string(),
-                        scenario::result_to_json(results[i]));
+    write_result_file((fs::path(out_dir) / filenames[i]).string(), results[i]);
   }
 
   if (validate) {
     for (const std::string& filename : filenames) {
       const std::string path = (fs::path(out_dir) / filename).string();
       const io::Json written = io::parse_json_file(path);
-      const io::Json reserialized =
-          scenario::result_to_json(scenario::result_from_json(written));
-      // Byte-compare the canonical compact forms (appended in place --
-      // no per-spec multi-MB pretty temporaries as before).
-      std::string written_text;
-      written.dump_to(written_text, 0);
-      std::string reserialized_text;
-      reserialized.dump_to(reserialized_text, 0);
-      if (written_text != reserialized_text) {
+      // Byte-compare the canonical compact forms: the file as read back
+      // against the result it decodes to, written afresh.
+      if (written.dump(0) !=
+          scenario::result_bytes(scenario::result_from_json(written), 0)) {
         err << "batch: result '" << path << "' failed the canonical round-trip\n";
         return 1;
       }

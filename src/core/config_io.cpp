@@ -423,16 +423,20 @@ Json to_json(const workload::Schedule& schedule) {
 }
 
 Json to_json(const CfpBreakdown& breakdown) {
-  Json out = Json::object();
-  out["design_kg"] = breakdown.design.canonical();
-  out["manufacturing_kg"] = breakdown.manufacturing.canonical();
-  out["packaging_kg"] = breakdown.packaging.canonical();
-  out["eol_kg"] = breakdown.eol.canonical();
-  out["operational_kg"] = breakdown.operational.canonical();
-  out["app_dev_kg"] = breakdown.app_dev.canonical();
-  out["embodied_kg"] = breakdown.embodied().canonical();
-  out["total_kg"] = breakdown.total().canonical();
-  return out;
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, breakdown); });
+}
+
+void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown) {
+  out.begin_object();
+  out.number("app_dev_kg", breakdown.app_dev.canonical());
+  out.number("design_kg", breakdown.design.canonical());
+  out.number("embodied_kg", breakdown.embodied().canonical());
+  out.number("eol_kg", breakdown.eol.canonical());
+  out.number("manufacturing_kg", breakdown.manufacturing.canonical());
+  out.number("operational_kg", breakdown.operational.canonical());
+  out.number("packaging_kg", breakdown.packaging.canonical());
+  out.number("total_kg", breakdown.total().canonical());
+  out.end_object();
 }
 
 CfpBreakdown breakdown_from_json(const Json& json) {
@@ -489,20 +493,27 @@ PlatformCfp platform_cfp_from_json(const Json& json) {
 }
 
 Json to_json(const PlatformCfp& platform) {
-  Json out = Json::object();
-  out["kind"] = to_string(platform.kind);
-  out["chips_manufactured"] = platform.chips_manufactured;
-  out["total"] = to_json(platform.total);
-  Json apps = Json::array();
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, platform); });
+}
+
+void write_json(io::JsonWriter& out, const PlatformCfp& platform) {
+  out.begin_object();
+  out.number("chips_manufactured", platform.chips_manufactured);
+  out.string("kind", to_string(platform.kind));
+  out.key("per_application");
+  out.begin_array();
   for (const ApplicationCfp& app : platform.per_application) {
-    Json entry = Json::object();
-    entry["application"] = app.application;
-    entry["chips_per_unit"] = app.chips_per_unit;
-    entry["cfp"] = to_json(app.cfp);
-    apps.push_back(std::move(entry));
+    out.begin_object();
+    out.string("application", app.application);
+    out.key("cfp");
+    write_json(out, app.cfp);
+    out.number("chips_per_unit", app.chips_per_unit);
+    out.end_object();
   }
-  out["per_application"] = std::move(apps);
-  return out;
+  out.end_array();
+  out.key("total");
+  write_json(out, platform.total);
+  out.end_object();
 }
 
 }  // namespace greenfpga::core

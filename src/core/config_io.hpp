@@ -31,6 +31,7 @@
 #include "core/lifecycle_model.hpp"
 #include "core/paper_config.hpp"
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 #include "workload/application.hpp"
 
 namespace greenfpga::core {
@@ -69,12 +70,12 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] workload::Application application_from_json(const io::Json& json);
 [[nodiscard]] workload::Schedule schedule_from_json(const io::Json& json);
 [[nodiscard]] ScenarioConfig scenario_from_json(const io::Json& json);
-/// Inverse of `to_json(CfpBreakdown)`: reads the six component fields
+/// Inverse of `write_json(CfpBreakdown)`: reads the six component fields
 /// (derived embodied/total keys are accepted and ignored -- they are
 /// recomputed, so `to_json(breakdown_from_json(x)) == x` holds for any
 /// writer output).
 [[nodiscard]] CfpBreakdown breakdown_from_json(const io::Json& json);
-/// Inverse of `to_json(PlatformCfp)`.
+/// Inverse of `write_json(PlatformCfp)`.
 [[nodiscard]] PlatformCfp platform_cfp_from_json(const io::Json& json);
 
 /// Load a scenario file (JSON with // comments allowed).
@@ -87,6 +88,11 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] io::Json to_json(const workload::Schedule& schedule);
 [[nodiscard]] io::Json to_json(const CfpBreakdown& breakdown);
 [[nodiscard]] io::Json to_json(const PlatformCfp& platform);
+
+/// Streamed writers of the result-payload types: the canonical bytes
+/// every result section embeds (the two `to_json` above parse them).
+void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown);
+void write_json(io::JsonWriter& out, const PlatformCfp& platform);
 
 }  // namespace greenfpga::core
 

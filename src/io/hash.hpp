@@ -18,15 +18,13 @@
 
 namespace greenfpga::io {
 
-/// FNV-1a 64 parameters, shared with the JSON writer/parser streaming
-/// sinks (src/io/json_detail.hpp) so every digest in the system agrees.
+/// FNV-1a 64 parameters, shared with the JSON parser's hash-while-parse
+/// sink (src/io/json_detail.hpp) so every digest in the system agrees.
 inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
 inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ULL;
 
 /// Incremental FNV-1a 64: feed bytes in any chunking, `digest()` equals
-/// `fnv1a64` of the concatenation.  This is what hash-while-parse and
-/// hash-while-dump fold into, so a document can be fingerprinted without
-/// ever materializing its canonical bytes.
+/// `fnv1a64` of the concatenation.
 class Fnv1aHasher {
  public:
   void update(std::string_view bytes) {

@@ -1,6 +1,6 @@
 /// \file json.cpp
 /// RFC 8259 JSON value model plus the facade side of the shared parser
-/// and writer (src/io/json_detail.hpp).
+/// (src/io/json_detail.hpp) and writer (src/io/json_writer.hpp).
 
 #include "io/json.hpp"
 
@@ -14,7 +14,9 @@
 #include <limits>
 #include <sstream>
 
+#include "io/hash.hpp"
 #include "io/json_detail.hpp"
+#include "io/json_writer.hpp"
 
 namespace greenfpga::io {
 
@@ -386,6 +388,13 @@ Json parse_json_file(const std::string& path) {
 }
 
 void write_json_file(const std::string& path, const Json& value, int indent) {
+  std::string text;
+  value.dump_to(text, indent);
+  text.push_back('\n');
+  write_json_text(path, text);
+}
+
+void write_json_text(const std::string& path, std::string_view text) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path());
@@ -394,87 +403,12 @@ void write_json_file(const std::string& path, const Json& value, int indent) {
   if (!out) {
     throw JsonError("cannot write JSON file: " + path);
   }
-  std::string text;
-  value.dump_to(text, indent);
-  text.push_back('\n');
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 // ---------------------------------------------------------------------------
-// Writer
+// Writer (the DOM walk lives in JsonWriter::json)
 // ---------------------------------------------------------------------------
-
-namespace {
-
-template <class Sink>
-void dump_value(const Json& value, Sink& sink, int indent, int depth) {
-  const auto newline_pad = [&](int d) {
-    if (indent > 0) {
-      sink.push('\n');
-      sink.pad(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
-    }
-  };
-  switch (value.type()) {
-    case Json::Type::null:
-      sink.append("null", 4);
-      return;
-    case Json::Type::boolean:
-      if (value.as_bool()) {
-        sink.append("true", 4);
-      } else {
-        sink.append("false", 5);
-      }
-      return;
-    case Json::Type::number:
-      detail::write_number_value(sink, value.as_number());
-      return;
-    case Json::Type::string:
-      detail::write_escaped(sink, value.as_string());
-      return;
-    case Json::Type::array: {
-      const auto& arr = value.as_array();
-      if (arr.empty()) {
-        sink.append("[]", 2);
-        return;
-      }
-      sink.push('[');
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i != 0) sink.push(',');
-        newline_pad(depth + 1);
-        dump_value(arr[i], sink, indent, depth + 1);
-      }
-      newline_pad(depth);
-      sink.push(']');
-      return;
-    }
-    case Json::Type::object: {
-      const auto& obj = value.as_object();
-      if (obj.empty()) {
-        sink.append("{}", 2);
-        return;
-      }
-      sink.push('{');
-      bool first = true;
-      for (const auto& [key, member] : obj) {
-        if (!first) sink.push(',');
-        first = false;
-        newline_pad(depth + 1);
-        detail::write_escaped(sink, key);
-        if (indent > 0) {
-          sink.append(": ", 2);
-        } else {
-          sink.push(':');
-        }
-        dump_value(member, sink, indent, depth + 1);
-      }
-      newline_pad(depth);
-      sink.push('}');
-      return;
-    }
-  }
-}
-
-}  // namespace
 
 std::string Json::dump(int indent) const {
   std::string out;
@@ -483,20 +417,17 @@ std::string Json::dump(int indent) const {
 }
 
 void Json::dump_to(std::string& out, int indent) const {
-  detail::StringSink sink{out};
-  dump_value(*this, sink, indent, 0);
+  JsonWriter writer(out, indent);
+  writer.json(*this);
+  writer.finish();
 }
 
 std::uint64_t Json::dump_to_hashed(std::string& out, int indent) const {
-  detail::HashedStringSink sink{out};
-  dump_value(*this, sink, indent, 0);
-  return sink.hash;
+  const std::size_t start = out.size();
+  dump_to(out, indent);
+  return fnv1a64(std::string_view(out).substr(start));
 }
 
-std::uint64_t Json::canonical_digest() const {
-  detail::HashSink sink;
-  dump_value(*this, sink, /*indent=*/0, 0);
-  return sink.hash;
-}
+std::uint64_t Json::canonical_digest() const { return fnv1a64(dump(0)); }
 
 }  // namespace greenfpga::io

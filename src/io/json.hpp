@@ -11,7 +11,8 @@
 /// `//` comments in *config* mode), a pretty-printing writer, and a value
 /// model with checked accessors that raise `JsonError` with a useful path.
 ///
-/// Two document models share one parser and one writer (src/io/json_detail.hpp):
+/// Two document models share one parser (src/io/json_detail.hpp) and one
+/// writer (`JsonWriter`, src/io/json_writer.hpp):
 ///
 ///   * `Json` (here) -- the mutable value facade every caller builds and
 ///     edits.  Objects are sorted flat vectors (`JsonObject`), not
@@ -194,17 +195,15 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 2) const;
 
   /// Serialize by *appending* to `out` -- same bytes as `dump`, no
-  /// intermediate temporaries.  The path large results, serve response
-  /// bodies and `write_json_file` take.
+  /// intermediate temporaries (the DOM walks through `JsonWriter`).
   void dump_to(std::string& out, int indent = 2) const;
 
   /// `dump_to` that additionally returns the FNV-1a digest of exactly the
-  /// appended bytes, computed in the same pass (hash-while-dump).  This is
-  /// how `Engine` derives cache key bytes and their fingerprint together.
+  /// appended bytes.  This is how `Engine` derives cache key bytes and
+  /// their fingerprint together.
   std::uint64_t dump_to_hashed(std::string& out, int indent = 2) const;
 
-  /// FNV-1a digest of the canonical compact dump (`dump(0)` bytes)
-  /// without materializing it: the writer streams into the hash only.
+  /// FNV-1a digest of the canonical compact dump (`dump(0)` bytes).
   [[nodiscard]] std::uint64_t canonical_digest() const;
 
   friend bool operator==(const Json& a, const Json& b) = default;
@@ -325,8 +324,14 @@ struct ParsedJson {
 /// ahead of the parser's line:column position.
 [[nodiscard]] Json parse_json_file(const std::string& path);
 
-/// Write `value` to `path` (pretty-printed), creating parent dirs if needed.
+/// Write `value` to `path` (pretty-printed, newline-terminated), creating
+/// parent dirs if needed.
 void write_json_file(const std::string& path, const Json& value, int indent = 2);
+
+/// Write already-serialized JSON `text` to `path` verbatim, creating
+/// parent dirs if needed (the streamed-result counterpart of
+/// `write_json_file`).
+void write_json_text(const std::string& path, std::string_view text);
 
 }  // namespace greenfpga::io
 

@@ -10,7 +10,9 @@
 #include <unordered_set>
 #include <utility>
 
+#include "io/hash.hpp"
 #include "io/json_detail.hpp"
+#include "io/json_writer.hpp"
 
 namespace greenfpga::io {
 
@@ -308,68 +310,36 @@ double JsonView::number_or(std::string_view key, double fallback) const {
 
 namespace {
 
-template <class Sink>
-void dump_node(const JsonNode& node, Sink& sink, int indent, int depth) {
-  const auto newline_pad = [&](int d) {
-    if (indent > 0) {
-      sink.push('\n');
-      sink.pad(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
-    }
-  };
+void write_node(const JsonNode& node, JsonWriter& out) {
   switch (node.type) {
     case JsonNode::Type::null:
-      sink.append("null", 4);
+      out.null();
       return;
     case JsonNode::Type::boolean:
-      if (node.payload.boolean) {
-        sink.append("true", 4);
-      } else {
-        sink.append("false", 5);
-      }
+      out.boolean(node.payload.boolean);
       return;
     case JsonNode::Type::number:
-      detail::write_number_value(sink, node.payload.number);
+      out.number(node.payload.number);
       return;
     case JsonNode::Type::string:
-      detail::write_escaped(sink, std::string_view(node.payload.string, node.count));
+      out.string(std::string_view(node.payload.string, node.count));
       return;
-    case JsonNode::Type::array: {
-      if (node.count == 0) {
-        sink.append("[]", 2);
-        return;
-      }
-      sink.push('[');
+    case JsonNode::Type::array:
+      out.begin_array();
       for (std::uint32_t i = 0; i < node.count; ++i) {
-        if (i != 0) sink.push(',');
-        newline_pad(depth + 1);
-        dump_node(node.payload.elements[i], sink, indent, depth + 1);
+        write_node(node.payload.elements[i], out);
       }
-      newline_pad(depth);
-      sink.push(']');
+      out.end_array();
       return;
-    }
-    case JsonNode::Type::object: {
-      if (node.count == 0) {
-        sink.append("{}", 2);
-        return;
-      }
-      sink.push('{');
+    case JsonNode::Type::object:
+      out.begin_object();
       for (std::uint32_t i = 0; i < node.count; ++i) {
         const JsonMember& member = node.payload.members[i];
-        if (i != 0) sink.push(',');
-        newline_pad(depth + 1);
-        detail::write_escaped(sink, member.key);
-        if (indent > 0) {
-          sink.append(": ", 2);
-        } else {
-          sink.push(':');
-        }
-        dump_node(member.value, sink, indent, depth + 1);
+        out.runtime_key(member.key);
+        write_node(member.value, out);
       }
-      newline_pad(depth);
-      sink.push('}');
+      out.end_object();
       return;
-    }
   }
 }
 
@@ -414,15 +384,12 @@ std::string JsonDocument::dump(int indent) const {
 }
 
 void JsonDocument::dump_to(std::string& out, int indent) const {
-  detail::StringSink sink{out};
-  dump_node(root_, sink, indent, 0);
+  JsonWriter writer(out, indent);
+  write_node(root_, writer);
+  writer.finish();
 }
 
-std::uint64_t JsonDocument::canonical_digest() const {
-  detail::HashSink sink;
-  dump_node(root_, sink, /*indent=*/0, 0);
-  return sink.hash;
-}
+std::uint64_t JsonDocument::canonical_digest() const { return fnv1a64(dump(0)); }
 
 Json JsonDocument::to_json() const { return node_to_json(root_); }
 

@@ -127,7 +127,7 @@ class JsonDocument {
   [[nodiscard]] std::string dump(int indent = 2) const;
   void dump_to(std::string& out, int indent = 2) const;
 
-  /// FNV-1a of the canonical compact dump, streamed (nothing materialized).
+  /// FNV-1a of the canonical compact dump (`dump(0)` bytes).
   [[nodiscard]] std::uint64_t canonical_digest() const;
 
   /// The hash-while-parse digest: present when hashing was requested at

@@ -5,18 +5,16 @@
 /// Shared internals of the JSON facade (json.cpp) and the arena DOM
 /// (json_arena.cpp).  Not part of the public io:: API.
 ///
-/// Three pieces live here so the two DOMs can never drift apart on the
-/// wire format:
+/// Three pieces live here so the two DOMs and the writer (json_writer.hpp)
+/// can never drift apart on the wire format:
 ///
 ///   * `format_number_to` -- the shortest-round-trip number formatter
 ///     (printf %g presentation reconstructed from std::to_chars shortest
 ///     digits; byte-identical to the historical snprintf probe loop, at
 ///     roughly one to_chars call per number instead of up to twelve
 ///     snprintf+from_chars probes);
-///   * sink-templated writing -- `write_escaped` / `write_number_value`
-///     emit into any Sink (append bytes / append + FNV-1a / FNV-1a only),
-///     which is how `dump_to`, `dump_to_hashed` and the allocation-free
-///     `canonical_digest` share one writer;
+///   * `write_escaped` -- JSON string escaping into any Sink, shared by
+///     `JsonWriter` and the parser's hash-while-parse (`HashSink`);
 ///   * `ParserCore<Builder>` -- the recursive-descent RFC 8259 parser,
 ///     templated on a builder policy so the same lexer/validator grows
 ///     either the mutable `Json` facade or the immutable arena document,
@@ -25,7 +23,6 @@
 ///     of every canonical artifact this repo emits).
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -50,17 +47,10 @@ inline constexpr std::size_t kNumberBufferSize = 40;
 /// Defined in json.cpp; `io::format_number` is a std::string wrapper.
 std::size_t format_number_to(char* buffer, double n);
 
-// -- writer sinks -----------------------------------------------------------
+// -- escaping ---------------------------------------------------------------
 
-/// Appends bytes to a std::string.
-struct StringSink {
-  std::string& out;
-  void append(const char* data, std::size_t n) { out.append(data, n); }
-  void push(char c) { out.push_back(c); }
-  void pad(std::size_t n, char c) { out.append(n, c); }
-};
-
-/// Folds bytes into a streaming FNV-1a digest; nothing is materialized.
+/// Folds bytes into a streaming FNV-1a digest; nothing is materialized
+/// (the parser's hash-while-parse sink).
 struct HashSink {
   std::uint64_t hash = kFnvOffset;
   void append(const char* data, std::size_t n) {
@@ -68,28 +58,6 @@ struct HashSink {
   }
   void push(char c) {
     hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  void pad(std::size_t n, char c) {
-    while (n-- > 0) push(c);
-  }
-};
-
-/// Appends and digests in one pass (hash-while-dump: `dump_to_hashed`).
-struct HashedStringSink {
-  std::string& out;
-  std::uint64_t hash = kFnvOffset;
-  void append(const char* data, std::size_t n) {
-    out.append(data, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash = (hash ^ static_cast<unsigned char>(data[i])) * kFnvPrime;
-    }
-  }
-  void push(char c) {
-    out.push_back(c);
-    hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  void pad(std::size_t n, char c) {
-    while (n-- > 0) push(c);
   }
 };
 
@@ -131,21 +99,6 @@ void write_escaped(Sink& sink, std::string_view s) {
     }
   }
   sink.push('"');
-}
-
-/// A number in value position: bare when finite, a *quoted* sentinel when
-/// not (RFC 8259 has no inf/nan literal; `as_number_total` reverses it).
-template <class Sink>
-void write_number_value(Sink& sink, double n) {
-  char buffer[kNumberBufferSize];
-  const std::size_t length = format_number_to(buffer, n);
-  if (!std::isfinite(n)) {
-    sink.push('"');
-    sink.append(buffer, length);
-    sink.push('"');
-    return;
-  }
-  sink.append(buffer, length);
 }
 
 // -- parser core ------------------------------------------------------------

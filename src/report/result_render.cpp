@@ -88,13 +88,9 @@ void render_result(const scenario::ScenarioResult& result, OutputFormat format,
     case OutputFormat::text:
       render_text(result, frames, out);
       return;
-    case OutputFormat::json: {
-      std::string text;
-      scenario::result_to_json(result).dump_to(text);
-      text.push_back('\n');
-      out << text;
+    case OutputFormat::json:
+      out << scenario::result_document(result);
       return;
-    }
     case OutputFormat::csv: {
       const scenario::KindModule& module = scenario::kind_module(result.spec.kind);
       if (module.sample_csv != nullptr && module.sample_csv(result.spec)) {

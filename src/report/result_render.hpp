@@ -10,7 +10,7 @@
 ///   * `text`     -- the human report: per-kind summary lines, fixed-width
 ///                   tables, and the ASCII charts (heat-map shading, ratio
 ///                   CDF) that have no machine equivalent;
-///   * `json`     -- the canonical result JSON (`scenario::result_to_json`),
+///   * `json`     -- the canonical result JSON (`scenario::result_bytes`),
 ///                   byte-identical across thread counts and round-trippable
 ///                   through `result_from_json`;
 ///   * `csv`      -- RFC 4180 frames (one header + data block per frame,

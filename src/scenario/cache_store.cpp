@@ -37,9 +37,15 @@ std::string CacheStore::path_for(const std::string& key) const {
 
 bool CacheStore::save(const std::string& key, const ScenarioResult& result) noexcept {
   try {
-    io::Json entry = io::Json::object();
-    entry["key"] = key;
-    entry["result"] = result_to_json(result);
+    std::string text;
+    io::JsonWriter entry(text, 0);
+    entry.begin_object();
+    entry.string("key", key);
+    entry.key("result");
+    write_result(result, entry);
+    entry.end_object();
+    entry.newline();
+    entry.finish();
     const std::string final_path = path_for(key);
     const std::string temp_path =
         final_path + ".tmp." +
@@ -49,9 +55,6 @@ bool CacheStore::save(const std::string& key, const ScenarioResult& result) noex
       if (!out) {
         return false;
       }
-      std::string text;
-      entry.dump_to(text, 0);
-      text.push_back('\n');
       out << text;
       if (!out.good()) {
         out.close();

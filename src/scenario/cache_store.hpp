@@ -15,7 +15,7 @@
 /// file embeds the full key and `load` verifies it: a fingerprint
 /// collision -- like a truncated, corrupted or hand-edited file -- is
 /// treated as a miss, never as a wrong answer.  Bodies are the canonical
-/// `result_to_json` form, so a disk hit is byte-identical to a fresh
+/// result bytes (`write_result`), so a disk hit is byte-identical to a fresh
 /// evaluation.  Writes go to a unique temp file and rename into place
 /// (atomic within one directory): readers never observe a half-written
 /// entry, even across a crash.

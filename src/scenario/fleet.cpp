@@ -313,24 +313,22 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
   return base;
 }
 
-Json fleet_result_to_json(const FleetResult& result) {
-  Json out = Json::object();
-  Json groups = Json::array();
+void write_fleet_result(io::JsonWriter& out, const FleetResult& result) {
+  out.begin_object();
+  out.key("groups");
+  out.begin_array();
   for (const FleetGroupResult& group : result.groups) {
-    Json entry = Json::object();
-    entry["total"] = core::to_json(group.total);
-    entry["units"] = group.units;
-    entry["reconfig_factor"] = group.reconfig_factor;
-    groups.push_back(std::move(entry));
+    out.begin_object();
+    out.number("reconfig_factor", group.reconfig_factor);
+    out.key("total");
+    core::write_json(out, group.total);
+    out.number("units", group.units);
+    out.end_object();
   }
-  out["groups"] = std::move(groups);
-  Json multipliers = Json::array();
-  for (const double multiplier : result.region_multipliers) {
-    multipliers.push_back(multiplier);
-  }
-  out["region_multipliers"] = std::move(multipliers);
-  out["peak_units"] = result.peak_units;
-  return out;
+  out.end_array();
+  out.number("peak_units", result.peak_units);
+  out.numbers("region_multipliers", result.region_multipliers);
+  out.end_object();
 }
 
 FleetResult fleet_result_from_json(const Json& json) {

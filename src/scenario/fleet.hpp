@@ -32,6 +32,7 @@
 #include "core/lifecycle_model.hpp"
 #include "device/chip_spec.hpp"
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 
 namespace greenfpga::scenario {
 
@@ -114,10 +115,10 @@ struct FleetResult {
 /// "regions" / "services" arrays replace wholesale when present.
 [[nodiscard]] FleetSpec fleet_spec_from_json(const io::Json& json, FleetSpec base);
 
-/// Canonical JSON of a fleet result payload.
-[[nodiscard]] io::Json fleet_result_to_json(const FleetResult& result);
+/// Write the canonical JSON object of a fleet result payload.
+void write_fleet_result(io::JsonWriter& out, const FleetResult& result);
 
-/// Inverse of `fleet_result_to_json`.
+/// Inverse of `write_fleet_result`.
 [[nodiscard]] FleetResult fleet_result_from_json(const io::Json& json);
 
 }  // namespace greenfpga::scenario

@@ -5,7 +5,7 @@
 /// The scenario-kind registry: one `KindModule` vtable per `ScenarioKind`.
 ///
 /// Every per-kind behaviour the system needs -- spec parameter JSON,
-/// validation, engine execution, batch job planning, result JSON, frame
+/// validation, engine execution, batch job planning, result bytes, frame
 /// lowering, and text rendering -- lives in that kind's module under
 /// `src/scenario/kinds/`, and the generic layers (spec.cpp, engine.cpp,
 /// result_io.cpp, report/result_render.cpp, the CLI) derive their
@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "io/json_writer.hpp"
 #include "report/result_frame.hpp"
 #include "scenario/engine.hpp"
 
@@ -58,15 +59,15 @@ struct KindBatchPlan {
 /// table below says "optional"; `name`, `kind` and `execute` are required.
 struct KindModule {
   ScenarioKind kind = ScenarioKind::compare;
-  std::string_view name;                        ///< canonical kind token
-  std::span<const std::string_view> aliases;    ///< extra parse tokens
-  std::string_view summary;                     ///< one-line CLI help text
+  std::string_view name;                           ///< canonical kind token
+  std::span<const std::string_view> aliases = {};  ///< extra parse tokens
+  std::string_view summary;                        ///< one-line CLI help text
 
   // -- spec layer ------------------------------------------------------------
   /// Axis arity `ScenarioSpec::validate` enforces for this kind.
   std::size_t expected_axes = 0;
   /// Top-level spec keys this module owns (parsed by `parse_params`).
-  std::span<const std::string_view> spec_keys;
+  std::span<const std::string_view> spec_keys = {};
   /// Seed kind defaults into a fresh spec (`ScenarioSpec::make`).  Called
   /// for every module regardless of kind -- the canonical spec JSON emits
   /// every kind's section -- so a module whose defaults only apply to its
@@ -98,10 +99,16 @@ struct KindModule {
 
   // -- result-io layer -------------------------------------------------------
   /// Top-level result keys this module owns (exactly one owner per key).
-  std::span<const std::string_view> result_keys;
-  /// Emit this module's result payload sections (presence-based: emit only
-  /// what the result carries).  Called for every module.  Optional.
-  void (*result_to_json)(const ScenarioResult& result, io::Json& out) = nullptr;
+  std::span<const std::string_view> result_keys = {};
+  /// Write this module's result section `key` (one of its `result_keys`)
+  /// as the next member of the canonical result object: `out.key(...)`
+  /// then the value, or nothing when the result carries no such payload.
+  /// Called on every result, once per owned key, in the global sorted
+  /// order of all top-level result keys; members inside the section must
+  /// be written in sorted key order too (`io::JsonWriter` checks).
+  /// Optional.
+  void (*write_result)(const ScenarioResult& result, std::string_view key,
+                       io::JsonWriter& out) = nullptr;
   /// Parse this module's sections when present.  Called for every module.
   /// Optional.
   void (*result_from_json)(const io::Json& json, ScenarioResult& result) = nullptr;

@@ -74,24 +74,32 @@ void execute(const KindRunContext& /*context*/, const core::ModelSuite& suite,
   result.breakeven = report;
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (!result.breakeven) {
     return;
   }
   // Requested solves always emit their key (null = no crossover);
   // unrequested solves omit it, so consumers can tell the states apart.
-  Json breakeven = Json::object();
-  const auto emit = [&breakeven](bool requested, const char* key,
-                                 const std::optional<double>& value) {
-    if (requested) {
-      breakeven[key] = value ? Json(*value) : Json(nullptr);
+  const auto emit = [&out](bool requested, io::JsonKey key,
+                           const std::optional<double>& value) {
+    if (!requested) {
+      return;
+    }
+    out.key(key);
+    if (value) {
+      out.number(*value);
+    } else {
+      out.null();
     }
   };
+  out.key("breakeven");
+  out.begin_object();
   emit(result.spec.breakeven.solve_app_count, "app_count", result.breakeven->app_count);
   emit(result.spec.breakeven.solve_lifetime, "lifetime_years",
        result.breakeven->lifetime_years);
   emit(result.spec.breakeven.solve_volume, "volume", result.breakeven->volume);
-  out["breakeven"] = std::move(breakeven);
+  out.end_object();
 }
 
 void result_from_json(const Json& json, ScenarioResult& result) {
@@ -146,7 +154,7 @@ const KindModule& breakeven_module() {
       .validate = validate,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
   };

@@ -176,14 +176,6 @@ void validate_spec_distributions(const ScenarioSpec& spec) {
   }
 }
 
-Json doubles_to_json(const std::vector<double>& values) {
-  Json out = Json::array();
-  for (const double v : values) {
-    out.push_back(v);
-  }
-  return out;
-}
-
 std::vector<double> doubles_from_json(const Json& json) {
   std::vector<double> out;
   out.reserve(json.size());

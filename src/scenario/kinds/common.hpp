@@ -86,7 +86,7 @@ void validate_spec_distributions(const ScenarioSpec& spec);
 
 // -- result JSON helpers -----------------------------------------------------------
 
-[[nodiscard]] io::Json doubles_to_json(const std::vector<double>& values);
+/// Total read of a number array (the non-finite sentinels decode).
 [[nodiscard]] std::vector<double> doubles_from_json(const io::Json& json);
 
 // -- frame helpers -----------------------------------------------------------------

@@ -26,22 +26,25 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   points_execute(context, suite, result);
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (result.points.empty()) {
     return;
   }
-  Json points = Json::array();
+  out.key("points");
+  out.begin_array();
   for (const EvalPoint& point : result.points) {
-    Json entry = Json::object();
-    entry["coords"] = doubles_to_json(point.coords);
-    Json evaluated = Json::array();
+    out.begin_object();
+    out.numbers("coords", point.coords);
+    out.key("platforms");
+    out.begin_array();
     for (const core::PlatformCfp& platform : point.platforms) {
-      evaluated.push_back(core::to_json(platform));
+      core::write_json(out, platform);
     }
-    entry["platforms"] = std::move(evaluated);
-    points.push_back(std::move(entry));
+    out.end_array();
+    out.end_object();
   }
-  out["points"] = std::move(points);
+  out.end_array();
 }
 
 void result_from_json(const Json& json, ScenarioResult& result) {
@@ -93,7 +96,7 @@ const KindModule& compare_module() {
       .execute = execute,
       .plan_jobs = points_plan_jobs,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
   };

@@ -123,9 +123,11 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   result.uncertainty = std::move(uq);
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (result.fleet) {
-    out["fleet"] = fleet_result_to_json(*result.fleet);
+    out.key("fleet");
+    write_fleet_result(out, *result.fleet);
   }
 }
 
@@ -205,7 +207,7 @@ const KindModule& fleet_module() {
       .default_platforms = default_platforms,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
       .sample_csv = sample_csv,

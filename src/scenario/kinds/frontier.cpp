@@ -91,7 +91,8 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   result.frontier = dse::FrontierSearch(std::move(problem)).run();
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (!result.frontier) {
     return;
   }
@@ -99,57 +100,61 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   // engine builds the problem from them), so only the search output is
   // serialized; the reader reconstructs the rest.
   const dse::FrontierResult& fr = *result.frontier;
-  Json frontier = Json::object();
-  Json axes = Json::array();
+  out.key("frontier");
+  out.begin_object();
+  out.key("axis_values");
+  out.begin_array();
   for (const std::vector<double>& values : fr.axis_values) {
-    axes.push_back(doubles_to_json(values));
+    out.numbers(values);
   }
-  frontier["axis_values"] = std::move(axes);
-  Json cells = Json::array();
-  for (const dse::FrontierCell& cell : fr.cells) {
-    Json entry = Json::object();
-    entry["coords"] = doubles_to_json(cell.coords);
-    entry["objective_kg"] = doubles_to_json(cell.objective_kg);
-    entry["winner"] = cell.winner;
-    entry["margin"] = cell.margin;
-    entry["confidence"] = cell.confidence;
-    cells.push_back(std::move(entry));
-  }
-  frontier["cells"] = std::move(cells);
-  Json wins = Json::array();
-  for (const std::size_t count : fr.win_counts) {
-    wins.push_back(static_cast<int>(count));
-  }
-  frontier["win_counts"] = std::move(wins);
-  frontier["win_fraction"] = doubles_to_json(fr.win_fraction);
-  frontier["infeasible_cells"] = static_cast<int>(fr.infeasible_cells);
-  Json slices = Json::array();
-  for (const dse::FrontierSlice& slice : fr.slices) {
-    Json entry = Json::object();
-    entry["axis"] = static_cast<int>(slice.axis);
-    entry["value"] = slice.value;
-    entry["win_fraction"] = doubles_to_json(slice.win_fraction);
-    slices.push_back(std::move(entry));
-  }
-  frontier["slices"] = std::move(slices);
-  Json boundaries = Json::array();
+  out.end_array();
+  out.key("boundaries");
+  out.begin_array();
   for (const dse::FrontierBoundary& boundary : fr.boundaries) {
-    Json entry = Json::object();
-    entry["platform_a"] = boundary.platform_a;
-    entry["platform_b"] = boundary.platform_b;
-    Json points = Json::array();
+    out.begin_object();
+    out.number("platform_a", boundary.platform_a);
+    out.number("platform_b", boundary.platform_b);
+    out.key("points");
+    out.begin_array();
     for (const std::array<double, 2>& point : boundary.points) {
-      Json pt = Json::array();
-      pt.push_back(point[0]);
-      pt.push_back(point[1]);
-      points.push_back(std::move(pt));
+      out.numbers(point);
     }
-    entry["points"] = std::move(points);
-    boundaries.push_back(std::move(entry));
+    out.end_array();
+    out.end_object();
   }
-  frontier["boundaries"] = std::move(boundaries);
-  frontier["confidence_samples"] = fr.confidence_samples;
-  out["frontier"] = std::move(frontier);
+  out.end_array();
+  out.key("cells");
+  out.begin_array();
+  for (const dse::FrontierCell& cell : fr.cells) {
+    out.begin_object();
+    out.number("confidence", cell.confidence);
+    out.numbers("coords", cell.coords);
+    out.number("margin", cell.margin);
+    out.numbers("objective_kg", cell.objective_kg);
+    out.number("winner", cell.winner);
+    out.end_object();
+  }
+  out.end_array();
+  out.number("confidence_samples", fr.confidence_samples);
+  out.number("infeasible_cells", static_cast<double>(fr.infeasible_cells));
+  out.key("slices");
+  out.begin_array();
+  for (const dse::FrontierSlice& slice : fr.slices) {
+    out.begin_object();
+    out.number("axis", static_cast<double>(slice.axis));
+    out.number("value", slice.value);
+    out.numbers("win_fraction", slice.win_fraction);
+    out.end_object();
+  }
+  out.end_array();
+  out.key("win_counts");
+  out.begin_array();
+  for (const std::size_t count : fr.win_counts) {
+    out.number(static_cast<double>(count));
+  }
+  out.end_array();
+  out.numbers("win_fraction", fr.win_fraction);
+  out.end_object();
 }
 
 void result_from_json(const Json& json, ScenarioResult& result) {
@@ -317,7 +322,7 @@ const KindModule& frontier_module() {
       .validate = validate,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
   };

@@ -261,39 +261,39 @@ KindBatchPlan plan_jobs(const core::ModelSuite& suite, ScenarioResult& result) {
   return plan;
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_stats(io::JsonWriter& out, io::JsonKey key, const std::vector<UqStat>& stats) {
+  out.key(key);
+  out.begin_array();
+  for (const UqStat& stat : stats) {
+    out.begin_object();
+    out.number("mean", stat.mean);
+    out.numbers("percentile_values", stat.percentile_values);
+    out.number("stddev", stat.stddev);
+    out.end_object();
+  }
+  out.end_array();
+}
+
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (!result.uncertainty) {
     return;
   }
   const MonteCarloUq& uq = *result.uncertainty;
-  Json mc = Json::object();
-  mc["samples"] = uq.samples;
-  mc["percentiles"] = doubles_to_json(uq.percentiles);
-  Json totals = Json::array();
-  for (const UqStat& stat : uq.platform_total) {
-    Json entry = Json::object();
-    entry["mean"] = stat.mean;
-    entry["stddev"] = stat.stddev;
-    entry["percentile_values"] = doubles_to_json(stat.percentile_values);
-    totals.push_back(std::move(entry));
-  }
-  mc["platform_total"] = std::move(totals);
-  Json ratios = Json::array();
-  for (const UqStat& stat : uq.ratio) {
-    Json entry = Json::object();
-    entry["mean"] = stat.mean;
-    entry["stddev"] = stat.stddev;
-    entry["percentile_values"] = doubles_to_json(stat.percentile_values);
-    ratios.push_back(std::move(entry));
-  }
-  mc["ratio"] = std::move(ratios);
-  mc["win_fraction"] = doubles_to_json(uq.win_fraction);
-  Json samples = Json::array();
+  out.key("uncertainty");
+  out.begin_object();
+  out.numbers("percentiles", uq.percentiles);
+  write_stats(out, "platform_total", uq.platform_total);
+  write_stats(out, "ratio", uq.ratio);
+  out.key("sample_totals_kg");
+  out.begin_array();
   for (const std::vector<double>& platform : uq.sample_totals_kg) {
-    samples.push_back(doubles_to_json(platform));
+    out.numbers(platform);
   }
-  mc["sample_totals_kg"] = std::move(samples);
-  out["uncertainty"] = std::move(mc);
+  out.end_array();
+  out.number("samples", uq.samples);
+  out.numbers("win_fraction", uq.win_fraction);
+  out.end_object();
 }
 
 UqStat stat_from_json(const Json& json) {
@@ -368,7 +368,7 @@ const KindModule& montecarlo_module() {
       .execute = execute,
       .plan_jobs = plan_jobs,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
       .render_text = render_text,

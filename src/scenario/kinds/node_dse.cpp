@@ -109,19 +109,22 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   rank_node_candidates(result.candidates);  // throws when nothing fits a reticle
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (result.candidates.empty()) {
     return;
   }
-  Json candidates = Json::array();
+  out.key("candidates");
+  out.begin_array();
   for (const NodeCandidate& candidate : result.candidates) {
-    Json entry = Json::object();
-    entry["chip"] = core::to_json(candidate.chip);
-    entry["lifecycle"] = core::to_json(candidate.lifecycle);
-    entry["total_vs_best"] = candidate.total_vs_best;
-    candidates.push_back(std::move(entry));
+    out.begin_object();
+    out.json("chip", core::to_json(candidate.chip));
+    out.key("lifecycle");
+    core::write_json(out, candidate.lifecycle);
+    out.number("total_vs_best", candidate.total_vs_best);
+    out.end_object();
   }
-  out["candidates"] = std::move(candidates);
+  out.end_array();
 }
 
 void result_from_json(const Json& json, ScenarioResult& result) {
@@ -174,7 +177,7 @@ const KindModule& node_dse_module() {
       .default_platforms = default_platforms,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
   };

@@ -100,29 +100,31 @@ void execute(const KindRunContext& /*context*/, const core::ModelSuite& suite,
   }
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
-  if (!result.tornado.empty()) {
-    Json tornado = Json::array();
+void write_result(const ScenarioResult& result, std::string_view key, io::JsonWriter& out) {
+  if (key == "tornado" && !result.tornado.empty()) {
+    out.key("tornado");
+    out.begin_array();
     for (const TornadoEntry& entry : result.tornado) {
-      Json row = Json::object();
-      row["name"] = entry.name;
-      row["ratio_at_low"] = entry.ratio_at_low;
-      row["ratio_at_high"] = entry.ratio_at_high;
-      row["swing"] = entry.swing();
-      tornado.push_back(std::move(row));
+      out.begin_object();
+      out.string("name", entry.name);
+      out.number("ratio_at_high", entry.ratio_at_high);
+      out.number("ratio_at_low", entry.ratio_at_low);
+      out.number("swing", entry.swing());
+      out.end_object();
     }
-    out["tornado"] = std::move(tornado);
-  }
-  if (result.monte_carlo) {
-    Json mc = Json::object();
-    mc["samples"] = result.monte_carlo->samples;
-    mc["mean"] = result.monte_carlo->mean;
-    mc["stddev"] = result.monte_carlo->stddev;
-    mc["p05"] = result.monte_carlo->p05;
-    mc["p50"] = result.monte_carlo->p50;
-    mc["p95"] = result.monte_carlo->p95;
-    mc["fpga_win_fraction"] = result.monte_carlo->fpga_win_fraction;
-    out["monte_carlo"] = std::move(mc);
+    out.end_array();
+  } else if (key == "monte_carlo" && result.monte_carlo) {
+    const MonteCarloResult& mc = *result.monte_carlo;
+    out.key("monte_carlo");
+    out.begin_object();
+    out.number("fpga_win_fraction", mc.fpga_win_fraction);
+    out.number("mean", mc.mean);
+    out.number("p05", mc.p05);
+    out.number("p50", mc.p50);
+    out.number("p95", mc.p95);
+    out.number("samples", mc.samples);
+    out.number("stddev", mc.stddev);
+    out.end_object();
   }
 }
 
@@ -200,7 +202,7 @@ const KindModule& sensitivity_module() {
       .validate = validate,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
   };

@@ -59,17 +59,19 @@ void execute(const KindRunContext& /*context*/, const core::ModelSuite& suite,
                         result.spec.timeline.step_years);
 }
 
-void result_to_json(const ScenarioResult& result, Json& out) {
+void write_result(const ScenarioResult& result, std::string_view /*key*/,
+                  io::JsonWriter& out) {
   if (!result.timeline) {
     return;
   }
-  Json timeline = Json::object();
-  timeline["time_years"] = doubles_to_json(result.timeline->time_years);
-  timeline["asic_cumulative_kg"] = doubles_to_json(result.timeline->asic_cumulative_kg);
-  timeline["fpga_cumulative_kg"] = doubles_to_json(result.timeline->fpga_cumulative_kg);
-  timeline["fpga_purchase_years"] =
-      doubles_to_json(result.timeline->fpga_purchase_years);
-  out["timeline"] = std::move(timeline);
+  const TimelineSeries& series = *result.timeline;
+  out.key("timeline");
+  out.begin_object();
+  out.numbers("asic_cumulative_kg", series.asic_cumulative_kg);
+  out.numbers("fpga_cumulative_kg", series.fpga_cumulative_kg);
+  out.numbers("fpga_purchase_years", series.fpga_purchase_years);
+  out.numbers("time_years", series.time_years);
+  out.end_object();
 }
 
 void result_from_json(const Json& json, ScenarioResult& result) {
@@ -141,7 +143,7 @@ const KindModule& timeline_module() {
       .validate = validate,
       .execute = execute,
       .result_keys = kResultKeys,
-      .result_to_json = result_to_json,
+      .write_result = write_result,
       .result_from_json = result_from_json,
       .to_frames = to_frames,
       .render_text = render_text,

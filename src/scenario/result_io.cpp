@@ -1,12 +1,13 @@
 /// \file result_io.cpp
-/// Canonical result JSON (total, byte-identical round-trip).  The common
+/// Canonical result bytes (total, byte-identical round-trip).  The common
 /// envelope -- spec and resolved platforms -- lives here; every kind
-/// section is owned by its registry module, and both directions simply
-/// iterate the registry (sections are presence-gated, and the sorted
-/// canonical object makes emission order irrelevant to the bytes).
+/// section is owned by its registry module.  Writing streams the sections
+/// in the global sorted key order straight into the bytes; reading parses
+/// and iterates the registry (sections are presence-gated).
 
 #include "scenario/result_io.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -22,23 +23,56 @@ using report::Cell;
 using report::Column;
 using report::ResultFrame;
 
-/// check_known_keys over the registry-derived key set: the envelope keys
-/// plus every module's result sections.  Runtime-built because the
-/// registry owns the per-kind vocabulary.
-void check_result_keys(const Json& json) {
-  for (const auto& [key, value] : json.as_object()) {
-    bool known = key == "spec" || key == "platforms";
+/// One top-level result key and its owning module (nullptr for the
+/// envelope sections every result carries).
+struct ResultSection {
+  std::string_view key;
+  const KindModule* module = nullptr;
+};
+
+/// Every top-level result key -- the envelope's plus each module's
+/// `result_keys` -- in canonical (sorted) order.  The kind keys interleave
+/// with the envelope ones (sensitivity's monte_carlo / tornado sit around
+/// platforms / spec), so the writer walks this one merged list.
+const std::vector<ResultSection>& result_sections() {
+  static const std::vector<ResultSection> sections = [] {
+    std::vector<ResultSection> out{{"platforms", nullptr}, {"spec", nullptr}};
     for (const KindModule* module : all_kind_modules()) {
-      for (const std::string_view candidate : module->result_keys) {
-        if (key == candidate) {
-          known = true;
-          break;
-        }
-      }
-      if (known) {
-        break;
+      for (const std::string_view key : module->result_keys) {
+        out.push_back({key, module});
       }
     }
+    std::sort(out.begin(), out.end(), [](const ResultSection& a, const ResultSection& b) {
+      return a.key < b.key;
+    });
+    return out;
+  }();
+  return sections;
+}
+
+void write_envelope(const ScenarioResult& result, std::string_view key, io::JsonWriter& out) {
+  if (key == "spec") {
+    out.json("spec", spec_to_json(result.spec));
+    return;
+  }
+  out.key("platforms");
+  out.begin_array();
+  for (std::size_t i = 0; i < result.platform_names.size(); ++i) {
+    out.begin_object();
+    out.json("chip", core::to_json(result.resolved_chips[i]));
+    out.string("name", result.platform_names[i]);
+    out.end_object();
+  }
+  out.end_array();
+}
+
+/// check_known_keys over the registry-derived key set.
+void check_result_keys(const Json& json) {
+  const std::vector<ResultSection>& sections = result_sections();
+  for (const auto& [key, value] : json.as_object()) {
+    const bool known =
+        std::any_of(sections.begin(), sections.end(),
+                    [&key](const ResultSection& section) { return section.key == key; });
     if (!known) {
       throw core::ConfigError("unknown key \"" + key + "\" in scenario result");
     }
@@ -47,23 +81,39 @@ void check_result_keys(const Json& json) {
 
 }  // namespace
 
-Json result_to_json(const ScenarioResult& result) {
-  Json out = Json::object();
-  out["spec"] = spec_to_json(result.spec);
-  Json platforms = Json::array();
-  for (std::size_t i = 0; i < result.platform_names.size(); ++i) {
-    Json entry = Json::object();
-    entry["name"] = result.platform_names[i];
-    entry["chip"] = core::to_json(result.resolved_chips[i]);
-    platforms.push_back(std::move(entry));
-  }
-  out["platforms"] = std::move(platforms);
-  for (const KindModule* module : all_kind_modules()) {
-    if (module->result_to_json != nullptr) {
-      module->result_to_json(result, out);
+void write_result(const ScenarioResult& result, io::JsonWriter& out) {
+  out.begin_object();
+  for (const ResultSection& section : result_sections()) {
+    if (section.module == nullptr) {
+      write_envelope(result, section.key, out);
+    } else if (section.module->write_result != nullptr) {
+      section.module->write_result(result, section.key, out);
     }
   }
-  return out;
+  out.end_object();
+}
+
+std::string result_bytes(const ScenarioResult& result, int indent) {
+  std::string text;
+  io::JsonWriter out(text, indent);
+  write_result(result, out);
+  out.finish();
+  return text;
+}
+
+std::string result_document(const ScenarioResult& result) {
+  std::string text;
+  io::JsonWriter out(text);
+  write_result(result, out);
+  // Through the writer: appending the newline afterwards would regrow
+  // (and copy) a string sized exactly to the bytes.
+  out.newline();
+  out.finish();
+  return text;
+}
+
+Json result_to_json(const ScenarioResult& result) {
+  return io::written_json([&result](io::JsonWriter& out) { write_result(result, out); });
 }
 
 ScenarioResult result_from_json(const Json& json) {
@@ -84,12 +134,11 @@ ScenarioResult result_from_json(const Json& json) {
 }
 
 bool operator==(const ScenarioResult& a, const ScenarioResult& b) {
-  // Compare the *serialized* canonical forms, not the Json trees: tree
-  // equality compares doubles with ==, under which NaN != NaN, so a
-  // result carrying a NaN cell (e.g. a 0/0 ratio) would never equal
-  // itself.  The dump encodes non-finite values as text sentinels, making
-  // the canonical-bytes identity total.
-  return result_to_json(a).dump(0) == result_to_json(b).dump(0);
+  // Compare the canonical compact bytes, not the values: double == says
+  // NaN != NaN, so a result carrying a NaN cell (e.g. a 0/0 ratio) would
+  // never equal itself.  The writer encodes non-finite values as text
+  // sentinels, making the canonical-bytes identity total.
+  return result_bytes(a, 0) == result_bytes(b, 0);
 }
 
 // -- frames ---------------------------------------------------------------------

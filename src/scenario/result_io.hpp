@@ -11,37 +11,57 @@
 ///     `report::ResultFrame`s -- the single source every renderer (text
 ///     table, CSV, Markdown, batch index) draws from, so no output format
 ///     ever re-implements a scenario kind;
-///   * `result_to_json` / `result_from_json` are a canonical, total JSON
-///     round-trip through `io::Json`: serialize -> parse -> re-serialize
-///     is byte-identical, and `result_from_json(result_to_json(r)) == r`
-///     (pinned by tests/golden_results_test.cpp).  Downstream consumers
-///     (dashboards, caches, the `greenfpga batch` index) can therefore
-///     read any answer without re-running the engine.
+///   * `write_result` / `result_bytes` stream the canonical, total JSON
+///     bytes straight from the kind modules (no DOM), and
+///     `result_from_json` reads them back: serialize -> parse ->
+///     re-serialize is byte-identical, and
+///     `result_from_json(result_to_json(r)) == r` (pinned by
+///     tests/golden_results_test.cpp and tests/json_writer_test.cpp).
+///     Downstream consumers (dashboards, caches, the `greenfpga batch`
+///     index) can therefore read any answer without re-running the
+///     engine.
 ///
 /// The only result content that does not survive JSON is the *programmatic*
 /// part of a sensitivity spec (custom `ParameterRange` appliers), which --
 /// exactly as in `spec_to_json` -- serializes by name and is reconstructed
 /// from `table1_ranges()` on load.
 
+#include <string>
 #include <vector>
 
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 #include "report/result_frame.hpp"
 #include "scenario/engine.hpp"
 
 namespace greenfpga::scenario {
 
-/// Canonical JSON form of an engine result: the as-run spec, the resolved
-/// platforms, and the kind-dependent payload (every field, deterministic
-/// key order, shortest round-trip numbers).
+/// Write the canonical JSON object of an engine result as the next value
+/// of `out`: the as-run spec, the resolved platforms, and the
+/// kind-dependent payload (every field, sorted keys, shortest round-trip
+/// numbers).  Each section is streamed by its owner in the global sorted
+/// key order.
+void write_result(const ScenarioResult& result, io::JsonWriter& out);
+
+/// The canonical result bytes: `indent` 2 is the pretty form, 0 the
+/// compact form.
+[[nodiscard]] std::string result_bytes(const ScenarioResult& result, int indent = 2);
+
+/// The pretty bytes plus a trailing newline: exactly what `--format json`
+/// prints, a result file holds and a `/v1/run` response carries.
+[[nodiscard]] std::string result_document(const ScenarioResult& result);
+
+/// The canonical result as a DOM: `io::parse_json` of the compact bytes.
+/// For callers that inspect or edit the value; anything that only needs
+/// the text uses `result_bytes` / `write_result`.
 [[nodiscard]] io::Json result_to_json(const ScenarioResult& result);
 
-/// Inverse of `result_to_json`.  Throws core::ConfigError / io::JsonError
-/// on malformed input.
+/// Inverse of `write_result` (over the parsed bytes).  Throws
+/// core::ConfigError / io::JsonError on malformed input.
 [[nodiscard]] ScenarioResult result_from_json(const io::Json& json);
 
-/// Result equality, defined as equality of the canonical JSON forms (the
-/// payload holds std::function-bearing spec members, so memberwise
+/// Result equality, defined as equality of the canonical compact bytes
+/// (the payload holds std::function-bearing spec members, so memberwise
 /// comparison is not expressible; canonical JSON is the identity every
 /// consumer observes).
 [[nodiscard]] bool operator==(const ScenarioResult& a, const ScenarioResult& b);

@@ -106,7 +106,7 @@ struct AxisSpec {
 /// explicit device (which bypasses the registry lookup).
 struct PlatformRef {
   std::string name;
-  std::optional<device::ChipSpec> chip;
+  std::optional<device::ChipSpec> chip = std::nullopt;
 };
 
 /// The deployment schedule, in the paper's homogeneous parameterisation

@@ -89,10 +89,9 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
     context.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
     response.body = *body;
   } else {
-    std::string text;
-    scenario::result_to_json(*run.result).dump_to(text);
-    text.push_back('\n');
-    auto rendered = std::make_shared<const std::string>(std::move(text));
+    // Miss: the kind modules write the canonical bytes directly.
+    auto rendered =
+        std::make_shared<const std::string>(scenario::result_document(*run.result));
     context.rendered().insert(run.key, rendered);
     response.body = *rendered;
   }
@@ -125,11 +124,18 @@ HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   }
   const std::vector<scenario::ScenarioResult> results =
       context.engine().run_batch(specs);
-  Json body = Json::array();
+  HttpResponse response;
+  response.status = 200;
+  response.set_header("Content-Type", "application/json");
+  io::JsonWriter out(response.body);
+  out.begin_array();
   for (const scenario::ScenarioResult& result : results) {
-    body.push_back(scenario::result_to_json(result));
+    scenario::write_result(result, out);
   }
-  return json_response(200, body);
+  out.end_array();
+  out.newline();
+  out.finish();
+  return response;
 }
 
 HttpResponse handle_platforms(const ServeContext& context, const HttpRequest&) {

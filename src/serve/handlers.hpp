@@ -25,12 +25,13 @@
 ///
 /// Request bodies parse into the arena DOM (io/json_arena.hpp): one
 /// monotonic buffer per request, freed wholesale, with the canonical
-/// FNV-1a digest computed during the parse.  On the response side a
-/// cache-hit `/v1/run` takes the *fast path*: the fully rendered body is
-/// kept in a small LRU keyed by the engine's content key, so a repeat
-/// request skips `result_to_json` + dump entirely and streams the cached
-/// bytes back (still consulting the engine cache, so hit/miss accounting
-/// is unchanged).
+/// FNV-1a digest computed during the parse.  On the response side a miss
+/// has the kind modules write the canonical bytes directly
+/// (`scenario::result_bytes`, no result DOM), and a cache-hit `/v1/run`
+/// takes the *fast path*: the fully rendered body is kept in a small LRU
+/// keyed by the engine's content key, so a repeat request writes nothing
+/// and streams the cached bytes back (still consulting the engine cache,
+/// so hit/miss accounting is unchanged).
 ///
 /// Spec parse/validation failures answer 400 with the same
 /// offending-key-naming message the CLI prints; over-limit or malformed

@@ -1,0 +1,295 @@
+/// The canonical JSON writer: streamed result bytes are byte-identical to
+/// the DOM dump and to the checked-in golden snapshots for every kind, the
+/// sorted-key rule is enforced, and the format rules (separators,
+/// indentation, non-finite sentinels, escaping) hold for streamed and
+/// spliced values alike.
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "golden_result_specs.hpp"
+#include "io/json.hpp"
+#include "io/json_writer.hpp"
+#include "scenario/result_io.hpp"
+
+#ifndef GREENFPGA_GOLDEN_DIR
+#error "GREENFPGA_GOLDEN_DIR must point at tests/golden (set by CMakeLists.txt)"
+#endif
+
+namespace greenfpga {
+namespace {
+
+using io::Json;
+using io::JsonWriter;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+template <class Write>
+std::string written(int indent, Write&& write) {
+  std::string text;
+  JsonWriter out(text, indent);
+  write(out);
+  out.finish();
+  return text;
+}
+
+// -- every kind: writer bytes == DOM dump == golden ---------------------------------
+
+class JsonWriterResults : public ::testing::TestWithParam<scenario::ScenarioKind> {};
+
+TEST_P(JsonWriterResults, BytesMatchTheDomDumpAndTheGolden) {
+  const scenario::ScenarioResult result = scenario::golden::run_kind(GetParam());
+  const Json dom = scenario::result_to_json(result);
+  for (const int indent : {0, 2}) {
+    EXPECT_EQ(scenario::result_bytes(result, indent), dom.dump(indent))
+        << "indent " << indent;
+  }
+  const std::string golden = read_file(std::string(GREENFPGA_GOLDEN_DIR) + "/result_" +
+                                       scenario::to_string(GetParam()) + ".json");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(scenario::result_bytes(result) + "\n", golden);
+}
+
+TEST_P(JsonWriterResults, ResultObjectStreamsAtAnyDepth) {
+  // Nested inside an array (the /v1/batch body shape) the result is the
+  // same bytes as its own DOM dumped one level down.
+  const scenario::ScenarioResult result = scenario::golden::run_kind(GetParam());
+  const std::string streamed = written(2, [&](JsonWriter& out) {
+    out.begin_array();
+    scenario::write_result(result, out);
+    out.end_array();
+  });
+  EXPECT_EQ(streamed, Json::array({scenario::result_to_json(result)}).dump(2));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, JsonWriterResults,
+                         ::testing::ValuesIn(scenario::golden::all_kinds()),
+                         [](const ::testing::TestParamInfo<scenario::ScenarioKind>& info) {
+                           return scenario::to_string(info.param);
+                         });
+
+// -- the sorted-key rule -------------------------------------------------------------
+
+TEST(JsonWriter, OutOfOrderKeyThrowsLogicError) {
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_object();
+  out.number("b", 1.0);
+  EXPECT_THROW(out.key("a"), std::logic_error);
+}
+
+TEST(JsonWriter, DuplicateKeyThrowsLogicError) {
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_object();
+  out.number("a", 1.0);
+  EXPECT_THROW(out.key("a"), std::logic_error);
+}
+
+TEST(JsonWriter, OutOfOrderRuntimeKeyThrowsLogicError) {
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_object();
+  out.runtime_key(std::string("m"));
+  out.null();
+  out.key("n");  // compile-time and runtime keys share one order
+  out.null();
+  EXPECT_THROW(out.runtime_key(std::string("c")), std::logic_error);
+}
+
+TEST(JsonWriter, KeyOrderIsPerObject) {
+  // A nested object starts its own order; the parent's resumes after it.
+  const std::string text = written(0, [](JsonWriter& out) {
+    out.begin_object();
+    out.key("m");
+    out.begin_object();
+    out.number("a", 1.0);
+    out.number("z", 2.0);
+    out.end_object();
+    out.number("n", 3.0);
+    out.end_object();
+  });
+  EXPECT_EQ(text, R"({"m":{"a":1,"z":2},"n":3})");
+}
+
+TEST(JsonWriter, MisplacedKeysAndValuesThrowLogicError) {
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_array();
+  EXPECT_THROW(out.key("a"), std::logic_error);  // a key inside an array
+  out.end_array();
+  std::string more;
+  JsonWriter object(more, 0);
+  object.begin_object();
+  EXPECT_THROW(object.number(1.0), std::logic_error);  // a value without a key
+  EXPECT_THROW(object.end_array(), std::logic_error);  // the wrong bracket
+  EXPECT_THROW(object.newline(), std::logic_error);    // a line end mid-object
+}
+
+TEST(JsonWriter, DocumentEndsWithOneNewline) {
+  const scenario::ScenarioResult result =
+      scenario::golden::run_kind(scenario::ScenarioKind::compare);
+  EXPECT_EQ(scenario::result_document(result), scenario::result_bytes(result) + "\n");
+}
+
+// -- format rules --------------------------------------------------------------------
+
+TEST(JsonWriter, NonFiniteCellsAreQuotedSentinels) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> cells{inf, -inf, std::numeric_limits<double>::quiet_NaN(), 1.5};
+  EXPECT_EQ(written(0, [&](JsonWriter& out) { out.numbers(cells); }),
+            R"(["inf","-inf","nan",1.5])");
+  // And through a whole result: an unbounded breakeven solve.
+  scenario::ScenarioResult result =
+      scenario::golden::run_kind(scenario::ScenarioKind::breakeven);
+  result.breakeven->app_count = inf;
+  result.breakeven->volume = std::numeric_limits<double>::quiet_NaN();
+  const std::string bytes = scenario::result_bytes(result, 0);
+  EXPECT_NE(bytes.find(R"("app_count":"inf")"), std::string::npos) << bytes;
+  EXPECT_NE(bytes.find(R"("volume":"nan")"), std::string::npos) << bytes;
+}
+
+TEST(JsonWriter, PrettyLayoutMatchesTheDomDump) {
+  const Json document = Json::object(
+      {{"empty_array", Json::array()},
+       {"empty_object", Json::object()},
+       {"nested", Json::array({1.0, Json::object({{"k", "v\n\"q\""}}), Json::array()})},
+       {"scalars", Json::array({true, false, nullptr, -0.25, 1e300})}});
+  const std::string expected =
+      "{\n"
+      "  \"empty_array\": [],\n"
+      "  \"empty_object\": {},\n"
+      "  \"nested\": [\n"
+      "    1,\n"
+      "    {\n"
+      "      \"k\": \"v\\n\\\"q\\\"\"\n"
+      "    },\n"
+      "    []\n"
+      "  ],\n"
+      "  \"scalars\": [\n"
+      "    true,\n"
+      "    false,\n"
+      "    null,\n"
+      "    -0.25,\n"
+      "    1e+300\n"
+      "  ]\n"
+      "}";
+  EXPECT_EQ(document.dump(2), expected);
+  // Streamed by hand, the same value gives the same bytes.
+  const std::string streamed = written(2, [](JsonWriter& out) {
+    out.begin_object();
+    out.key("empty_array");
+    out.begin_array();
+    out.end_array();
+    out.key("empty_object");
+    out.begin_object();
+    out.end_object();
+    out.key("nested");
+    out.begin_array();
+    out.number(1.0);
+    out.begin_object();
+    out.string("k", "v\n\"q\"");
+    out.end_object();
+    out.begin_array();
+    out.end_array();
+    out.end_array();
+    out.key("scalars");
+    out.begin_array();
+    out.boolean(true);
+    out.boolean(false);
+    out.null();
+    out.number(-0.25);
+    out.number(1e300);
+    out.end_array();
+    out.end_object();
+  });
+  EXPECT_EQ(streamed, expected);
+}
+
+TEST(JsonWriter, IndentationDeeperThanThePadString) {
+  constexpr int kDepth = 60;  // 120 pad bytes at indent 2
+  Json value = 7.0;
+  for (int i = 0; i < kDepth; ++i) {
+    value = Json::array({value});
+  }
+  std::string expected;
+  for (int i = 0; i < kDepth; ++i) {
+    expected += "[\n" + std::string(static_cast<std::size_t>(2 * (i + 1)), ' ');
+  }
+  expected += "7";
+  for (int i = kDepth - 1; i >= 0; --i) {
+    expected += "\n" + std::string(static_cast<std::size_t>(2 * i), ' ') + "]";
+  }
+  EXPECT_EQ(value.dump(2), expected);
+}
+
+TEST(JsonWriter, AppendsToExistingContentOnFinish) {
+  std::string expected = "prefix:[";
+  for (int i = 0; i < 2000; ++i) {
+    expected += (i == 0 ? "" : ",") + std::to_string(i);
+  }
+  expected += "]";
+  std::string text = "prefix:";
+  JsonWriter out(text, 0);
+  out.begin_array();
+  for (int i = 0; i < 2000; ++i) {  // forces several buffer growths
+    out.number(i);
+  }
+  out.end_array();
+  EXPECT_EQ(text, "prefix:");  // buffered until finish
+  out.finish();
+  EXPECT_EQ(text, expected);
+  out.finish();  // nothing new written: nothing appended twice
+  EXPECT_EQ(text, expected);
+}
+
+TEST(JsonWriter, AWriterUnwoundByAnExceptionLeavesTheOutputUnchanged) {
+  std::string text = "kept";
+  EXPECT_THROW(
+      {
+        JsonWriter out(text, 0);
+        out.begin_object();
+        out.number("b", 1.0);
+        out.key("a");  // throws: out of order
+        out.finish();
+      },
+      std::logic_error);
+  EXPECT_EQ(text, "kept");
+}
+
+TEST(JsonWriter, SplicedDomAndRuntimeKeysEscape) {
+  const std::string text = written(0, [](JsonWriter& out) {
+    out.begin_object();
+    out.runtime_key("a\"b");
+    out.json(Json::object({{"tab\t", 1.0}}));
+    out.end_object();
+  });
+  EXPECT_EQ(text, R"({"a\"b":{"tab\t":1}})");
+  EXPECT_EQ(io::parse_json(text).dump(0), text);
+}
+
+TEST(JsonWriter, EmptyStringsAndKeys) {
+  // A default-constructed view has a null data(): still a valid "".
+  EXPECT_EQ(written(0,
+                    [](JsonWriter& out) {
+                      out.begin_object();
+                      out.runtime_key(std::string_view());
+                      out.string(std::string_view());
+                      out.end_object();
+                    }),
+            R"({"":""})");
+}
+
+}  // namespace
+}  // namespace greenfpga
