@@ -213,6 +213,23 @@ std::vector<BenchCase> builtin_cases() {
       }});
 
   cases.push_back(BenchCase{
+      .group = "engine",
+      .name = "cache_key",
+      .description = "Engine::cache_key of the 50x50 grid spec: prepare + the compact "
+                     "{platforms, spec} content key streamed with no DOM",
+      .setup = [] {
+        auto engine = std::make_shared<scenario::Engine>(single_thread_engine());
+        auto spec = std::make_shared<scenario::ScenarioSpec>(grid_spec());
+        const double bytes = static_cast<double>(engine->cache_key(*spec).size());
+        return PreparedCase{.op =
+                                [engine, spec] {
+                                  g_sink = engine->cache_key(*spec).size();
+                                },
+                            .iterations = 64,
+                            .bytes_per_op = bytes};
+      }});
+
+  cases.push_back(BenchCase{
       .group = "mc",
       .name = "samples_256",
       .description = "Engine::run of a 256-sample DNN Monte-Carlo uncertainty spec "
@@ -360,8 +377,8 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "dump_spec",
-      .description = "io::Json::dump_to_hashed (compact) of one spec document -- "
-                     "the engine cache-key serialization",
+      .description = "io::Json::dump_to_hashed (compact) of one spec document's DOM "
+                     "(the DOM dump path; the cache key streams: engine/cache_key)",
       .setup = [] {
         auto document = std::make_shared<io::Json>(
             scenario::spec_to_json(grid_spec()));

@@ -334,92 +334,115 @@ ScenarioConfig load_scenario(const std::string& path) {
 // -- writers -------------------------------------------------------------------
 
 Json to_json(const ModelSuite& suite) {
-  Json design = Json::object();
-  design["annual_energy_gwh"] = suite.design.annual_energy.in(gwh);
-  design["intensity_g_per_kwh"] = suite.design.intensity.in(g_per_kwh);
-  design["company_employees"] = suite.design.company_employees;
-  design["product_team_size"] = suite.design.product_team_size;
-  design["average_product_gates"] = suite.design.average_product_gates;
-  design["project_duration_years"] = suite.design.project_duration.in(years);
-  design["fpga_regularity_factor"] = suite.design.fpga_regularity_factor;
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, suite); });
+}
 
-  Json appdev = Json::object();
-  appdev["frontend_months"] = suite.appdev.frontend_time.in(months);
-  appdev["backend_months"] = suite.appdev.backend_time.in(months);
-  appdev["config_minutes"] = suite.appdev.config_time.in(minutes);
-  appdev["dev_system_power_w"] = suite.appdev.dev_system_power.in(w);
-  appdev["dev_systems"] = suite.appdev.dev_systems;
-  appdev["dev_intensity_g_per_kwh"] = suite.appdev.dev_intensity.in(g_per_kwh);
-  appdev["accounting"] =
-      suite.appdev.accounting == AppDevAccounting::one_time ? "one_time" : "per_year";
-  appdev["asic_software_dev_months"] = suite.appdev.asic_software_dev_time.in(months);
-  appdev["gpu_software_dev_months"] = suite.appdev.gpu_software_dev_time.in(months);
-  appdev["cpu_software_dev_months"] = suite.appdev.cpu_software_dev_time.in(months);
+void write_json(io::JsonWriter& out, const ModelSuite& suite) {
+  out.begin_object();
+  out.key("appdev");
+  out.begin_object();
+  out.string("accounting",
+             suite.appdev.accounting == AppDevAccounting::one_time ? "one_time" : "per_year");
+  out.number("asic_software_dev_months", suite.appdev.asic_software_dev_time.in(months));
+  out.number("backend_months", suite.appdev.backend_time.in(months));
+  out.number("config_minutes", suite.appdev.config_time.in(minutes));
+  out.number("cpu_software_dev_months", suite.appdev.cpu_software_dev_time.in(months));
+  out.number("dev_intensity_g_per_kwh", suite.appdev.dev_intensity.in(g_per_kwh));
+  out.number("dev_system_power_w", suite.appdev.dev_system_power.in(w));
+  out.number("dev_systems", suite.appdev.dev_systems);
+  out.number("frontend_months", suite.appdev.frontend_time.in(months));
+  out.number("gpu_software_dev_months", suite.appdev.gpu_software_dev_time.in(months));
+  out.end_object();
 
-  Json fab = Json::object();
-  fab["energy_intensity_g_per_kwh"] = suite.fab.fab_energy_intensity.in(g_per_kwh);
-  fab["recycled_material_fraction"] = suite.fab.recycled_material_fraction;
-  fab["yield_model"] = to_string(suite.fab.yield.model);
-  fab["clustering_alpha"] = suite.fab.yield.clustering_alpha;
-  fab["line_yield"] = suite.fab.yield.line_yield;
+  out.key("design");
+  out.begin_object();
+  out.number("annual_energy_gwh", suite.design.annual_energy.in(gwh));
+  out.number("average_product_gates", suite.design.average_product_gates);
+  out.number("company_employees", suite.design.company_employees);
+  out.number("fpga_regularity_factor", suite.design.fpga_regularity_factor);
+  out.number("intensity_g_per_kwh", suite.design.intensity.in(g_per_kwh));
+  out.number("product_team_size", suite.design.product_team_size);
+  out.number("project_duration_years", suite.design.project_duration.in(years));
+  out.end_object();
 
-  Json operation = Json::object();
-  operation["use_intensity_g_per_kwh"] = suite.operation.use_intensity.in(g_per_kwh);
-  operation["duty_cycle"] = suite.operation.duty_cycle;
-  operation["pue"] = suite.operation.power_usage_effectiveness;
+  out.key("eol");
+  out.begin_object();
+  out.number("discard_mtco2e_per_ton", suite.eol.discard_factor.in(mtco2e_per_ton));
+  out.number("recycle_mtco2e_per_ton", suite.eol.recycle_credit_factor.in(mtco2e_per_ton));
+  out.number("recycled_fraction", suite.eol.recycled_fraction);
+  out.end_object();
 
-  Json package = Json::object();
-  package["type"] = to_string(suite.package.type);
-  package["assembly_overhead_kg"] = suite.package.assembly_overhead.canonical();
-  package["substrate_kg_per_cm2"] = suite.package.substrate_per_area.in(kg_per_cm2);
-  package["footprint_ratio"] = suite.package.footprint_ratio;
+  out.key("fab");
+  out.begin_object();
+  out.number("clustering_alpha", suite.fab.yield.clustering_alpha);
+  out.number("energy_intensity_g_per_kwh", suite.fab.fab_energy_intensity.in(g_per_kwh));
+  out.number("line_yield", suite.fab.yield.line_yield);
+  out.number("recycled_material_fraction", suite.fab.recycled_material_fraction);
+  out.string("yield_model", to_string(suite.fab.yield.model));
+  out.end_object();
 
-  Json eol_json = Json::object();
-  eol_json["recycled_fraction"] = suite.eol.recycled_fraction;
-  eol_json["discard_mtco2e_per_ton"] = suite.eol.discard_factor.in(mtco2e_per_ton);
-  eol_json["recycle_mtco2e_per_ton"] = suite.eol.recycle_credit_factor.in(mtco2e_per_ton);
+  out.key("operation");
+  out.begin_object();
+  out.number("duty_cycle", suite.operation.duty_cycle);
+  out.number("pue", suite.operation.power_usage_effectiveness);
+  out.number("use_intensity_g_per_kwh", suite.operation.use_intensity.in(g_per_kwh));
+  out.end_object();
 
-  Json out = Json::object();
-  out["design"] = std::move(design);
-  out["appdev"] = std::move(appdev);
-  out["fab"] = std::move(fab);
-  out["operation"] = std::move(operation);
-  out["package"] = std::move(package);
-  out["eol"] = std::move(eol_json);
-  return out;
+  out.key("package");
+  out.begin_object();
+  out.number("assembly_overhead_kg", suite.package.assembly_overhead.canonical());
+  out.number("footprint_ratio", suite.package.footprint_ratio);
+  out.number("substrate_kg_per_cm2", suite.package.substrate_per_area.in(kg_per_cm2));
+  out.string("type", to_string(suite.package.type));
+  out.end_object();
+  out.end_object();
 }
 
 Json to_json(const device::ChipSpec& chip) {
-  Json out = Json::object();
-  out["name"] = chip.name;
-  out["kind"] = chip.is_fpga() ? "fpga"
-                               : (chip.is_gpu() ? "gpu" : (chip.is_cpu() ? "cpu" : "asic"));
-  out["node"] = tech::to_string(chip.node);
-  out["die_area_mm2"] = chip.die_area.in(mm2);
-  out["peak_power_w"] = chip.peak_power.in(w);
-  out["capacity_gates"] = chip.capacity_gates;
-  out["service_life_years"] = chip.service_life.in(years);
-  out["chiplet_count"] = chip.chiplet_count;
-  out["chiplet_package"] = chip.chiplet_package;
-  return out;
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, chip); });
+}
+
+void write_json(io::JsonWriter& out, const device::ChipSpec& chip) {
+  out.begin_object();
+  out.number("capacity_gates", chip.capacity_gates);
+  out.number("chiplet_count", chip.chiplet_count);
+  out.string("chiplet_package", chip.chiplet_package);
+  out.number("die_area_mm2", chip.die_area.in(mm2));
+  out.string("kind", chip.is_fpga()  ? "fpga"
+                     : chip.is_gpu() ? "gpu"
+                     : chip.is_cpu() ? "cpu"
+                                     : "asic");
+  out.string("name", chip.name);
+  out.string("node", tech::to_string(chip.node));
+  out.number("peak_power_w", chip.peak_power.in(w));
+  out.number("service_life_years", chip.service_life.in(years));
+  out.end_object();
 }
 
 Json to_json(const workload::Application& app) {
-  Json out = Json::object();
-  out["name"] = app.name;
-  out["domain"] = to_string(app.domain);
-  out["lifetime_years"] = app.lifetime.in(years);
-  out["volume"] = app.volume;
-  out["size_gates"] = app.size_gates;
-  return out;
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, app); });
+}
+
+void write_json(io::JsonWriter& out, const workload::Application& app) {
+  out.begin_object();
+  out.string("domain", to_string(app.domain));
+  out.number("lifetime_years", app.lifetime.in(years));
+  out.string("name", app.name);
+  out.number("size_gates", app.size_gates);
+  out.number("volume", app.volume);
+  out.end_object();
 }
 
 Json to_json(const workload::Schedule& schedule) {
-  Json out = Json::array();
+  return io::written_json([&](io::JsonWriter& out) { write_json(out, schedule); });
+}
+
+void write_json(io::JsonWriter& out, const workload::Schedule& schedule) {
+  out.begin_array();
   for (const workload::Application& app : schedule) {
-    out.push_back(to_json(app));
+    write_json(out, app);
   }
-  return out;
+  out.end_array();
 }
 
 Json to_json(const CfpBreakdown& breakdown) {

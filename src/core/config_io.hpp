@@ -82,17 +82,24 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] ScenarioConfig load_scenario(const std::string& path);
 
 // -- writers -------------------------------------------------------------------
+/// Streamed writers: the canonical bytes of each type, written as the next
+/// value of `out` (an object's members in sorted key order).  Spec, cache
+/// key and result bytes are all made of these.
+void write_json(io::JsonWriter& out, const ModelSuite& suite);
+void write_json(io::JsonWriter& out, const device::ChipSpec& chip);
+void write_json(io::JsonWriter& out, const workload::Application& app);
+void write_json(io::JsonWriter& out, const workload::Schedule& schedule);
+void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown);
+void write_json(io::JsonWriter& out, const PlatformCfp& platform);
+
+/// DOM forms of the same bytes (`io::written_json` of the writers above),
+/// for callers that edit or inspect a value rather than emit it.
 [[nodiscard]] io::Json to_json(const ModelSuite& suite);
 [[nodiscard]] io::Json to_json(const device::ChipSpec& chip);
 [[nodiscard]] io::Json to_json(const workload::Application& app);
 [[nodiscard]] io::Json to_json(const workload::Schedule& schedule);
 [[nodiscard]] io::Json to_json(const CfpBreakdown& breakdown);
 [[nodiscard]] io::Json to_json(const PlatformCfp& platform);
-
-/// Streamed writers of the result-payload types: the canonical bytes
-/// every result section embeds (the two `to_json` above parse them).
-void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown);
-void write_json(io::JsonWriter& out, const PlatformCfp& platform);
 
 }  // namespace greenfpga::core
 

@@ -61,30 +61,26 @@ std::int64_t int_field_ctx(const Json& json, const std::string& context,
   }
 }
 
-Json frontier_axis_to_json(const FrontierAxisSpec& axis) {
-  Json out = Json::object();
-  out["variable"] = to_string(axis.variable);
+void write_axis(io::JsonWriter& out, const FrontierAxisSpec& axis) {
+  out.begin_object();
   if (axis.variable == FrontierVariable::node) {
-    Json nodes = Json::array();
+    out.key("nodes");
+    out.begin_array();
     for (const tech::ProcessNode node : axis.nodes) {
-      nodes.push_back(tech::to_string(node));
+      out.string(tech::to_string(node));
     }
-    out["nodes"] = std::move(nodes);
-    return out;
-  }
-  out["scale"] = to_string(axis.scale);
-  if (axis.scale == FrontierAxisScale::list) {
-    Json values = Json::array();
-    for (const double v : axis.explicit_values) {
-      values.push_back(v);
-    }
-    out["values"] = std::move(values);
+    out.end_array();
+  } else if (axis.scale == FrontierAxisScale::list) {
+    out.string("scale", to_string(axis.scale));
+    out.numbers("values", axis.explicit_values);
   } else {
-    out["from"] = axis.from;
-    out["to"] = axis.to;
-    out["count"] = axis.count;
+    out.number("count", axis.count);
+    out.number("from", axis.from);
+    out.string("scale", to_string(axis.scale));
+    out.number("to", axis.to);
   }
-  return out;
+  out.string("variable", to_string(axis.variable));
+  out.end_object();
 }
 
 FrontierAxisSpec frontier_axis_from_json(const Json& json, const std::string& context) {
@@ -341,16 +337,7 @@ void FrontierSpec::validate() const {
 }
 
 io::Json frontier_spec_to_json(const FrontierSpec& spec) {
-  Json out = Json::object();
-  Json axes = Json::array();
-  for (const FrontierAxisSpec& axis : spec.axes) {
-    axes.push_back(frontier_axis_to_json(axis));
-  }
-  out["axes"] = std::move(axes);
-  out["objective"] = to_string(spec.objective);
-  out["confidence_samples"] = spec.confidence_samples;
-  out["seed"] = static_cast<std::int64_t>(spec.seed);
-  return out;
+  return io::written_json([&](io::JsonWriter& out) { core::write_json(out, spec); });
 }
 
 FrontierSpec frontier_spec_from_json(const io::Json& json, const std::string& context,
@@ -379,3 +366,21 @@ FrontierSpec frontier_spec_from_json(const io::Json& json, const std::string& co
 }
 
 }  // namespace greenfpga::dse
+
+namespace greenfpga::core {
+
+void write_json(io::JsonWriter& out, const dse::FrontierSpec& spec) {
+  out.begin_object();
+  out.key("axes");
+  out.begin_array();
+  for (const dse::FrontierAxisSpec& axis : spec.axes) {
+    dse::write_axis(out, axis);
+  }
+  out.end_array();
+  out.number("confidence_samples", spec.confidence_samples);
+  out.string("objective", to_string(spec.objective));
+  out.number("seed", spec.seed);
+  out.end_object();
+}
+
+}  // namespace greenfpga::core

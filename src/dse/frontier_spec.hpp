@@ -16,7 +16,7 @@
 /// and the core config helpers, so `scenario::ScenarioSpec` can embed a
 /// `FrontierSpec` (kind "frontier") without an include cycle.
 ///
-/// JSON contract matches the scenario spec: `frontier_spec_to_json` is
+/// JSON contract matches the scenario spec: `core::write_json` is
 /// canonical and total (every field, defaults included), so
 /// serialize -> parse -> re-serialize is byte-identical; unknown keys
 /// raise `core::ConfigError`.
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 #include "tech/node.hpp"
 
 namespace greenfpga::dse {
@@ -115,7 +116,7 @@ struct FrontierSpec {
   void validate() const;
 };
 
-/// Canonical JSON form (every field, defaults included, keys sorted).
+/// DOM form of `core::write_json(out, spec)`.
 [[nodiscard]] io::Json frontier_spec_to_json(const FrontierSpec& spec);
 
 /// Parse a frontier spec; absent fields keep the values in `defaults`
@@ -126,5 +127,13 @@ struct FrontierSpec {
                                                    FrontierSpec defaults = {});
 
 }  // namespace greenfpga::dse
+
+namespace greenfpga::core {
+
+/// Canonical JSON of a frontier section (every field, defaults included,
+/// keys sorted).  Declared beside its type so core/ stays below dse/.
+void write_json(io::JsonWriter& out, const dse::FrontierSpec& spec);
+
+}  // namespace greenfpga::core
 
 #endif  // GREENFPGA_DSE_FRONTIER_SPEC_HPP

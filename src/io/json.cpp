@@ -216,77 +216,53 @@ std::size_t format_number_to(char* buffer, double n) {
   // digit string D and decimal exponent X, and for len(D) >= 6 the %g
   // probe loop's winner is exactly %.len(D)g -- whose presentation
   // (fixed vs scientific by the exponent rule, trailing zeros stripped)
-  // is reconstructed below byte-for-byte.  len(D) < 6 means %.6g was the
-  // first probe and always round-trips, so one snprintf settles it
-  // (its 6 significant digits of the exact expansion are NOT the
-  // shortest digits -- e.g. 5e-324 prints as 4.94066e-324).
-  char sci[kNumberBufferSize];
-  const auto [sci_end, sci_ec] =
-      std::to_chars(sci, sci + sizeof sci, n, std::chars_format::scientific);
-  const char* s = sci;
-  const bool negative = (*s == '-');
-  if (negative) ++s;
-  char digits[24];
-  int len = 0;
-  digits[len++] = *s++;
-  if (*s == '.') {
-    ++s;
-    while (*s != 'e') digits[len++] = *s++;
-  }
-  ++s;  // 'e'
-  const bool exp_negative = (*s == '-');
-  ++s;
-  int exp10 = 0;
-  while (s < sci_end) exp10 = exp10 * 10 + (*s++ - '0');
-  if (exp_negative) exp10 = -exp10;
+  // is made from the to_chars text in place below, byte-for-byte.
+  // len(D) < 6 means %.6g was the first probe and always round-trips, so
+  // one snprintf settles it (its 6 significant digits of the exact
+  // expansion are NOT the shortest digits -- e.g. 5e-324 prints as
+  // 4.94066e-324).
+  const char* const end =
+      std::to_chars(buffer, buffer + kNumberBufferSize, n, std::chars_format::scientific)
+          .ptr;
+  // `d` is the first digit of "d[.ddd]e[+-]XX[X]"; the exponent is the
+  // last 2-3 digits, so 'e' is found from the end.
+  char* const d = buffer + (n < 0.0 ? 1 : 0);
+  const char* e = end - 4;
+  if (*e != 'e') --e;
+  // Digit count: the leading digit plus the fraction after the point.
+  const int len = e == d + 1 ? 1 : static_cast<int>(e - d) - 1;
   if (len < 6) {
-    const int written = std::snprintf(buffer, kNumberBufferSize, "%.6g", n);
-    return static_cast<std::size_t>(written);
+    return static_cast<std::size_t>(
+        std::snprintf(buffer, kNumberBufferSize, "%.6g", n));
   }
-  char* out = buffer;
-  if (negative) *out++ = '-';
+  int exp10 = 0;
+  for (const char* x = e + 2; x < end; ++x) exp10 = exp10 * 10 + (*x - '0');
+  if (e[1] == '-') exp10 = -exp10;
   if (exp10 < -4 || exp10 >= len) {
-    // Scientific presentation: d.ddd e±XX (exponent at least two digits).
-    *out++ = digits[0];
-    if (len > 1) {
-      *out++ = '.';
-      std::memcpy(out, digits + 1, static_cast<std::size_t>(len - 1));
-      out += len - 1;
-    }
-    *out++ = 'e';
-    *out++ = exp10 < 0 ? '-' : '+';
-    int magnitude = exp10 < 0 ? -exp10 : exp10;
-    char exp_digits[8];
-    int exp_len = 0;
-    do {
-      exp_digits[exp_len++] = static_cast<char>('0' + magnitude % 10);
-      magnitude /= 10;
-    } while (magnitude != 0);
-    while (exp_len < 2) exp_digits[exp_len++] = '0';
-    while (exp_len != 0) *out++ = exp_digits[--exp_len];
-  } else if (exp10 < 0) {
-    // 0.00ddd
-    *out++ = '0';
-    *out++ = '.';
-    for (int i = 0; i < -exp10 - 1; ++i) *out++ = '0';
-    std::memcpy(out, digits, static_cast<std::size_t>(len));
-    out += len;
-  } else {
-    // Fixed presentation, decimal point inside or right of the digits.
-    const int int_digits = exp10 + 1;
-    if (int_digits >= len) {
-      std::memcpy(out, digits, static_cast<std::size_t>(len));
-      out += len;
-      for (int i = 0; i < int_digits - len; ++i) *out++ = '0';
-    } else {
-      std::memcpy(out, digits, static_cast<std::size_t>(int_digits));
-      out += int_digits;
-      *out++ = '.';
-      std::memcpy(out, digits + int_digits, static_cast<std::size_t>(len - int_digits));
-      out += len - int_digits;
-    }
+    // Scientific presentation: to_chars already wrote %e's d.ddde±XX
+    // (exponent at least two digits).
+    return static_cast<std::size_t>(end - buffer);
   }
-  return static_cast<std::size_t>(out - buffer);
+  if (exp10 < 0) {
+    // 0.00ddd: close the digits up over the point, then shift them right
+    // past "0." and the leading zeros.
+    const int zeros = -exp10 - 1;
+    std::memmove(d + 1, d + 2, static_cast<std::size_t>(len - 1));
+    std::memmove(d + 2 + zeros, d, static_cast<std::size_t>(len));
+    d[0] = '0';
+    d[1] = '.';
+    std::memset(d + 2, '0', static_cast<std::size_t>(zeros));
+    return static_cast<std::size_t>(d + 2 + zeros + len - buffer);
+  }
+  // Fixed presentation (X < len(D)): move the point right past the
+  // integer digits, dropping it when every digit is an integer digit.
+  const int int_digits = exp10 + 1;
+  for (int i = 1; i < int_digits; ++i) d[i] = d[i + 1];
+  if (int_digits == len) {
+    return static_cast<std::size_t>(d + len - buffer);
+  }
+  d[int_digits] = '.';
+  return static_cast<std::size_t>(d + len + 1 - buffer);
 }
 
 }  // namespace detail

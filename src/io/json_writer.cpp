@@ -10,6 +10,7 @@
 #include <new>
 #include <stdexcept>
 
+#include "io/hash.hpp"
 #include "io/json_detail.hpp"
 
 namespace greenfpga::io {
@@ -41,6 +42,15 @@ void JsonWriter::finish() {
     out_.append(buffer_, static_cast<std::size_t>(cursor_ - buffer_));
     cursor_ = buffer_;
   }
+}
+
+std::uint64_t JsonWriter::finish_hashed() {
+  std::uint64_t hash = kFnv1aOffset;
+  for (const char* p = buffer_; p != cursor_; ++p) {
+    hash = (hash ^ static_cast<unsigned char>(*p)) * kFnv1aPrime;
+  }
+  finish();
+  return hash;
 }
 
 void JsonWriter::grow(std::size_t n) {

@@ -19,6 +19,7 @@
 /// (which also rejects duplicate keys).
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -123,6 +124,9 @@ class JsonWriter {
   /// Append the bytes written since the last `finish()` to `out`.  The
   /// writer stays usable.
   void finish();
+  /// `finish()`, returning the FNV-1a 64 digest of the bytes it appended
+  /// (`io::fnv1a64` of them), folded as they are handed over.
+  [[nodiscard]] std::uint64_t finish_hashed();
 
  private:
   struct Frame {

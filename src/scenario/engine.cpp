@@ -216,17 +216,32 @@ struct ContentKey {
   std::uint64_t fingerprint = 0;  ///< FNV-1a of `bytes`
 };
 
+/// `{"platforms":[chips...],"spec":{...}}`, compact, streamed (no DOM);
+/// the fingerprint is folded as the buffered bytes are handed over.
 ContentKey content_key(const ScenarioResult& resolved) {
-  io::Json key = io::Json::object();
-  key["spec"] = spec_to_json(resolved.spec);
-  io::Json chips = io::Json::array();
+  ContentKey key;
+  io::JsonWriter out(key.bytes, 0);
+  out.begin_object();
+  out.key("platforms");
+  out.begin_array();
   for (const device::ChipSpec& chip : resolved.resolved_chips) {
-    chips.push_back(core::to_json(chip));
+    core::write_json(out, chip);
   }
-  key["platforms"] = std::move(chips);
-  ContentKey out;
-  out.fingerprint = key.dump_to_hashed(out.bytes, 0);
-  return out;
+  out.end_array();
+  out.key("spec");
+  write_spec(resolved.spec, out);
+  out.end_object();
+  key.fingerprint = out.finish_hashed();
+  return key;
+}
+
+/// Compact canonical bytes of a suite: run_batch's dedup identity.
+std::string suite_key(const core::ModelSuite& suite) {
+  std::string text;
+  io::JsonWriter out(text, 0);
+  core::write_json(out, suite);
+  out.finish();
+  return text;
 }
 
 }  // namespace
@@ -410,7 +425,7 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
       continue;
     }
     if (job.plan.uses_suite_model) {
-      const std::string key = core::to_json(job.prepared.suite).dump(0);
+      const std::string key = suite_key(job.prepared.suite);
       std::size_t id = 0;
       while (id < suite_keys.size() && suite_keys[id] != key) {
         ++id;

@@ -239,38 +239,6 @@ FleetResult simulate_fleet(const FleetSpec& fleet, device::Domain domain,
 
 // -- JSON -----------------------------------------------------------------------
 
-Json fleet_spec_to_json(const FleetSpec& fleet) {
-  Json out = Json::object();
-  Json regions = Json::array();
-  for (const FleetRegionSpec& region : fleet.regions) {
-    Json entry = Json::object();
-    entry["name"] = region.name;
-    entry["profile"] = region.profile;
-    entry["weight"] = region.weight;
-    entry["intensity_scale"] = region.intensity_scale;
-    regions.push_back(std::move(entry));
-  }
-  out["regions"] = std::move(regions);
-  Json services = Json::array();
-  for (const FleetServiceSpec& service : fleet.services) {
-    Json entry = Json::object();
-    entry["name"] = service.name;
-    entry["peak_load"] = service.peak_load;
-    Json trace = Json::array();
-    for (const double multiplier : service.trace) {
-      trace.push_back(multiplier);
-    }
-    entry["trace"] = std::move(trace);
-    services.push_back(std::move(entry));
-  }
-  out["services"] = std::move(services);
-  out["horizon_years"] = fleet.horizon_years;
-  out["utilization"] = fleet.utilization;
-  out["reconfig_overhead_hours"] = fleet.reconfig_overhead_hours;
-  out["mc_samples"] = fleet.mc_samples;
-  return out;
-}
-
 FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
   core::check_known_keys(json, "fleet",
                          {"regions", "services", "horizon_years", "utilization",
@@ -352,3 +320,37 @@ FleetResult fleet_result_from_json(const Json& json) {
 }
 
 }  // namespace greenfpga::scenario
+
+namespace greenfpga::core {
+
+void write_json(io::JsonWriter& out, const scenario::FleetSpec& fleet) {
+  out.begin_object();
+  out.number("horizon_years", fleet.horizon_years);
+  out.number("mc_samples", fleet.mc_samples);
+  out.number("reconfig_overhead_hours", fleet.reconfig_overhead_hours);
+  out.key("regions");
+  out.begin_array();
+  for (const scenario::FleetRegionSpec& region : fleet.regions) {
+    out.begin_object();
+    out.number("intensity_scale", region.intensity_scale);
+    out.string("name", region.name);
+    out.string("profile", region.profile);
+    out.number("weight", region.weight);
+    out.end_object();
+  }
+  out.end_array();
+  out.key("services");
+  out.begin_array();
+  for (const scenario::FleetServiceSpec& service : fleet.services) {
+    out.begin_object();
+    out.string("name", service.name);
+    out.number("peak_load", service.peak_load);
+    out.numbers("trace", service.trace);
+    out.end_object();
+  }
+  out.end_array();
+  out.number("utilization", fleet.utilization);
+  out.end_object();
+}
+
+}  // namespace greenfpga::core

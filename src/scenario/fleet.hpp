@@ -108,9 +108,6 @@ struct FleetResult {
                                          const core::ModelSuite& suite,
                                          std::span<const device::ChipSpec> chips);
 
-/// Canonical JSON of a fleet spec section (every field, defaults included).
-[[nodiscard]] io::Json fleet_spec_to_json(const FleetSpec& fleet);
-
 /// Parse a fleet spec section; omitted scalar fields keep `base`'s values,
 /// "regions" / "services" arrays replace wholesale when present.
 [[nodiscard]] FleetSpec fleet_spec_from_json(const io::Json& json, FleetSpec base);
@@ -122,5 +119,13 @@ void write_fleet_result(io::JsonWriter& out, const FleetResult& result);
 [[nodiscard]] FleetResult fleet_result_from_json(const io::Json& json);
 
 }  // namespace greenfpga::scenario
+
+namespace greenfpga::core {
+
+/// Canonical JSON of a fleet spec section (every field, defaults included,
+/// keys sorted).  Declared beside its type so core/ stays below scenario/.
+void write_json(io::JsonWriter& out, const scenario::FleetSpec& fleet);
+
+}  // namespace greenfpga::core
 
 #endif  // GREENFPGA_SCENARIO_FLEET_HPP

@@ -4,7 +4,7 @@
 /// \file kind_registry.hpp
 /// The scenario-kind registry: one `KindModule` vtable per `ScenarioKind`.
 ///
-/// Every per-kind behaviour the system needs -- spec parameter JSON,
+/// Every per-kind behaviour the system needs -- spec parameter bytes,
 /// validation, engine execution, batch job planning, result bytes, frame
 /// lowering, and text rendering -- lives in that kind's module under
 /// `src/scenario/kinds/`, and the generic layers (spec.cpp, engine.cpp,
@@ -73,10 +73,15 @@ struct KindModule {
   /// every kind's section -- so a module whose defaults only apply to its
   /// own kind must check `spec.kind` itself.  Optional.
   void (*seed_defaults)(ScenarioSpec& spec) = nullptr;
-  /// Emit this module's spec sections into the canonical JSON object.
-  /// Called for every module on every spec (key order is irrelevant: the
-  /// JSON object sorts keys).  Optional.
-  void (*params_to_json)(const ScenarioSpec& spec, io::Json& out) = nullptr;
+  /// Write this module's spec section `key` (one of its `spec_keys`) as
+  /// the next member of the canonical spec object: `out.key(...)` then the
+  /// value, or nothing when the spec carries no such section.  Called on
+  /// every spec, once per owned key, in the global sorted order of the
+  /// common spec keys plus every module's `spec_keys`; members inside the
+  /// section must be written in sorted key order too (`io::JsonWriter`
+  /// checks).  Optional.
+  void (*write_params)(const ScenarioSpec& spec, std::string_view key,
+                       io::JsonWriter& out) = nullptr;
   /// Parse this module's sections when present (any kind; the canonical
   /// form carries every section).  Optional.
   void (*parse_params)(const io::Json& json, ScenarioSpec& spec) = nullptr;

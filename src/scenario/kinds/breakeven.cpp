@@ -22,12 +22,16 @@ using report::ResultFrame;
 constexpr std::string_view kSpecKeys[] = {"breakeven"};
 constexpr std::string_view kResultKeys[] = {"breakeven"};
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  Json breakeven = Json::object();
-  breakeven["solve_app_count"] = spec.breakeven.solve_app_count;
-  breakeven["solve_lifetime"] = spec.breakeven.solve_lifetime;
-  breakeven["solve_volume"] = spec.breakeven.solve_volume;
-  out["breakeven"] = std::move(breakeven);
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("breakeven");
+  out.begin_object();
+  out.key("solve_app_count");
+  out.boolean(spec.breakeven.solve_app_count);
+  out.key("solve_lifetime");
+  out.boolean(spec.breakeven.solve_lifetime);
+  out.key("solve_volume");
+  out.boolean(spec.breakeven.solve_volume);
+  out.end_object();
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -149,7 +153,7 @@ const KindModule& breakeven_module() {
       .name = "breakeven",
       .summary = "closed-form crossover solves in all three variables",
       .spec_keys = kSpecKeys,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,

@@ -37,9 +37,10 @@ void seed_defaults(ScenarioSpec& spec) {
   }
 }
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
   if (spec.fleet) {
-    out["fleet"] = fleet_spec_to_json(*spec.fleet);
+    out.key("fleet");
+    core::write_json(out, *spec.fleet);
   }
 }
 
@@ -201,7 +202,7 @@ const KindModule& fleet_module() {
       .summary = "mixed-platform datacenter serving a traffic trace",
       .spec_keys = kSpecKeys,
       .seed_defaults = seed_defaults,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .default_platforms = default_platforms,

@@ -31,8 +31,9 @@ void seed_defaults(ScenarioSpec& spec) {
   };
 }
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  out["frontier"] = dse::frontier_spec_to_json(spec.frontier);
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("frontier");
+  core::write_json(out, spec.frontier);
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -317,7 +318,7 @@ const KindModule& frontier_module() {
       .summary = "platform win-region DSE over 2-4 deployment axes",
       .spec_keys = kSpecKeys,
       .seed_defaults = seed_defaults,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,

@@ -30,19 +30,23 @@ void seed_defaults(ScenarioSpec& spec) {
 
 /// Canonical form: only the fields the kind actually uses, so authors see
 /// no spurious knobs and the round-trip stays byte-identical.
-Json distribution_to_json(const core::ParamDistribution& distribution) {
-  Json out = Json::object();
-  out["parameter"] = distribution.parameter;
-  out["kind"] = core::to_string(distribution.kind);
-  out["low"] = distribution.low;
-  out["high"] = distribution.high;
-  if (distribution.kind == core::DistributionKind::normal) {
-    out["mean"] = distribution.mean;
-    out["stddev"] = distribution.stddev;
-  } else if (distribution.kind == core::DistributionKind::triangular) {
-    out["mode"] = distribution.mode;
+void write_distribution(io::JsonWriter& out, const core::ParamDistribution& distribution) {
+  const bool normal = distribution.kind == core::DistributionKind::normal;
+  out.begin_object();
+  out.number("high", distribution.high);
+  out.string("kind", core::to_string(distribution.kind));
+  out.number("low", distribution.low);
+  if (normal) {
+    out.number("mean", distribution.mean);
   }
-  return out;
+  if (distribution.kind == core::DistributionKind::triangular) {
+    out.number("mode", distribution.mode);
+  }
+  out.string("parameter", distribution.parameter);
+  if (normal) {
+    out.number("stddev", distribution.stddev);
+  }
+  out.end_object();
 }
 
 core::ParamDistribution distribution_from_json(const Json& json) {
@@ -98,21 +102,19 @@ core::ParamDistribution distribution_from_json(const Json& json) {
   return distribution;
 }
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  Json montecarlo = Json::object();
-  montecarlo["samples"] = spec.montecarlo.samples;
-  montecarlo["seed"] = static_cast<std::int64_t>(spec.montecarlo.seed);
-  Json distributions = Json::array();
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("montecarlo");
+  out.begin_object();
+  out.key("distributions");
+  out.begin_array();
   for (const core::ParamDistribution& distribution : spec.montecarlo.distributions) {
-    distributions.push_back(distribution_to_json(distribution));
+    write_distribution(out, distribution);
   }
-  montecarlo["distributions"] = std::move(distributions);
-  Json percentiles = Json::array();
-  for (const double p : spec.montecarlo.percentiles) {
-    percentiles.push_back(p);
-  }
-  montecarlo["percentiles"] = std::move(percentiles);
-  out["montecarlo"] = std::move(montecarlo);
+  out.end_array();
+  out.numbers("percentiles", spec.montecarlo.percentiles);
+  out.number("samples", spec.montecarlo.samples);
+  out.number("seed", spec.montecarlo.seed);
+  out.end_object();
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -362,7 +364,7 @@ const KindModule& montecarlo_module() {
       .summary = "uncertainty quantification: distribution-sampled inputs",
       .spec_keys = kSpecKeys,
       .seed_defaults = seed_defaults,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,

@@ -24,17 +24,20 @@ constexpr std::string_view kAliases[] = {"nodes"};
 constexpr std::string_view kSpecKeys[] = {"dse"};
 constexpr std::string_view kResultKeys[] = {"candidates"};
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  Json dse = Json::object();
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("dse");
+  out.begin_object();
   if (spec.dse.chip) {
-    dse["chip"] = core::to_json(*spec.dse.chip);
+    out.key("chip");
+    core::write_json(out, *spec.dse.chip);
   }
-  Json nodes = Json::array();
+  out.key("nodes");
+  out.begin_array();
   for (const tech::ProcessNode node : spec.dse.nodes) {
-    nodes.push_back(tech::to_string(node));
+    out.string(tech::to_string(node));
   }
-  dse["nodes"] = std::move(nodes);
-  out["dse"] = std::move(dse);
+  out.end_array();
+  out.end_object();
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -118,7 +121,8 @@ void write_result(const ScenarioResult& result, std::string_view /*key*/,
   out.begin_array();
   for (const NodeCandidate& candidate : result.candidates) {
     out.begin_object();
-    out.json("chip", core::to_json(candidate.chip));
+    out.key("chip");
+    core::write_json(out, candidate.chip);
     out.key("lifecycle");
     core::write_json(out, candidate.lifecycle);
     out.number("total_vs_best", candidate.total_vs_best);
@@ -172,7 +176,7 @@ const KindModule& node_dse_module() {
       .aliases = kAliases,
       .summary = "fabrication-node design-space exploration",
       .spec_keys = kSpecKeys,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .default_platforms = default_platforms,
       .execute = execute,

@@ -25,18 +25,22 @@ void seed_defaults(ScenarioSpec& spec) {
   spec.sensitivity.ranges = table1_ranges();
 }
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  Json sensitivity = Json::object();
-  sensitivity["run_tornado"] = spec.sensitivity.run_tornado;
-  sensitivity["run_monte_carlo"] = spec.sensitivity.run_monte_carlo;
-  sensitivity["samples"] = spec.sensitivity.samples;
-  sensitivity["seed"] = static_cast<std::int64_t>(spec.sensitivity.seed);
-  Json ranges = Json::array();
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("sensitivity");
+  out.begin_object();
+  out.key("ranges");
+  out.begin_array();
   for (const ParameterRange& range : spec.sensitivity.ranges) {
-    ranges.push_back(range.name);
+    out.string(range.name);
   }
-  sensitivity["ranges"] = std::move(ranges);
-  out["sensitivity"] = std::move(sensitivity);
+  out.end_array();
+  out.key("run_monte_carlo");
+  out.boolean(spec.sensitivity.run_monte_carlo);
+  out.key("run_tornado");
+  out.boolean(spec.sensitivity.run_tornado);
+  out.number("samples", spec.sensitivity.samples);
+  out.number("seed", spec.sensitivity.seed);
+  out.end_object();
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -197,7 +201,7 @@ const KindModule& sensitivity_module() {
       .summary = "tornado + Monte-Carlo over parameter ranges",
       .spec_keys = kSpecKeys,
       .seed_defaults = seed_defaults,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,

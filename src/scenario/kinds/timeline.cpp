@@ -22,11 +22,12 @@ using report::ResultFrame;
 constexpr std::string_view kSpecKeys[] = {"timeline"};
 constexpr std::string_view kResultKeys[] = {"timeline"};
 
-void params_to_json(const ScenarioSpec& spec, Json& out) {
-  Json timeline = Json::object();
-  timeline["horizon_years"] = spec.timeline.horizon_years;
-  timeline["step_years"] = spec.timeline.step_years;
-  out["timeline"] = std::move(timeline);
+void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
+  out.key("timeline");
+  out.begin_object();
+  out.number("horizon_years", spec.timeline.horizon_years);
+  out.number("step_years", spec.timeline.step_years);
+  out.end_object();
 }
 
 void parse_params(const Json& json, ScenarioSpec& spec) {
@@ -138,7 +139,7 @@ const KindModule& timeline_module() {
       .name = "timeline",
       .summary = "cumulative multi-decade replay (paper Fig. 9)",
       .spec_keys = kSpecKeys,
-      .params_to_json = params_to_json,
+      .write_params = write_params,
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,

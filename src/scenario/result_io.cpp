@@ -52,14 +52,16 @@ const std::vector<ResultSection>& result_sections() {
 
 void write_envelope(const ScenarioResult& result, std::string_view key, io::JsonWriter& out) {
   if (key == "spec") {
-    out.json("spec", spec_to_json(result.spec));
+    out.key("spec");
+    write_spec(result.spec, out);
     return;
   }
   out.key("platforms");
   out.begin_array();
   for (std::size_t i = 0; i < result.platform_names.size(); ++i) {
     out.begin_object();
-    out.json("chip", core::to_json(result.resolved_chips[i]));
+    out.key("chip");
+    core::write_json(out, result.resolved_chips[i]);
     out.string("name", result.platform_names[i]);
     out.end_object();
   }

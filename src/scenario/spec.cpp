@@ -8,6 +8,7 @@
 
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -32,35 +33,7 @@ void check_keys(const Json& json, const std::string& context,
   core::check_known_keys(json, context, allowed);
 }
 
-/// Top-level spec keys owned by the common layer; every other key must be
-/// claimed by some module's `spec_keys`.
-constexpr std::string_view kCommonSpecKeys[] = {
-    "name", "kind", "domain", "platforms", "suite",
-    "schedule", "axes", "grid_profile", "outputs"};
-
-/// check_known_keys against the registry-derived allowed set (the list is
-/// runtime-built, so replicate the same loop and error text).
-void check_spec_keys(const Json& json) {
-  std::vector<std::string_view> allowed(std::begin(kCommonSpecKeys),
-                                        std::end(kCommonSpecKeys));
-  for (const KindModule* module : all_kind_modules()) {
-    allowed.insert(allowed.end(), module->spec_keys.begin(), module->spec_keys.end());
-  }
-  for (const auto& [key, value] : json.as_object()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw core::ConfigError("unknown key \"" + key + "\" in scenario spec");
-    }
-  }
-}
-
-std::string domain_token(device::Domain domain) {
+std::string_view domain_token(device::Domain domain) {
   switch (domain) {
     case device::Domain::dnn:
       return "dnn";
@@ -265,24 +238,6 @@ void ScenarioSpec::validate() const {
 
 namespace {
 
-Json axis_to_json(const AxisSpec& axis) {
-  Json out = Json::object();
-  out["variable"] = to_string(axis.variable);
-  out["scale"] = to_string(axis.scale);
-  if (axis.scale == AxisScale::list) {
-    Json values = Json::array();
-    for (const double v : axis.explicit_values) {
-      values.push_back(v);
-    }
-    out["values"] = std::move(values);
-  } else {
-    out["from"] = axis.from;
-    out["to"] = axis.to;
-    out["count"] = axis.count;
-  }
-  return out;
-}
-
 AxisSpec axis_from_json(const Json& json) {
   check_keys(json, "axis", {"variable", "scale", "from", "to", "count", "values"});
   AxisSpec axis;
@@ -319,16 +274,6 @@ AxisSpec axis_from_json(const Json& json) {
   return axis;
 }
 
-Json platform_to_json(const PlatformRef& platform) {
-  if (!platform.chip) {
-    return Json(platform.name);
-  }
-  Json out = Json::object();
-  out["name"] = platform.name;
-  out["chip"] = core::to_json(*platform.chip);
-  return out;
-}
-
 PlatformRef platform_from_json(const Json& json) {
   PlatformRef platform;
   if (json.is_string()) {
@@ -346,17 +291,6 @@ PlatformRef platform_from_json(const Json& json) {
   return platform;
 }
 
-Json schedule_to_json(const ScheduleSpec& schedule) {
-  Json out = Json::object();
-  out["app_count"] = schedule.app_count;
-  out["lifetime_years"] = schedule.lifetime_years;
-  out["volume"] = schedule.volume;
-  if (schedule.explicit_schedule) {
-    out["applications"] = core::to_json(*schedule.explicit_schedule);
-  }
-  return out;
-}
-
 ScheduleSpec schedule_spec_from_json(const Json& json, ScheduleSpec schedule) {
   check_keys(json, "schedule",
              {"app_count", "lifetime_years", "volume", "applications"});
@@ -372,42 +306,160 @@ ScheduleSpec schedule_spec_from_json(const Json& json, ScheduleSpec schedule) {
   return schedule;
 }
 
-}  // namespace
+// -- the common sections' writers (see spec_sections) --------------------------
 
-Json spec_to_json(const ScenarioSpec& spec) {
-  Json out = Json::object();
-  out["name"] = spec.name;
-  out["kind"] = to_string(spec.kind);
-  out["domain"] = domain_token(spec.domain);
-  Json platforms = Json::array();
-  for (const PlatformRef& platform : spec.platforms) {
-    platforms.push_back(platform_to_json(platform));
-  }
-  out["platforms"] = std::move(platforms);
-  out["suite"] = core::to_json(spec.suite);
-  out["schedule"] = schedule_to_json(spec.schedule);
-  Json axes = Json::array();
+void write_axes(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.key("axes");
+  out.begin_array();
   for (const AxisSpec& axis : spec.axes) {
-    axes.push_back(axis_to_json(axis));
+    out.begin_object();
+    if (axis.scale == AxisScale::list) {
+      out.string("scale", to_string(axis.scale));
+      out.numbers("values", axis.explicit_values);
+    } else {
+      out.number("count", axis.count);
+      out.number("from", axis.from);
+      out.string("scale", to_string(axis.scale));
+      out.number("to", axis.to);
+    }
+    out.string("variable", to_string(axis.variable));
+    out.end_object();
   }
-  out["axes"] = std::move(axes);
-  if (spec.grid_profile) {
-    Json profile = Json::object();
-    profile["profile"] = spec.grid_profile->profile;
-    profile["policy"] = spec.grid_profile->policy;
-    out["grid_profile"] = std::move(profile);
+  out.end_array();
+}
+
+void write_domain(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.string("domain", domain_token(spec.domain));
+}
+
+void write_grid_profile(const ScenarioSpec& spec, io::JsonWriter& out) {
+  if (!spec.grid_profile) {
+    return;
   }
-  // Every module emits its sections into the shared object (the canonical
-  // dump sorts keys, so emission order never shows in the bytes).
-  for (const KindModule* module : all_kind_modules()) {
-    if (module->params_to_json != nullptr) {
-      module->params_to_json(spec, out);
+  out.key("grid_profile");
+  out.begin_object();
+  out.string("policy", spec.grid_profile->policy);
+  out.string("profile", spec.grid_profile->profile);
+  out.end_object();
+}
+
+void write_kind(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.string("kind", kind_module(spec.kind).name);
+}
+
+void write_name(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.string("name", spec.name);
+}
+
+void write_outputs(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.key("outputs");
+  out.begin_object();
+  out.key("per_application");
+  out.boolean(spec.outputs.per_application);
+  out.end_object();
+}
+
+void write_platforms(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.key("platforms");
+  out.begin_array();
+  for (const PlatformRef& platform : spec.platforms) {
+    if (!platform.chip) {
+      out.string(platform.name);
+      continue;
+    }
+    out.begin_object();
+    out.key("chip");
+    core::write_json(out, *platform.chip);
+    out.string("name", platform.name);
+    out.end_object();
+  }
+  out.end_array();
+}
+
+void write_schedule(const ScenarioSpec& spec, io::JsonWriter& out) {
+  const ScheduleSpec& schedule = spec.schedule;
+  out.key("schedule");
+  out.begin_object();
+  out.number("app_count", schedule.app_count);
+  if (schedule.explicit_schedule) {
+    out.key("applications");
+    core::write_json(out, *schedule.explicit_schedule);
+  }
+  out.number("lifetime_years", schedule.lifetime_years);
+  out.number("volume", schedule.volume);
+  out.end_object();
+}
+
+void write_suite(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.key("suite");
+  core::write_json(out, spec.suite);
+}
+
+/// One top-level spec key and its writer: a common-layer function, or the
+/// owning module's `write_params`.
+struct SpecSection {
+  std::string_view key;
+  void (*common)(const ScenarioSpec& spec, io::JsonWriter& out) = nullptr;
+  const KindModule* module = nullptr;
+};
+
+/// Every top-level spec key -- the common layer's plus each module's
+/// `spec_keys` -- in canonical (sorted) order: the order `write_spec`
+/// streams them in, and the allowed set `spec_from_json` checks.
+const std::vector<SpecSection>& spec_sections() {
+  static const std::vector<SpecSection> sections = [] {
+    std::vector<SpecSection> out{{"axes", write_axes},
+                                 {"domain", write_domain},
+                                 {"grid_profile", write_grid_profile},
+                                 {"kind", write_kind},
+                                 {"name", write_name},
+                                 {"outputs", write_outputs},
+                                 {"platforms", write_platforms},
+                                 {"schedule", write_schedule},
+                                 {"suite", write_suite}};
+    for (const KindModule* module : all_kind_modules()) {
+      for (const std::string_view key : module->spec_keys) {
+        out.push_back({key, nullptr, module});
+      }
+    }
+    std::sort(out.begin(), out.end(), [](const SpecSection& a, const SpecSection& b) {
+      return a.key < b.key;
+    });
+    return out;
+  }();
+  return sections;
+}
+
+/// check_known_keys against the registry-derived allowed set (the list is
+/// runtime-built, so replicate the same loop and error text).
+void check_spec_keys(const Json& json) {
+  const std::vector<SpecSection>& sections = spec_sections();
+  for (const auto& [key, value] : json.as_object()) {
+    const bool known =
+        std::any_of(sections.begin(), sections.end(),
+                    [&key](const SpecSection& section) { return section.key == key; });
+    if (!known) {
+      throw core::ConfigError("unknown key \"" + key + "\" in scenario spec");
     }
   }
-  Json outputs = Json::object();
-  outputs["per_application"] = spec.outputs.per_application;
-  out["outputs"] = std::move(outputs);
-  return out;
+}
+
+}  // namespace
+
+void write_spec(const ScenarioSpec& spec, io::JsonWriter& out) {
+  out.begin_object();
+  for (const SpecSection& section : spec_sections()) {
+    if (section.common != nullptr) {
+      section.common(spec, out);
+    } else if (section.module->write_params != nullptr) {
+      section.module->write_params(spec, section.key, out);
+    }
+  }
+  out.end_object();
+}
+
+Json spec_to_json(const ScenarioSpec& spec) {
+  return io::written_json([&spec](io::JsonWriter& out) { write_spec(spec, out); });
 }
 
 ScenarioSpec spec_from_json(const Json& json) {

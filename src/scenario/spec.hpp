@@ -16,8 +16,8 @@
 /// arbitrary user-authored scenarios run via `greenfpga run <spec.json>`
 /// without recompiling.
 ///
-/// JSON round-trip contract: `spec_to_json` is canonical and total (every
-/// field, defaults included), so serialize -> parse -> re-serialize is
+/// JSON round-trip contract: `write_spec` (and its DOM form `spec_to_json`)
+/// is canonical and total (every field, defaults included), so serialize -> parse -> re-serialize is
 /// byte-identical (pinned by tests/engine_test.cpp).  The only spec
 /// content that does not survive JSON is a *programmatic* sensitivity
 /// range (a custom `ParameterRange` applier): ranges serialize by name and
@@ -34,6 +34,7 @@
 #include "device/chip_spec.hpp"
 #include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 #include "scenario/fleet.hpp"
 #include "scenario/sensitivity.hpp"
 #include "tech/node.hpp"
@@ -236,7 +237,14 @@ struct ScenarioSpec {
   void validate() const;
 };
 
-/// Canonical JSON form (every field, defaults included, keys sorted).
+/// Write the canonical spec object (every field, defaults included, keys
+/// sorted) as the next value of `out`: the common sections and each kind
+/// module's `write_params` sections, streamed in one sorted pass with no
+/// DOM.  The spec's canonical bytes, the engine cache key and the result
+/// envelope's `spec` section are all this.
+void write_spec(const ScenarioSpec& spec, io::JsonWriter& out);
+
+/// DOM form of the canonical spec (`io::written_json` of `write_spec`).
 [[nodiscard]] io::Json spec_to_json(const ScenarioSpec& spec);
 
 /// Parse a spec; absent fields keep their defaults (suite defaults to the

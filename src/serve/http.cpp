@@ -411,13 +411,23 @@ void SocketStream::send_all(std::string_view bytes) {
 }
 
 std::string serialize_response(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    reason_phrase(response.status) + "\r\n";
+  const std::string status = std::to_string(response.status);
+  const std::string reason = reason_phrase(response.status);
+  const std::string length = std::to_string(response.body.size());
+  // Size the head exactly so head + body is one allocation and the body
+  // is copied once.
+  std::size_t head = 9 + status.size() + 1 + reason.size() + 2 + 16 + length.size() + 4;
   for (const auto& [name, value] : response.headers) {
-    out += name + ": " + value + "\r\n";
+    head += name.size() + 2 + value.size() + 2;
   }
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n\r\n";
-  out += response.body;
+  std::string out;
+  out.reserve(head + response.body.size());
+  out.append("HTTP/1.1 ").append(status).append(" ").append(reason).append("\r\n");
+  for (const auto& [name, value] : response.headers) {
+    out.append(name).append(": ").append(value).append("\r\n");
+  }
+  out.append("Content-Length: ").append(length).append("\r\n\r\n");
+  out.append(response.body);
   return out;
 }
 

@@ -278,7 +278,13 @@ void Server::complete(std::uint64_t connection_id, std::string bytes,
   }
   Connection& connection = *it->second;
   connection.processing = false;
-  connection.outbox += bytes;
+  // The usual case is an idle outbox: take the worker's buffer instead of
+  // copying the whole response into it.
+  if (connection.outbox.empty()) {
+    connection.outbox = std::move(bytes);
+  } else {
+    connection.outbox += bytes;
+  }
   connection.close_after_write = !keep_alive;
   connection.last_activity = std::chrono::steady_clock::now();
   flush_outbox(connection);

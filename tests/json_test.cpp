@@ -4,9 +4,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "io/hash.hpp"
 #include "io/json.hpp"
@@ -264,6 +269,69 @@ TEST(JsonFormatNumber, ShortestRoundTripPins) {
   EXPECT_EQ(format_number(1e15), "1e+15");
   EXPECT_EQ(format_number(1e16), "1e+16");
   EXPECT_EQ(format_number(123456.789), "123456.789");
+}
+
+/// The historical definition of the canonical number text: integral
+/// values below 1e15 in fixed form, otherwise printf %g at the smallest
+/// precision in [6, 17] that parses back to the same double.
+std::string probe_loop_format(double n) {
+  char buffer[64];
+  if (n == std::floor(n) && std::fabs(n) < 1e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", n);
+    return buffer;
+  }
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, n);
+    if (std::strtod(buffer, nullptr) == n) {
+      break;
+    }
+  }
+  return buffer;
+}
+
+TEST(JsonFormatNumber, MatchesThePrintfProbeLoopOverAMillionDoubles) {
+  std::vector<double> values;
+  const auto add = [&values](double value) {
+    if (std::isfinite(value)) {  // the sentinels are pinned separately
+      values.push_back(value);
+    }
+  };
+  for (const double value : {0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest()}) {
+    add(value);
+  }
+  for (int e = -330; e <= 310; ++e) {  // every power of ten and its neighbour
+    const double p = std::pow(10.0, e);
+    add(p);
+    add(-p);
+    add(std::nextafter(p, 0.0));
+  }
+  std::mt19937_64 rng(20240611);
+  // Random bit patterns: every exponent, sign and mantissa shape.
+  while (values.size() < 500'000) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    add(value);
+  }
+  // Uniform draws across the magnitudes real results carry, where the
+  // fixed/scientific switch and the integral fast path sit.
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int i = 0; values.size() < 1'000'000; ++i) {
+    const double scale = std::pow(10.0, -8 + i % 28);  // 1e-8 .. 1e19
+    add(unit(rng) * scale);
+    add(std::round(unit(rng) * scale));
+  }
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string expected = probe_loop_format(value);
+    const std::string actual = format_number(value);
+    if (actual != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << "format_number(" << expected << ") wrote " << actual;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
 }
 
 TEST(JsonDump, DumpToAppendsIdenticalBytes) {

@@ -1,11 +1,14 @@
-/// The canonical JSON writer: streamed result bytes are byte-identical to
-/// the DOM dump and to the checked-in golden snapshots for every kind, the
-/// sorted-key rule is enforced, and the format rules (separators,
+/// The canonical JSON writer: streamed result and spec bytes are
+/// byte-identical to the DOM dump and to the checked-in golden snapshots
+/// for every kind, cache keys and their digests are pinned, the sorted-key
+/// rule is enforced, and the format rules (separators,
 /// indentation, non-finite sentinels, escaping) hold for streamed and
 /// spliced values alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,12 +17,16 @@
 #include <vector>
 
 #include "golden_result_specs.hpp"
+#include "io/hash.hpp"
 #include "io/json.hpp"
 #include "io/json_writer.hpp"
+#include "scenario/kind_registry.hpp"
 #include "scenario/result_io.hpp"
+#include "serve/handlers.hpp"
 
-#ifndef GREENFPGA_GOLDEN_DIR
-#error "GREENFPGA_GOLDEN_DIR must point at tests/golden (set by CMakeLists.txt)"
+#if !defined(GREENFPGA_GOLDEN_DIR) || !defined(GREENFPGA_SPEC_GOLDEN_DIR) || \
+    !defined(GREENFPGA_EXAMPLE_SPECS_DIR)
+#error "the golden, spec-golden and example-spec directories are set by CMakeLists.txt"
 #endif
 
 namespace greenfpga {
@@ -78,6 +85,121 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, JsonWriterResults,
                          [](const ::testing::TestParamInfo<scenario::ScenarioKind>& info) {
                            return scenario::to_string(info.param);
                          });
+
+// -- the spec: write_spec bytes == the canonical bytes recorded before it streamed -------
+
+std::string write_spec_bytes(const scenario::ScenarioSpec& spec, int indent) {
+  return written(indent, [&](JsonWriter& out) { scenario::write_spec(spec, out); });
+}
+
+TEST_P(JsonWriterResults, SpecBytesMatchTheGoldenSpecSection) {
+  // The as-run spec (platforms defaulted) is what the golden result embeds.
+  const scenario::ScenarioResult result = scenario::golden::run_kind(GetParam());
+  const std::string golden = read_file(std::string(GREENFPGA_GOLDEN_DIR) + "/result_" +
+                                       scenario::to_string(GetParam()) + ".json");
+  ASSERT_FALSE(golden.empty());
+  const Json section = io::parse_json(golden).at("spec");
+  for (const int indent : {0, 2}) {
+    EXPECT_EQ(write_spec_bytes(result.spec, indent), section.dump(indent))
+        << "indent " << indent;
+  }
+}
+
+/// Every example spec file (manifests excluded), by file stem.
+std::vector<std::string> example_spec_stems() {
+  std::vector<std::string> stems;
+  for (const auto& entry : std::filesystem::directory_iterator(GREENFPGA_EXAMPLE_SPECS_DIR)) {
+    const std::string stem = entry.path().stem().string();
+    if (entry.path().extension() == ".json" && stem.find("manifest") == std::string::npos) {
+      stems.push_back(stem);
+    }
+  }
+  std::sort(stems.begin(), stems.end());
+  return stems;
+}
+
+scenario::ScenarioSpec example_spec(const std::string& stem) {
+  return scenario::load_spec(std::string(GREENFPGA_EXAMPLE_SPECS_DIR) + "/" + stem + ".json");
+}
+
+/// The canonical dumps in tests/spec_golden were written by the DOM path
+/// (spec_to_json(spec).dump(2)) before the spec was streamed.
+std::string spec_golden(const std::string& name) {
+  return read_file(std::string(GREENFPGA_SPEC_GOLDEN_DIR) + "/" + name);
+}
+
+TEST(JsonWriterSpecs, ExampleSpecBytesMatchTheRecordedDomDumps) {
+  const std::vector<std::string> stems = example_spec_stems();
+  ASSERT_GE(stems.size(), 8u);
+  for (const std::string& stem : stems) {
+    const std::string recorded = spec_golden(stem + ".json");
+    ASSERT_FALSE(recorded.empty()) << stem;
+    const scenario::ScenarioSpec spec = example_spec(stem);
+    EXPECT_EQ(write_spec_bytes(spec, 2) + "\n", recorded) << stem;
+    EXPECT_EQ(write_spec_bytes(spec, 0), io::parse_json(recorded).dump(0)) << stem;
+    EXPECT_EQ(scenario::spec_to_json(spec).dump(2) + "\n", recorded) << stem;
+  }
+}
+
+TEST(JsonWriterSpecs, MisorderedWriteParamsKeyThrowsLogicError) {
+  const scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(
+      scenario::ScenarioKind::breakeven);
+  const scenario::KindModule& module = scenario::kind_module(spec.kind);
+  ASSERT_NE(module.write_params, nullptr);
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_object();
+  out.number("timeline", 1.0);  // sorts after "breakeven"
+  EXPECT_THROW(module.write_params(spec, module.spec_keys.front(), out), std::logic_error);
+}
+
+/// Cache keys and their X-Cache-Key digests, recorded before the key was
+/// streamed: a daemon's disk tier written then must still hit.
+struct PinnedKey {
+  const char* stem;
+  const char* digest;
+};
+
+constexpr PinnedKey kPinnedKeys[] = {
+    {"crypto_three_way_compare", "fnv1a64:152ed47aec3ef765"},
+    {"dnn_breakeven_montecarlo", "fnv1a64:70faf91d13a3577b"},
+    {"fleet_datacenter", "fnv1a64:43f813a0f26acf21"},
+};
+
+TEST(JsonWriterSpecs, CacheKeyBytesAndDigestsArePinned) {
+  const scenario::Engine engine(scenario::EngineOptions{.threads = 1});
+  for (const PinnedKey& pinned : kPinnedKeys) {
+    const scenario::ScenarioSpec spec = example_spec(pinned.stem);
+    const std::string key = engine.cache_key(spec);
+    EXPECT_EQ(key, spec_golden(std::string(pinned.stem) + ".key")) << pinned.stem;
+    EXPECT_EQ(io::content_digest(key), pinned.digest) << pinned.stem;
+    const scenario::Engine::CachedRun run = engine.run_cached(spec);
+    EXPECT_EQ(run.key, key) << pinned.stem;
+    EXPECT_EQ(io::content_digest_of_hash(run.fingerprint), pinned.digest) << pinned.stem;
+  }
+}
+
+TEST(JsonWriterSpecs, XCacheKeyHeadersArePinned) {
+  serve::ServeContext context(scenario::EngineOptions{.threads = 1}, 8, 1);
+  const serve::Router router = serve::make_router(context);
+  for (const PinnedKey& pinned : kPinnedKeys) {
+    serve::HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/run";
+    request.version = "HTTP/1.1";
+    request.body =
+        read_file(std::string(GREENFPGA_EXAMPLE_SPECS_DIR) + "/" + pinned.stem + ".json");
+    const serve::HttpResponse response = router.route(request);
+    ASSERT_EQ(response.status, 200) << pinned.stem << ": " << response.body;
+    std::string header;
+    for (const auto& [name, value] : response.headers) {
+      if (name == "X-Cache-Key") {
+        header = value;
+      }
+    }
+    EXPECT_EQ(header, pinned.digest) << pinned.stem;
+  }
+}
 
 // -- the sorted-key rule -------------------------------------------------------------
 

@@ -103,12 +103,15 @@ TEST_P(WaferOverheadProperty, OverheadBounded) {
   EXPECT_LE(overhead, 1.50);
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, WaferOverheadProperty,
-                         ::testing::Values(WaferCase{ProcessNode::n28, 50.0},
-                                           WaferCase{ProcessNode::n14, 150.0},
-                                           WaferCase{ProcessNode::n10, 340.0},
-                                           WaferCase{ProcessNode::n7, 600.0},
-                                           WaferCase{ProcessNode::n5, 820.0}));
+// The cases live in static storage so the padding after `node` is zero:
+// gtest prints the parameter's raw bytes, and CTest names each discovered
+// test after them, so stack garbage there would rename the tests per build.
+constexpr WaferCase kWaferCases[] = {
+    {ProcessNode::n28, 50.0}, {ProcessNode::n14, 150.0}, {ProcessNode::n10, 340.0},
+    {ProcessNode::n7, 600.0}, {ProcessNode::n5, 820.0},
+};
+
+INSTANTIATE_TEST_SUITE_P(Grid, WaferOverheadProperty, ::testing::ValuesIn(kWaferCases));
 
 }  // namespace
 }  // namespace greenfpga::act
