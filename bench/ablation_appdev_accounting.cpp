@@ -53,19 +53,6 @@ void print_reproduction() {
                "under 1 % at paper scales; one_time is the default (DESIGN.md §1.1)\n";
 }
 
-void bm_accounting(benchmark::State& state) {
-  const auto accounting = static_cast<core::AppDevAccounting>(state.range(0));
-  const core::LifecycleModel model(suite_with(accounting));
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate_fpga(testcase.fpga, schedule));
-  }
-}
-BENCHMARK(bm_accounting)
-    ->Arg(static_cast<int>(core::AppDevAccounting::one_time))
-    ->Arg(static_cast<int>(core::AppDevAccounting::per_year));
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

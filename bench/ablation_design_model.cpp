@@ -10,7 +10,6 @@
 #include "core/design_model.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -53,10 +52,9 @@ void print_crossover_shift() {
     // Scaling the design-house energy scales Eq. 4 linearly: a transparent
     // stand-in for "the model underestimates by this factor".
     suite.design.annual_energy *= scale;
-    const scenario::SweepEngine engine(core::LifecycleModel(suite),
-                                       device::domain_testcase(device::Domain::dnn));
-    const auto series = engine.sweep_app_count(1, 24, bench::kDefaults.app_lifetime,
-                                               bench::kDefaults.app_volume);
+    const auto series = bench::sweep(
+        device::Domain::dnn,
+        scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 24, 24), suite);
     const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
     table.add_row({"Eq. 4 x " + units::format_significant(scale, 3),
                    a2f ? units::format_significant(*a2f, 4) : std::string("> 24")});
@@ -71,15 +69,6 @@ void print_reproduction() {
   print_model_comparison();
   print_crossover_shift();
 }
-
-void bm_design_eq4(benchmark::State& state) {
-  const core::DesignModel model(core::paper_suite().design);
-  const device::ChipSpec chip = device::industry_fpga1();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.design_carbon(chip));
-  }
-}
-BENCHMARK(bm_design_eq4);
 
 }  // namespace
 

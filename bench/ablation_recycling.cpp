@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -72,10 +71,9 @@ void print_warm_extremes() {
     core::ModelSuite suite = core::paper_suite();
     suite.eol.discard_factor = c.dis * mtco2e_per_ton;
     suite.eol.recycle_credit_factor = c.recycle * mtco2e_per_ton;
-    const scenario::SweepEngine engine(core::LifecycleModel(suite),
-                                       device::domain_testcase(device::Domain::dnn));
-    const auto series = engine.sweep_app_count(1, 16, bench::kDefaults.app_lifetime,
-                                               bench::kDefaults.app_volume);
+    const auto series = bench::sweep(
+        device::Domain::dnn,
+        scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 16, 16), suite);
     const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
     table.add_row({c.label, a2f ? units::format_significant(*a2f, 4) : std::string("none")});
   }
@@ -88,19 +86,6 @@ void print_reproduction() {
   print_delta_sweep();
   print_warm_extremes();
 }
-
-void bm_recycling_eval(benchmark::State& state) {
-  core::ModelSuite suite = core::paper_suite();
-  suite.fab.recycled_material_fraction = 0.5;
-  suite.eol.recycled_fraction = 0.5;
-  const core::LifecycleModel model(suite);
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compare(model, testcase, schedule));
-  }
-}
-BENCHMARK(bm_recycling_eval);
 
 }  // namespace
 

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
 #include "tech/yield.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
@@ -58,18 +57,16 @@ void print_crossovers() {
   for (const tech::YieldModel model : kModels) {
     std::vector<std::string> row{to_string(model)};
     for (const device::Domain domain : {device::Domain::dnn, device::Domain::imgproc}) {
-      const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                         device::domain_testcase(domain));
-      const auto series = engine.sweep_app_count(1, 24, bench::kDefaults.app_lifetime,
-                                                 bench::kDefaults.app_volume);
+      const auto series = bench::sweep(
+          domain, scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 24, 24),
+          suite_with(model));
       const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
       row.push_back(a2f ? units::format_significant(*a2f, 4) : std::string("> 24"));
     }
-    const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                       device::domain_testcase(device::Domain::dnn));
-    const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 41);
-    const auto series = engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                                            bench::kDefaults.app_lifetime);
+    const auto series = bench::sweep(
+        device::Domain::dnn,
+        scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 41),
+        suite_with(model));
     const auto f2a = first_crossover(series.crossovers(), scenario::CrossoverKind::f2a);
     row.push_back(f2a ? units::format_significant(*f2a, 4) : std::string("none"));
     table.add_row(std::move(row));
@@ -84,17 +81,6 @@ void print_reproduction() {
   print_yields();
   print_crossovers();
 }
-
-void bm_yield_model_sweep(benchmark::State& state) {
-  const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                     device::domain_testcase(device::Domain::dnn));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                                    bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_yield_model_sweep)->DenseRange(0, 3);
 
 }  // namespace
 

@@ -4,121 +4,19 @@
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction bench binaries.
 ///
-/// Every bench binary does two jobs:
-///  1. print the rows/series of one paper table or figure (the
-///     reproduction), also emitting CSV under results/ for re-plotting;
-///  2. register google-benchmark timings for the model evaluations behind
-///     that figure, so the cost of the analytical models is tracked.
+/// Every bench binary prints the rows/series of one paper table or figure
+/// (the reproduction), also emitting CSV under results/ for re-plotting.
+/// The experiments run as `ScenarioSpec`s through `scenario::Engine`, the
+/// one way the repo runs a kind; model and engine timings live in the
+/// `greenfpga bench` harness (src/bench/), not here.
 ///
-/// `GF_BENCH_MAIN(print_function)` wires both into a main().
-///
-/// Google Benchmark is optional: when the build has it (CMake defines
-/// GREENFPGA_HAVE_BENCHMARK), the real library runs; otherwise the shim
-/// below satisfies the registration API as no-ops, so the reproduction
-/// print and its CSV emission under results/ still run on machines
-/// without libbenchmark-dev instead of the whole binary being skipped at
-/// configure time.  (`benchmark::DoNotOptimize` stays a real optimisation
-/// barrier in both modes -- the reproduction paths rely on it.)
-
-#if defined(GREENFPGA_HAVE_BENCHMARK)
-#include <benchmark/benchmark.h>
-#else
-
-#include <cstdint>
-#include <map>
-#include <string>
-
-/// Minimal stand-in for the google-benchmark registration surface the
-/// bench/ drivers use.  Registered functions are never executed (a State
-/// iterates zero times if one ever were), and RunSpecifiedBenchmarks()
-/// prints a one-line notice so a log reader knows why no timings follow.
-namespace benchmark {
-
-enum TimeUnit { kNanosecond, kMicrosecond, kMillisecond, kSecond };
-
-class State {
- public:
-  /// What `for (auto _ : state)` binds: the user-provided destructor
-  /// keeps -Wunused-but-set-variable quiet on the customary unused `_`
-  /// (the real library lives in a system include dir, which silences the
-  /// warning for it; a shim in the project tree needs the dtor).
-  struct Value {
-    ~Value() {}
-  };
-  struct iterator {
-    bool operator!=(const iterator&) const { return false; }
-    iterator& operator++() { return *this; }
-    Value operator*() const { return Value(); }
-  };
-  [[nodiscard]] iterator begin() { return {}; }
-  [[nodiscard]] iterator end() { return {}; }
-  [[nodiscard]] std::int64_t range(std::size_t = 0) const { return 0; }
-  [[nodiscard]] std::int64_t iterations() const { return 0; }
-  void SetItemsProcessed(std::int64_t) {}
-  void SetBytesProcessed(std::int64_t) {}
-  void SkipWithError(const char*) {}
-  std::map<std::string, double> counters;
-};
-
-template <class T>
-inline void DoNotOptimize(T const& value) {
-#if defined(__GNUC__) || defined(__clang__)
-  asm volatile("" : : "r,m"(value) : "memory");
-#else
-  static volatile const void* sink;
-  sink = &value;
-#endif
-}
-
-/// The fluent no-op returned by the BENCHMARK() macro.
-class Registration {
- public:
-  Registration* Arg(std::int64_t) { return this; }
-  Registration* Args(std::initializer_list<std::int64_t>) { return this; }
-  Registration* DenseRange(std::int64_t, std::int64_t, std::int64_t = 1) { return this; }
-  Registration* Range(std::int64_t, std::int64_t) { return this; }
-  Registration* RangeMultiplier(int) { return this; }
-  Registration* Unit(TimeUnit) { return this; }
-  Registration* UseRealTime() { return this; }
-  Registration* Threads(int) { return this; }
-  Registration* Iterations(std::int64_t) { return this; }
-};
-
-/// Registering keeps a pointer to the function, which also marks it used
-/// (the drivers define benchmark bodies in anonymous namespaces, and
-/// -Wunused-function would otherwise fire in shim builds).
-inline Registration* RegisterShimBenchmark(void (*fn)(State&)) {
-  static Registration registration;
-  DoNotOptimize(fn);
-  return &registration;
-}
-
-inline void Initialize(int*, char**) {}
-inline bool ReportUnrecognizedArguments(int, char**) { return false; }
-inline void RunSpecifiedBenchmarks();
-inline void Shutdown() {}
-
-}  // namespace benchmark
-
-#define GF_BENCH_CONCAT_IMPL(a, b) a##b
-#define GF_BENCH_CONCAT(a, b) GF_BENCH_CONCAT_IMPL(a, b)
-#define BENCHMARK(fn)                                               \
-  static ::benchmark::Registration* GF_BENCH_CONCAT(gf_bench_reg_, \
-                                                    __LINE__) =     \
-      ::benchmark::RegisterShimBenchmark(fn)
-
-#endif  // GREENFPGA_HAVE_BENCHMARK
+/// `GF_BENCH_MAIN(print_function)` wires the reproduction into a main().
 
 #include <iostream>
+#include <utility>
 
 #include "core/paper_config.hpp"
-
-#if !defined(GREENFPGA_HAVE_BENCHMARK)
-inline void benchmark::RunSpecifiedBenchmarks() {
-  std::cout << "(google-benchmark not available in this build; reproduction "
-               "output above, timing loops skipped)\n";
-}
-#endif
+#include "scenario/engine.hpp"
 
 namespace greenfpga::bench {
 
@@ -130,25 +28,30 @@ inline void banner(const std::string& figure, const std::string& caption) {
   std::cout << "\n=== " << figure << ": " << caption << " ===\n\n";
 }
 
+/// Runs a sweep-kind spec for `domain`: one `axis`, the paper-default
+/// schedule for the other two variables, models from `suite`.
+inline scenario::SweepSeries sweep(device::Domain domain, scenario::AxisSpec axis,
+                                   core::ModelSuite suite = core::paper_suite()) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.suite = std::move(suite);
+  spec.axes = {std::move(axis)};
+  return scenario::Engine().run(spec).sweep_series();
+}
+
 }  // namespace greenfpga::bench
 
-/// Expands to a main() that prints the reproduction then runs benchmarks.
-#define GF_BENCH_MAIN(print_function)                            \
-  int main(int argc, char** argv) {                              \
-    try {                                                        \
-      print_function();                                          \
-    } catch (const std::exception& error) {                      \
-      std::cerr << "reproduction failed: " << error.what()       \
-                << "\n";                                         \
-      return 1;                                                  \
-    }                                                            \
-    ::benchmark::Initialize(&argc, argv);                        \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {  \
-      return 1;                                                  \
-    }                                                            \
-    ::benchmark::RunSpecifiedBenchmarks();                       \
-    ::benchmark::Shutdown();                                     \
-    return 0;                                                    \
+/// Expands to a main() that prints the reproduction (exit 1 if it throws).
+#define GF_BENCH_MAIN(print_function)                      \
+  int main() {                                             \
+    try {                                                  \
+      print_function();                                    \
+    } catch (const std::exception& error) {                \
+      std::cerr << "reproduction failed: " << error.what() \
+                << "\n";                                   \
+      return 1;                                            \
+    }                                                      \
+    return 0;                                              \
   }
 
 #endif  // GREENFPGA_BENCH_BENCH_COMMON_HPP

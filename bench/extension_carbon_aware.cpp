@@ -13,7 +13,6 @@
 #include "act/grid_profile.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -62,15 +61,12 @@ void print_crossover_shift() {
           suite.operation.duty_cycle, act::DutySchedulingPolicy::carbon_aware);
     }
     // Note: the suite's operation model applies to BOTH platforms inside
-    // one engine; to keep the ASIC uniform we evaluate platforms with
-    // separate engines and splice the series.
-    const scenario::SweepEngine fpga_engine(core::LifecycleModel(suite),
-                                            device::domain_testcase(device::Domain::dnn));
-    const scenario::SweepEngine asic_engine(core::LifecycleModel(core::paper_suite()),
-                                            device::domain_testcase(device::Domain::dnn));
-    const std::vector<double> lifetimes = scenario::linspace(0.2, 4.0, 39);
-    const auto fpga_series = fpga_engine.sweep_lifetime(lifetimes, 5, 1e6);
-    const auto asic_series = asic_engine.sweep_lifetime(lifetimes, 5, 1e6);
+    // one spec; to keep the ASIC uniform we evaluate platforms with
+    // separate specs and splice the series.
+    const scenario::AxisSpec lifetimes =
+        scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 4.0, 39);
+    const auto fpga_series = bench::sweep(device::Domain::dnn, lifetimes, suite);
+    const auto asic_series = bench::sweep(device::Domain::dnn, lifetimes);
     const auto crossovers = scenario::find_crossovers(
         fpga_series.x, asic_series.asic_totals_kg(), fpga_series.fpga_totals_kg());
     const auto f2a = first_crossover(crossovers, scenario::CrossoverKind::f2a);
@@ -89,15 +85,6 @@ void print_reproduction() {
                "FPGA work run ~55 % cleaner, pushing the FPGA-favourable lifetime\n"
                "region well past the paper's 1.6-year crossover\n";
 }
-
-void bm_effective_multiplier(benchmark::State& state) {
-  const act::DailyProfile duck = act::DailyProfile::solar_duck();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        duck.effective_multiplier(0.25, act::DutySchedulingPolicy::carbon_aware));
-  }
-}
-BENCHMARK(bm_effective_multiplier);
 
 }  // namespace
 

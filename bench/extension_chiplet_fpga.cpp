@@ -117,27 +117,6 @@ void print_reproduction() {
                "the A2F crossover in -- reconfigurability and chiplets compound\n";
 }
 
-void bm_chiplet_embodied(benchmark::State& state) {
-  const core::LifecycleModel model(core::paper_suite());
-  const device::ChipSpec fpga = device::domain_testcase(device::Domain::dnn).fpga;
-  const pkg::PackageParameters p = style(pkg::PackageType::silicon_interposer);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.per_chip_embodied_chiplet(fpga, static_cast<int>(state.range(0)), p));
-  }
-}
-BENCHMARK(bm_chiplet_embodied)->Arg(2)->Arg(4)->Arg(8);
-
-void bm_registry_chiplet_embodied(benchmark::State& state) {
-  const core::LifecycleModel model(core::paper_suite());
-  const device::ChipSpec chiplet =
-      device::PlatformRegistry::builtins().resolve("chiplet_fpga", device::Domain::dnn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.per_chip_embodied(chiplet));
-  }
-}
-BENCHMARK(bm_registry_chiplet_embodied);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/node_dse.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -20,9 +19,11 @@ using namespace greenfpga;
 using namespace units::unit;
 
 void print_ranking(const std::string& label, const core::ModelSuite& suite) {
-  const scenario::NodeDse dse(core::LifecycleModel(suite),
-                              core::paper_schedule(device::Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(device::Domain::dnn).fpga);
+  // Subject: the DNN FPGA; schedule: the paper defaults; every node.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::node_dse, device::Domain::dnn);
+  spec.suite = suite;
+  const auto candidates = scenario::Engine().run(spec).candidates;
 
   io::TextTable table;
   table.set_headers({"rank", "node", "die area", "peak power", "embodied [t]",
@@ -50,16 +51,6 @@ void print_reproduction() {
                "but the margin is embodied-driven when idle and power-driven when hot,\n"
                "and trailing nodes drop out at the reticle limit\n";
 }
-
-void bm_node_dse(benchmark::State& state) {
-  const scenario::NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                              core::paper_schedule(device::Domain::dnn));
-  const device::ChipSpec chip = device::domain_testcase(device::Domain::dnn).fpga;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dse.explore(chip));
-  }
-}
-BENCHMARK(bm_node_dse);
 
 }  // namespace
 

@@ -70,16 +70,6 @@ void print_reproduction() {
                "edge ahead only where the FPGA's own overhead explodes (ImgProc 7.42x)\n";
 }
 
-void bm_three_way(benchmark::State& state) {
-  const core::LifecycleModel model(core::paper_suite());
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compare_three_way(model, testcase, schedule));
-  }
-}
-BENCHMARK(bm_three_way);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

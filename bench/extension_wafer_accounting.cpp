@@ -58,24 +58,6 @@ void print_reproduction() {
                "the dies the FPGA sustainability argument depends on\n";
 }
 
-void bm_per_area(benchmark::State& state) {
-  const act::FabModel fab{core::paper_suite().fab};
-  const device::ChipSpec chip = device::industry_fpga2();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fab.manufacture_die(chip.node, chip.die_area));
-  }
-}
-BENCHMARK(bm_per_area);
-
-void bm_per_wafer(benchmark::State& state) {
-  const act::FabModel fab{core::paper_suite().fab};
-  const device::ChipSpec chip = device::industry_fpga2();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fab.manufacture_die_wafer_based(chip.node, chip.die_area));
-  }
-}
-BENCHMARK(bm_per_wafer);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

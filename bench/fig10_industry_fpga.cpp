@@ -59,16 +59,6 @@ void print_reproduction() {
   std::cout << "\npaper: operational dominant; design ~15 % of embodied; app-dev minimal\n";
 }
 
-void bm_fig10_industry_fpga(benchmark::State& state) {
-  const core::LifecycleModel model(core::industry_suite());
-  const workload::Schedule schedule = fig10_schedule();
-  const device::ChipSpec fpga = device::industry_fpga1();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate_fpga(fpga, schedule));
-  }
-}
-BENCHMARK(bm_fig10_industry_fpga);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -52,16 +52,6 @@ void print_reproduction() {
   std::cout << "\npaper: operational predominant, then manufacturing and design\n";
 }
 
-void bm_fig11_industry_asic(benchmark::State& state) {
-  const core::LifecycleModel model(core::industry_suite());
-  const workload::Schedule schedule = fig11_schedule();
-  const device::ChipSpec asic = device::industry_asic2();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate_asic(asic, schedule));
-  }
-}
-BENCHMARK(bm_fig11_industry_asic);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -10,7 +10,6 @@
 #include "core/comparator.hpp"
 #include "device/catalog.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -22,11 +21,13 @@ using namespace units::unit;
 void print_reproduction() {
   bench::banner("Fig. 2", "ASIC vs FPGA CFP, 1 application vs 10 applications (DNN)");
 
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(device::Domain::dnn));
+  const core::LifecycleModel model(core::paper_suite());
+  const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
   for (const int apps : {1, 10}) {
-    const core::Comparison comparison =
-        engine.evaluate_point(apps, bench::kDefaults.app_lifetime, bench::kDefaults.app_volume);
+    const core::Comparison comparison = core::compare(
+        model, testcase,
+        core::paper_schedule(device::Domain::dnn, apps, bench::kDefaults.app_lifetime,
+                             bench::kDefaults.app_volume));
     std::cout << "N_app = " << apps << "\n";
     const std::vector<std::pair<std::string, core::CfpBreakdown>> platforms{
         {"ASIC", comparison.asic.total},
@@ -45,17 +46,6 @@ void print_reproduction() {
   }
   std::cout << "paper: FPGA higher at 1 application; ~25 % lower at 10 applications\n";
 }
-
-void bm_fig2_point(benchmark::State& state) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(device::Domain::dnn));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.evaluate_point(static_cast<int>(state.range(0)),
-                                                   bench::kDefaults.app_lifetime,
-                                                   bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_fig2_point)->Arg(1)->Arg(10);
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -18,17 +17,11 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
-scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  return engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                bench::kDefaults.app_volume);
-}
-
 void print_reproduction() {
   bench::banner("Fig. 4", "CFP vs N_app (T_i = 2 y, N_vol = 1e6 constant)");
   for (const device::Domain domain : device::all_domains()) {
-    const scenario::SweepSeries series = domain_series(domain);
+    const scenario::SweepSeries series = bench::sweep(
+        domain, scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 12, 12));
     std::cout << "-- " << to_string(domain) << " --\n"
               << report::sweep_table(series)
               << "crossovers: " << report::crossover_summary(series) << "\n";
@@ -43,20 +36,6 @@ void print_reproduction() {
   }
   std::cout << "paper: A2F at 1 (Crypto), ~6 (DNN), ~12 (ImgProc, extended axis)\n";
 }
-
-void bm_fig4_sweep(benchmark::State& state) {
-  const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                                    bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_fig4_sweep)
-    ->Arg(static_cast<int>(device::Domain::dnn))
-    ->Arg(static_cast<int>(device::Domain::imgproc))
-    ->Arg(static_cast<int>(device::Domain::crypto));
 
 }  // namespace
 

@@ -9,7 +9,6 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -17,18 +16,12 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
-scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
-  return engine.sweep_lifetime(lifetimes, bench::kDefaults.app_count,
-                               bench::kDefaults.app_volume);
-}
-
 void print_reproduction() {
   bench::banner("Fig. 5", "CFP vs T_i (N_app = 5, N_vol = 1e6 constant)");
   for (const device::Domain domain : device::all_domains()) {
-    const scenario::SweepSeries series = domain_series(domain);
+    const scenario::SweepSeries series = bench::sweep(
+        domain,
+        scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 2.5, 24));
     std::cout << "-- " << to_string(domain) << " --\n"
               << report::sweep_table(series)
               << "crossovers: " << report::crossover_summary(series) << "\n";
@@ -43,21 +36,6 @@ void print_reproduction() {
   }
   std::cout << "paper: Crypto always FPGA; ImgProc always ASIC; DNN F2A at ~1.6 years\n";
 }
-
-void bm_fig5_sweep(benchmark::State& state) {
-  const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_lifetime(lifetimes, bench::kDefaults.app_count,
-                                                   bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_fig5_sweep)
-    ->Arg(static_cast<int>(device::Domain::dnn))
-    ->Arg(static_cast<int>(device::Domain::imgproc))
-    ->Arg(static_cast<int>(device::Domain::crypto));
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -18,18 +17,11 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
-scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 25);
-  return engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                             bench::kDefaults.app_lifetime);
-}
-
 void print_reproduction() {
   bench::banner("Fig. 6", "CFP vs N_vol (N_app = 5, T_i = 2 y constant; log axis)");
   for (const device::Domain domain : device::all_domains()) {
-    const scenario::SweepSeries series = domain_series(domain);
+    const scenario::SweepSeries series = bench::sweep(
+        domain, scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 25));
     std::cout << "-- " << to_string(domain) << " --\n"
               << report::sweep_table(series)
               << "crossovers: " << report::crossover_summary(series) << "\n";
@@ -44,21 +36,6 @@ void print_reproduction() {
   }
   std::cout << "paper: Crypto always FPGA; F2A at ~300 K (ImgProc) and ~2 M (DNN)\n";
 }
-
-void bm_fig6_sweep(benchmark::State& state) {
-  const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 25);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                                                 bench::kDefaults.app_lifetime));
-  }
-}
-BENCHMARK(bm_fig6_sweep)
-    ->Arg(static_cast<int>(device::Domain::dnn))
-    ->Arg(static_cast<int>(device::Domain::imgproc))
-    ->Arg(static_cast<int>(device::Domain::crypto));
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include "device/catalog.hpp"
 #include "io/table.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -18,11 +17,6 @@ namespace {
 
 using namespace greenfpga;
 using namespace units::unit;
-
-scenario::SweepEngine dnn_engine() {
-  return scenario::SweepEngine(core::LifecycleModel(core::paper_suite()),
-                               device::domain_testcase(device::Domain::dnn));
-}
 
 void print_ec_oc_table(const scenario::SweepSeries& series, const std::string& label) {
   io::TextTable table;
@@ -45,32 +39,20 @@ void print_ec_oc_table(const scenario::SweepSeries& series, const std::string& l
 
 void print_reproduction() {
   bench::banner("Fig. 7", "DNN component breakdown across the three sweeps");
-  const scenario::SweepEngine engine = dnn_engine();
+  using scenario::AxisSpec;
+  using scenario::SweepVariable;
+  constexpr device::Domain dnn = device::Domain::dnn;
 
+  print_ec_oc_table(bench::sweep(dnn, AxisSpec::linear(SweepVariable::app_count, 1, 8, 8)),
+                    "a");
   print_ec_oc_table(
-      engine.sweep_app_count(1, 8, bench::kDefaults.app_lifetime, bench::kDefaults.app_volume),
-      "a");
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 10);
-  print_ec_oc_table(
-      engine.sweep_lifetime(lifetimes, bench::kDefaults.app_count, bench::kDefaults.app_volume),
-      "b");
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e6, 10);
-  print_ec_oc_table(
-      engine.sweep_volume(volumes, bench::kDefaults.app_count, bench::kDefaults.app_lifetime),
-      "c");
+      bench::sweep(dnn, AxisSpec::linear(SweepVariable::lifetime_years, 0.2, 2.5, 10)), "b");
+  print_ec_oc_table(bench::sweep(dnn, AxisSpec::log(SweepVariable::volume, 1e3, 1e6, 10)),
+                    "c");
 
   std::cout << "paper: ASIC EC grows with N_app and dominates; FPGA EC constant;\n"
                "       FPGA OC grows with T_i; EC dominates at low volume\n";
 }
-
-void bm_fig7_breakdowns(benchmark::State& state) {
-  const scenario::SweepEngine engine = dnn_engine();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_app_count(1, 8, bench::kDefaults.app_lifetime,
-                                                    bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_fig7_breakdowns);
 
 }  // namespace
 

@@ -11,7 +11,6 @@
 #include "io/csv.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/heatmap.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -20,9 +19,13 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
-scenario::HeatmapEngine dnn_engine() {
-  return scenario::HeatmapEngine(core::LifecycleModel(core::paper_suite()),
-                                 device::domain_testcase(device::Domain::dnn));
+/// Runs a DNN grid-kind spec over (x, y), the third variable at the
+/// paper default.
+scenario::Heatmap dnn_heatmap(scenario::AxisSpec x, scenario::AxisSpec y) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {std::move(x), std::move(y)};
+  return scenario::Engine().run(spec).heatmap();
 }
 
 io::CsvWriter heatmap_csv(const scenario::Heatmap& map) {
@@ -64,32 +67,19 @@ void show(const scenario::Heatmap& map, const std::string& label,
 
 void print_reproduction() {
   bench::banner("Fig. 8", "pairwise FPGA:ASIC ratio heat-maps, DNN domain");
-  const scenario::HeatmapEngine engine = dnn_engine();
+  using scenario::AxisSpec;
+  using scenario::SweepVariable;
+  const AxisSpec apps =
+      AxisSpec::list(SweepVariable::app_count, {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16});
+  const AxisSpec lifetimes = AxisSpec::linear(SweepVariable::lifetime_years, 0.25, 2.5, 10);
+  const AxisSpec volumes = AxisSpec::log(SweepVariable::volume, 1e4, 1e7, 12);
 
-  const std::vector<int> apps{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16};
-  const std::vector<double> lifetimes = scenario::linspace(0.25, 2.5, 10);
-  const std::vector<double> volumes = scenario::logspace(1e4, 1e7, 12);
-
-  show(engine.app_count_vs_lifetime(apps, lifetimes, bench::kDefaults.app_volume), "a",
-       "N_vol = 1e6");
-  show(engine.volume_vs_lifetime(volumes, lifetimes, bench::kDefaults.app_count), "b",
-       "N_app = 5");
-  show(engine.volume_vs_app_count(volumes, apps, bench::kDefaults.app_lifetime), "c",
-       "T_i = 2 y");
+  show(dnn_heatmap(apps, lifetimes), "a", "N_vol = 1e6");
+  show(dnn_heatmap(volumes, lifetimes), "b", "N_app = 5");
+  show(dnn_heatmap(volumes, apps), "c", "T_i = 2 y");
 
   std::cout << "paper: FPGA region grows with N_app, shrinks with N_vol and T_i\n";
 }
-
-void bm_fig8_heatmap(benchmark::State& state) {
-  const scenario::HeatmapEngine engine = dnn_engine();
-  const std::vector<int> apps{1, 3, 5, 7};
-  const std::vector<double> lifetimes = scenario::linspace(0.5, 2.5, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.app_count_vs_lifetime(apps, lifetimes, bench::kDefaults.app_volume));
-  }
-}
-BENCHMARK(bm_fig8_heatmap);
 
 }  // namespace
 

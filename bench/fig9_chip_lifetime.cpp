@@ -11,7 +11,6 @@
 #include "io/table.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/timeline.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -20,21 +19,15 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
-scenario::TimelineParameters paper_parameters() {
-  scenario::TimelineParameters p;
-  p.horizon = 45.0 * years;
-  p.app_lifetime = 1.0 * years;
-  p.volume = 1e6;
-  p.step = 0.25 * years;
-  return p;
-}
-
 void print_reproduction() {
   bench::banner("Fig. 9", "45-year timeline, 15-year FPGA service life, 1-year apps");
   for (const device::Domain domain : device::all_domains()) {
-    const scenario::TimelineSimulator simulator(core::LifecycleModel(core::paper_suite()),
-                                                device::domain_testcase(domain));
-    const scenario::TimelineSeries series = simulator.run(paper_parameters());
+    scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::make(scenario::ScenarioKind::timeline, domain);
+    spec.schedule.lifetime_years = 1.0;
+    spec.schedule.volume = 1e6;
+    spec.timeline = {.horizon_years = 45.0, .step_years = 0.25};
+    const scenario::TimelineSeries series = *scenario::Engine().run(spec).timeline;
 
     std::cout << "-- " << to_string(domain) << " --\n";
     io::TextTable table;
@@ -68,17 +61,6 @@ void print_reproduction() {
   }
   std::cout << "paper: FPGA jumps at 15/30 years; multiple crossovers for ImgProc only\n";
 }
-
-void bm_fig9_timeline(benchmark::State& state) {
-  const scenario::TimelineSimulator simulator(
-      core::LifecycleModel(core::paper_suite()),
-      device::domain_testcase(device::Domain::dnn));
-  const scenario::TimelineParameters p = paper_parameters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.run(p));
-  }
-}
-BENCHMARK(bm_fig9_timeline);
 
 }  // namespace
 

@@ -190,28 +190,6 @@ void print_serve_throughput() {
   std::cout << "  wrote " << path << "\n";
 }
 
-/// Steady-state latency of one cached POST /v1/run round-trip.
-void BM_ServeCachedRun(benchmark::State& state) {
-  serve::ServeContext context(scenario::EngineOptions{}, 64);
-  serve::Server server(serve::make_router(context), serve::ServerOptions{});
-  server.start();
-  serve::HttpClient client("127.0.0.1", server.port());
-  const std::string body = spec_to_json(scenario::ScenarioSpec::make(
-                               scenario::ScenarioKind::compare, device::Domain::dnn))
-                               .dump();
-  for (auto _ : state) {
-    const serve::HttpResponse response = client.request("POST", "/v1/run", body);
-    if (response.status != 200) {
-      state.SkipWithError("non-200 response");
-      break;
-    }
-    benchmark::DoNotOptimize(response.body.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-  server.stop();
-}
-BENCHMARK(BM_ServeCachedRun)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_serve_throughput)

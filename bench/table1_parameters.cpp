@@ -6,7 +6,6 @@
 #include "device/catalog.hpp"
 #include "io/table.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sensitivity.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -31,10 +30,7 @@ void print_ranges() {
   std::cout << table.render();
 }
 
-void print_tornado(device::Domain domain) {
-  const auto entries = scenario::tornado(core::paper_suite(), device::domain_testcase(domain),
-                                         core::paper_schedule(domain),
-                                         scenario::table1_ranges());
+void print_tornado(const std::vector<scenario::TornadoEntry>& entries) {
   io::TextTable table;
   table.set_headers({"parameter", "ratio @ low", "ratio @ high", "swing"});
   for (const scenario::TornadoEntry& entry : entries) {
@@ -42,19 +38,21 @@ void print_tornado(device::Domain domain) {
                    units::format_significant(entry.ratio_at_high, 4),
                    units::format_significant(entry.swing(), 4)});
   }
-  std::cout << "\none-at-a-time sensitivity of the FPGA:ASIC ratio, " << to_string(domain)
-            << " (N_app = 5, T = 2 y, V = 1e6):\n"
+  std::cout << "\none-at-a-time sensitivity of the FPGA:ASIC ratio, DNN (N_app = 5, T = 2 y, "
+               "V = 1e6):\n"
             << table.render();
 }
 
 void print_reproduction() {
   bench::banner("Table 1", "input parameter ranges + sensitivity over each range");
   print_ranges();
-  print_tornado(device::Domain::dnn);
+  // One sensitivity-kind spec at its defaults: the tornado plus a
+  // 256-sample, seed-42 Monte-Carlo over every Table 1 range.
+  const scenario::ScenarioResult result = scenario::Engine().run(
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sensitivity, device::Domain::dnn));
+  print_tornado(result.tornado);
 
-  const auto mc = scenario::monte_carlo(
-      core::paper_suite(), device::domain_testcase(device::Domain::dnn),
-      core::paper_schedule(device::Domain::dnn), scenario::table1_ranges(), 256, 42);
+  const scenario::MonteCarloResult& mc = *result.monte_carlo;
   std::cout << "\nMonte-Carlo over all Table 1 ranges (256 samples, seed 42):\n"
             << "  ratio mean " << units::format_significant(mc.mean, 4) << ", p05 "
             << units::format_significant(mc.p05, 4) << ", median "
@@ -63,28 +61,6 @@ void print_reproduction() {
             << units::format_significant(100.0 * mc.fpga_win_fraction, 4)
             << " % of sampled configurations\n";
 }
-
-void bm_table1_tornado(benchmark::State& state) {
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  const auto ranges = scenario::table1_ranges();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scenario::tornado(core::paper_suite(), testcase, schedule, ranges));
-  }
-}
-BENCHMARK(bm_table1_tornado);
-
-void bm_table1_monte_carlo(benchmark::State& state) {
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  const auto ranges = scenario::table1_ranges();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scenario::monte_carlo(core::paper_suite(), testcase, schedule,
-                                                   ranges, static_cast<int>(state.range(0)),
-                                                   42));
-  }
-}
-BENCHMARK(bm_table1_monte_carlo)->Arg(16)->Arg(64);
 
 }  // namespace
 

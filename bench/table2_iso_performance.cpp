@@ -54,15 +54,6 @@ void print_reproduction() {
             << penalty.render();
 }
 
-void bm_table2_embodied(benchmark::State& state) {
-  const core::LifecycleModel model(core::paper_suite());
-  const device::DomainTestcase testcase = device::domain_testcase(device::Domain::imgproc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.per_chip_embodied(testcase.fpga));
-  }
-}
-BENCHMARK(bm_table2_embodied);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

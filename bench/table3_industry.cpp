@@ -49,15 +49,6 @@ void print_reproduction() {
   std::cout << "derived per-chip quantities (datacenter suite):\n" << derived.render();
 }
 
-void bm_table3_per_chip(benchmark::State& state) {
-  const core::LifecycleModel model(core::industry_suite());
-  const device::ChipSpec chip = device::industry_asic2();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.per_chip_embodied(chip));
-  }
-}
-BENCHMARK(bm_table3_per_chip);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -16,7 +16,7 @@
 #include "device/catalog.hpp"
 #include "io/table.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/timeline.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -32,14 +32,13 @@ int main() {
   // 45-year view with 3-year algorithm rotations: the appliance fleet is
   // re-bought every 15 years either way; the ASIC path additionally
   // re-designs silicon per rotation.
-  const scenario::TimelineSimulator simulator(core::LifecycleModel(core::paper_suite()),
-                                              testcase);
-  scenario::TimelineParameters params;
-  params.horizon = 45.0 * years;
-  params.app_lifetime = 3.0 * years;
-  params.volume = 2e5;  // 200K appliances -- a niche, low-volume product
-  params.step = 0.5 * years;
-  const scenario::TimelineSeries series = simulator.run(params);
+  const double volume = 2e5;  // 200K appliances -- a niche, low-volume product
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::timeline, device::Domain::crypto);
+  spec.schedule.lifetime_years = 3.0;
+  spec.schedule.volume = volume;
+  spec.timeline = {.horizon_years = 45.0, .step_years = 0.5};
+  const scenario::TimelineSeries series = *scenario::Engine().run(spec).timeline;
 
   io::TextTable table;
   table.set_headers({"year", "ASIC cumulative", "FPGA cumulative", "FPGA saves"});
@@ -66,7 +65,7 @@ int main() {
     double delta;
   };
   const workload::Schedule schedule = core::paper_schedule(device::Domain::crypto, 5,
-                                                           3.0 * years, params.volume);
+                                                           3.0 * years, volume);
   for (const Policy& p : {Policy{"landfill-everything", 0.0, 0.0},
                           Policy{"status quo", 0.0, 0.2},
                           Policy{"takeback program", 0.5, 0.6},

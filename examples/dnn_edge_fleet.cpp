@@ -17,7 +17,7 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -27,7 +27,18 @@ int main() {
 
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  const scenario::SweepEngine engine(model, testcase);
+
+  // Each question is a sweep-kind spec varying one variable around the
+  // planned operating point: 5 generations x 18 months x 1M units.
+  const auto sweep = [](scenario::AxisSpec axis) {
+    scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, device::Domain::dnn);
+    spec.schedule.app_count = 5;
+    spec.schedule.lifetime_years = 1.5;
+    spec.schedule.volume = 1e6;
+    spec.axes = {std::move(axis)};
+    return scenario::Engine().run(spec).sweep_series();
+  };
 
   std::cout << "DNN edge fleet planning\n"
             << "=======================\n"
@@ -40,8 +51,8 @@ int main() {
 
   // Question 1: how short do model generations have to be before the FPGA
   // wins?  (Five generations planned, 1M units.)
-  const std::vector<double> lifetimes = scenario::linspace(0.5, 3.0, 11);
-  const scenario::SweepSeries lifetime_sweep = engine.sweep_lifetime(lifetimes, 5, 1e6);
+  const scenario::SweepSeries lifetime_sweep =
+      sweep(scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.5, 3.0, 11));
   std::cout << "Q1: CFP vs model-generation lifetime (5 generations, 1M units)\n"
             << report::sweep_table(lifetime_sweep)
             << "    " << report::crossover_summary(lifetime_sweep) << "\n\n";
@@ -49,20 +60,21 @@ int main() {
   // Question 2: at an 18-month cadence, how many generations until the
   // FPGA fleet pays back its embodied premium?
   const scenario::SweepSeries generation_sweep =
-      engine.sweep_app_count(1, 10, 1.5 * years, 1e6);
+      sweep(scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 10, 10));
   std::cout << "Q2: CFP vs number of generations (18-month cadence, 1M units)\n"
             << report::sweep_table(generation_sweep)
             << "    " << report::crossover_summary(generation_sweep) << "\n\n";
 
   // Question 3: does the answer survive a bigger fleet?
-  const std::vector<double> volumes = scenario::logspace(1e4, 1e7, 13);
-  const scenario::SweepSeries volume_sweep = engine.sweep_volume(volumes, 5, 1.5 * years);
+  const scenario::SweepSeries volume_sweep =
+      sweep(scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e4, 1e7, 13));
   std::cout << "Q3: CFP vs fleet size (5 generations, 18-month cadence)\n"
             << report::sweep_table(volume_sweep)
             << "    " << report::crossover_summary(volume_sweep) << "\n\n";
 
   // Operating point: 5 generations x 18 months x 1M units.
-  const core::Comparison decision = engine.evaluate_point(5, 1.5 * years, 1e6);
+  const core::Comparison decision = core::compare(
+      model, testcase, core::paper_schedule(device::Domain::dnn, 5, 1.5 * years, 1e6));
   const std::vector<std::pair<std::string, core::CfpBreakdown>> platforms{
       {"ASIC path", decision.asic.total},
       {"FPGA path", decision.fpga.total},

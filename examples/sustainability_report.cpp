@@ -15,7 +15,7 @@
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "io/json.hpp"
-#include "scenario/sensitivity.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -53,10 +53,18 @@ int main(int argc, char** argv) {
   const core::LifecycleModel model(suite);
   const core::Comparison comparison = core::compare(model, testcase, schedule);
 
-  // Uncertainty: the Table 1 ranges, 512 samples.
-  const auto ranges = scenario::table1_ranges();
-  const auto mc = scenario::monte_carlo(suite, testcase, schedule, ranges, 512, 2024);
-  const auto tornado = scenario::tornado(suite, testcase, schedule, ranges);
+  // Uncertainty: a sensitivity-kind spec over the same pair and schedule
+  // -- the Table 1 ranges one at a time, then 512 Monte-Carlo samples.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sensitivity, testcase.domain);
+  spec.suite = suite;
+  spec.platforms = {{.name = "asic", .chip = asic}, {.name = "fpga", .chip = fpga}};
+  spec.schedule.explicit_schedule = schedule;
+  spec.sensitivity.samples = 512;
+  spec.sensitivity.seed = 2024;
+  const scenario::ScenarioResult sensitivity = scenario::Engine().run(spec);
+  const scenario::MonteCarloResult& mc = *sensitivity.monte_carlo;
+  const std::vector<scenario::TornadoEntry>& tornado = sensitivity.tornado;
 
   io::Json report = io::Json::object();
   report["scenario"] = "video analytics, 6 pipelines x 18 months, 50K units";

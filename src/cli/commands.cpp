@@ -954,12 +954,16 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
     report::MarkdownReportInputs inputs;
     inputs.scenario = scenario;
     inputs.comparison = comparison;
-    inputs.uncertainty =
-        scenario::monte_carlo(scenario.suite,
-                              device::DomainTestcase{.domain = device::Domain::dnn,
-                                                     .asic = scenario.asic,
-                                                     .fpga = scenario.fpga},
-                              scenario.schedule, scenario::table1_ranges(), 128);
+    // The same platforms and schedule as a sensitivity spec: 128
+    // Monte-Carlo samples over the Table 1 ranges.
+    scenario::ScenarioSpec uq = spec;
+    uq.kind = scenario::ScenarioKind::sensitivity;
+    uq.sensitivity = {.run_tornado = false,
+                      .run_monte_carlo = true,
+                      .samples = 128,
+                      .seed = 42,
+                      .ranges = scenario::table1_ranges()};
+    inputs.uncertainty = *make_engine(context).run(uq).monte_carlo;
     std::ofstream file(*markdown_out);
     if (!file) {
       err << "compare: cannot write '" << *markdown_out << "'\n";

@@ -175,7 +175,9 @@ std::string frame_to_table(const ResultFrame& frame) {
 std::string frame_to_markdown(const ResultFrame& frame) {
   std::string out = "### " + frame.name + "\n\n|";
   for (std::size_t i = 0; i < frame.columns.size(); ++i) {
-    out += " " + frame.column_header(i) + " |";
+    out += " ";
+    out += frame.column_header(i);
+    out += " |";
   }
   out += "\n|";
   for (std::size_t i = 0; i < frame.columns.size(); ++i) {

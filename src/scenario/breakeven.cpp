@@ -1,9 +1,8 @@
 /// \file breakeven.cpp
 /// Closed-form crossover solvers from two model probes per platform.
 ///
-/// The solves live in free functions (the engine primitives); the legacy
-/// `BreakevenSolver` builds breakeven-kind specs and runs them through
-/// `scenario::Engine`, which dispatches back to the free functions.
+/// The solves are free functions (the engine primitives) that the
+/// breakeven kind dispatches to.
 
 #include "scenario/breakeven.hpp"
 
@@ -12,7 +11,6 @@
 
 #include "core/comparator.hpp"
 #include "core/paper_config.hpp"
-#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -52,8 +50,8 @@ double difference(const core::LifecycleModel& model,
 void require_one_time_accounting(const core::LifecycleModel& model) {
   if (model.suite().appdev.accounting != core::AppDevAccounting::one_time) {
     throw std::invalid_argument(
-        "BreakevenSolver: per-year accounting makes totals bilinear in (T, N_app); "
-        "use the sweep engine instead");
+        "breakeven: per-year accounting makes totals bilinear in (T, N_app); "
+        "use a sweep spec instead");
   }
 }
 
@@ -65,29 +63,10 @@ void require_single_fleet(const device::DomainTestcase& testcase, int app_count,
   const double service_years = testcase.fpga.service_life.in(units::unit::years);
   if (horizon_years > service_years + 1e-9) {
     throw std::invalid_argument(
-        "BreakevenSolver: schedule exceeds one FPGA service life (" +
+        "breakeven: schedule exceeds one FPGA service life (" +
         std::to_string(horizon_years) + " > " + std::to_string(service_years) +
-        " years); affinity breaks at fleet replacement -- use TimelineSimulator");
+        " years); affinity breaks at fleet replacement -- use a timeline spec");
   }
-}
-
-/// Spec skeleton for the solver shims.
-ScenarioSpec breakeven_spec(const core::LifecycleModel& model,
-                            const device::DomainTestcase& testcase,
-                            const BreakevenContext& context) {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::breakeven;
-  spec.domain = testcase.domain;
-  spec.suite = model.suite();
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase.fpga}};
-  spec.schedule.app_count = context.app_count;
-  spec.schedule.lifetime_years = context.app_lifetime.in(units::unit::years);
-  spec.schedule.volume = context.app_volume;
-  spec.breakeven = BreakevenSpec{.solve_app_count = false,
-                                 .solve_lifetime = false,
-                                 .solve_volume = false};
-  return spec;
 }
 
 }  // namespace
@@ -131,32 +110,6 @@ std::optional<double> solve_volume_breakeven(const core::LifecycleModel& model,
   const double y1 = difference(model, testcase, context.app_count, context.app_lifetime, v1);
   const double y2 = difference(model, testcase, context.app_count, context.app_lifetime, v2);
   return affine_root(v1, y1, v2, y2);
-}
-
-BreakevenSolver::BreakevenSolver(core::LifecycleModel model, device::DomainTestcase testcase)
-    : model_(std::move(model)), testcase_(std::move(testcase)) {
-  require_one_time_accounting(model_);
-}
-
-std::optional<double> BreakevenSolver::app_count_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_app_count = true;
-  return Engine().run(spec).breakeven->app_count;
-}
-
-std::optional<double> BreakevenSolver::lifetime_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_lifetime = true;
-  return Engine().run(spec).breakeven->lifetime_years;
-}
-
-std::optional<double> BreakevenSolver::volume_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_volume = true;
-  return Engine().run(spec).breakeven->volume;
 }
 
 }  // namespace greenfpga::scenario

@@ -38,12 +38,13 @@ struct BreakevenContext {
   double app_volume = 1e6;
 };
 
-/// Engine primitives: the closed-form solves, probing `model` directly.
-/// Each validates the one-time-accounting and single-fleet preconditions
-/// (std::invalid_argument on violation) exactly as the corresponding
-/// `BreakevenSolver` method.  Prefer `Engine::run` with a breakeven-kind
-/// `ScenarioSpec`; these exist so the engine and the solver shim share one
-/// implementation.
+/// Engine primitives behind the breakeven kind: the closed-form solves,
+/// probing `model` directly.  Each validates the one-time-accounting and
+/// single-fleet preconditions (std::invalid_argument on violation) and
+/// returns the positive root at which the platforms' totals are equal
+/// with the other two variables from `context` -- nullopt if the lines are
+/// parallel or the root is non-positive (one platform dominates).  Callers
+/// run them through `Engine::run` with a breakeven-kind `ScenarioSpec`.
 [[nodiscard]] std::optional<double> solve_app_count_breakeven(
     const core::LifecycleModel& model, const device::DomainTestcase& testcase,
     const BreakevenContext& context);
@@ -53,35 +54,6 @@ struct BreakevenContext {
 [[nodiscard]] std::optional<double> solve_volume_breakeven(
     const core::LifecycleModel& model, const device::DomainTestcase& testcase,
     const BreakevenContext& context);
-
-/// Closed-form crossover solver for one domain testcase.
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// breakeven-kind `ScenarioSpec` and call `Engine::run`.
-class BreakevenSolver {
- public:
-  BreakevenSolver(core::LifecycleModel model, device::DomainTestcase testcase);
-
-  /// The application count at which the platforms' totals are equal, with
-  /// T_i and N_vol from `context`.  nullopt if the lines are parallel or
-  /// the root is non-positive (one platform dominates at any count).
-  [[nodiscard]] std::optional<double> app_count_breakeven(
-      const BreakevenContext& context) const;
-
-  /// The application lifetime (years) at which totals are equal, with
-  /// N_app and N_vol from `context`.
-  [[nodiscard]] std::optional<double> lifetime_breakeven(
-      const BreakevenContext& context) const;
-
-  /// The application volume at which totals are equal, with N_app and T_i
-  /// from `context`.
-  [[nodiscard]] std::optional<double> volume_breakeven(
-      const BreakevenContext& context) const;
-
- private:
-  core::LifecycleModel model_;
-  device::DomainTestcase testcase_;
-};
 
 }  // namespace greenfpga::scenario
 

@@ -1,7 +1,7 @@
 /// \file engine.cpp
 /// Spec dispatch through the kind registry, the batch task pool, and
-/// legacy-shaped views.  Kind evaluation itself lives in the modules
-/// under scenario/kinds/.
+/// the ASIC-vs-FPGA result views.  Kind evaluation itself lives in the
+/// modules under scenario/kinds/.
 
 #include "scenario/engine.hpp"
 

@@ -20,9 +20,12 @@
 /// computed by the same deterministic code from the same inputs, and
 /// workers write to pre-sized slots (pinned by tests/engine_test.cpp).
 ///
-/// The legacy per-module classes (SweepEngine, HeatmapEngine,
-/// BreakevenSolver, NodeDse, TimelineSimulator, tornado/monte_carlo) are
-/// thin spec-builders over this engine and remain as deprecated shims.
+/// This is the one way to run a kind: the paper's sweeps (Figs. 4-6),
+/// heat-maps (Fig. 8) and timeline (Fig. 9), the bench/ reproduction
+/// drivers, the examples and the CLI all build a `ScenarioSpec` and call
+/// `Engine::run`.  The per-kind modules' free functions (`simulate_timeline`,
+/// `solve_*_breakeven`, `rank_node_candidates`, `detail::*_analysis`) are
+/// the primitives the kinds dispatch to.
 
 #include <cstddef>
 #include <memory>
@@ -141,7 +144,7 @@ struct ScenarioResult {
   std::optional<dse::FrontierResult> frontier;  ///< frontier kind
   std::optional<FleetResult> fleet;             ///< fleet kind
 
-  // -- legacy-shaped views (throw std::logic_error when the shape does not
+  // -- ASIC-vs-FPGA views (throw std::logic_error when the shape does not
   //    match, e.g. no ASIC/FPGA platform pair) --------------------------------
   [[nodiscard]] core::Comparison comparison() const;  ///< compare kind
   [[nodiscard]] SweepSeries sweep_series() const;     ///< sweep kind

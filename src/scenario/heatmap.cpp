@@ -1,41 +1,11 @@
 /// \file heatmap.cpp
-/// Pairwise-sweep ratio grids and crossover contour extraction (Fig. 8).
+/// Ratio-grid contour extraction and colour bounds (Fig. 8).
 
 #include "scenario/heatmap.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <utility>
-
-#include "scenario/engine.hpp"
-#include "units/units.hpp"
 
 namespace greenfpga::scenario {
-
-namespace {
-
-/// Grid-kind spec skeleton for the heat-map shims.
-ScenarioSpec grid_spec_base(const core::LifecycleModel& model,
-                            const device::DomainTestcase& testcase) {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::grid;
-  spec.domain = testcase.domain;
-  spec.suite = model.suite();
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase.fpga}};
-  return spec;
-}
-
-std::vector<double> as_doubles(std::span<const int> values) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const int v : values) {
-    out.push_back(static_cast<double>(v));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<Heatmap::ContourPoint> Heatmap::unity_contour() const {
   std::vector<ContourPoint> contour;
@@ -67,54 +37,6 @@ double Heatmap::max_ratio() const {
     best = std::max(best, *std::max_element(row.begin(), row.end()));
   }
   return best;
-}
-
-HeatmapEngine::HeatmapEngine(core::LifecycleModel model, device::DomainTestcase testcase)
-    : engine_(std::move(model), std::move(testcase)) {}
-
-Heatmap HeatmapEngine::app_count_vs_lifetime(std::span<const int> app_counts,
-                                             std::span<const double> lifetimes_years,
-                                             double volume) const {
-  if (app_counts.empty() || lifetimes_years.empty()) {
-    throw std::invalid_argument("heatmap: axes must be non-empty");
-  }
-  ScenarioSpec spec = grid_spec_base(engine_.model(), engine_.testcase());
-  spec.schedule.volume = volume;
-  spec.axes = {AxisSpec::list(SweepVariable::app_count, as_doubles(app_counts)),
-               AxisSpec::list(SweepVariable::lifetime_years,
-                              std::vector<double>(lifetimes_years.begin(),
-                                                  lifetimes_years.end()))};
-  return Engine().run(spec).heatmap();
-}
-
-Heatmap HeatmapEngine::volume_vs_lifetime(std::span<const double> volumes,
-                                          std::span<const double> lifetimes_years,
-                                          int app_count) const {
-  if (volumes.empty() || lifetimes_years.empty()) {
-    throw std::invalid_argument("heatmap: axes must be non-empty");
-  }
-  ScenarioSpec spec = grid_spec_base(engine_.model(), engine_.testcase());
-  spec.schedule.app_count = app_count;
-  spec.axes = {AxisSpec::list(SweepVariable::volume,
-                              std::vector<double>(volumes.begin(), volumes.end())),
-               AxisSpec::list(SweepVariable::lifetime_years,
-                              std::vector<double>(lifetimes_years.begin(),
-                                                  lifetimes_years.end()))};
-  return Engine().run(spec).heatmap();
-}
-
-Heatmap HeatmapEngine::volume_vs_app_count(std::span<const double> volumes,
-                                           std::span<const int> app_counts,
-                                           units::TimeSpan lifetime) const {
-  if (volumes.empty() || app_counts.empty()) {
-    throw std::invalid_argument("heatmap: axes must be non-empty");
-  }
-  ScenarioSpec spec = grid_spec_base(engine_.model(), engine_.testcase());
-  spec.schedule.lifetime_years = lifetime.in(units::unit::years);
-  spec.axes = {AxisSpec::list(SweepVariable::volume,
-                              std::vector<double>(volumes.begin(), volumes.end())),
-               AxisSpec::list(SweepVariable::app_count, as_doubles(app_counts))};
-  return Engine().run(spec).heatmap();
 }
 
 }  // namespace greenfpga::scenario

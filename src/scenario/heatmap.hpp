@@ -11,9 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/lifecycle_model.hpp"
 #include "device/catalog.hpp"
-#include "scenario/sweep.hpp"
 
 namespace greenfpga::scenario {
 
@@ -38,35 +36,6 @@ struct Heatmap {
   /// Smallest / largest ratio in the grid (for colour scaling).
   [[nodiscard]] double min_ratio() const;
   [[nodiscard]] double max_ratio() const;
-};
-
-/// Generates the paper's three pairwise heat-maps for one domain.
-///
-/// \deprecated Thin shim over `scenario::Engine`: every heat-map builds a
-/// grid-kind `ScenarioSpec` and runs it, so the grid points are evaluated
-/// in parallel with memoised embodied carbon.  New code should construct
-/// specs directly.
-class HeatmapEngine {
- public:
-  HeatmapEngine(core::LifecycleModel model, device::DomainTestcase testcase);
-
-  /// Fig. 8(a): N_vol held constant; axes N_app (x) by T_i (y).
-  [[nodiscard]] Heatmap app_count_vs_lifetime(std::span<const int> app_counts,
-                                              std::span<const double> lifetimes_years,
-                                              double volume) const;
-
-  /// Fig. 8(b): N_app held constant; axes N_vol (x) by T_i (y).
-  [[nodiscard]] Heatmap volume_vs_lifetime(std::span<const double> volumes,
-                                           std::span<const double> lifetimes_years,
-                                           int app_count) const;
-
-  /// Fig. 8(c): T_i held constant; axes N_vol (x) by N_app (y).
-  [[nodiscard]] Heatmap volume_vs_app_count(std::span<const double> volumes,
-                                            std::span<const int> app_counts,
-                                            units::TimeSpan lifetime) const;
-
- private:
-  SweepEngine engine_;
 };
 
 }  // namespace greenfpga::scenario

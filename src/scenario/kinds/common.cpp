@@ -230,8 +230,9 @@ ResultFrame uncertainty_frame(const ScenarioResult& result) {
                    Column{.name = "mean", .unit = "", .precision = 5},
                    Column{.name = "stddev", .unit = "", .precision = 5}};
   for (const double p : uq.percentiles) {
-    frame.columns.push_back(Column{.name = "p" + units::format_significant(p, 4),
-                                   .unit = "", .precision = 5});
+    std::string name = "p";
+    name += units::format_significant(p, 4);
+    frame.columns.push_back(Column{.name = std::move(name), .unit = "", .precision = 5});
   }
   const auto add_stat = [&frame](const std::string& metric, const UqStat& stat,
                                  double scale) {

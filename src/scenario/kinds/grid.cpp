@@ -37,9 +37,12 @@ void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
       result.platform_index(device::ChipKind::fpga) &&
       result.platform_names.size() == 2) {
     const Heatmap map = result.heatmap();
-    frame.set_meta("ratio range",
-                   "[" + units::format_significant(map.min_ratio(), 4) + ", " +
-                       units::format_significant(map.max_ratio(), 4) + "]");
+    std::string range = "[";
+    range += units::format_significant(map.min_ratio(), 4);
+    range += ", ";
+    range += units::format_significant(map.max_ratio(), 4);
+    range += "]";
+    frame.set_meta("ratio range", range);
     frame.set_meta("unity-contour points", std::to_string(map.unity_contour().size()));
   }
   frames.push_back(std::move(frame));

@@ -1,6 +1,7 @@
 /// \file timeline.cpp
 /// The timeline kind: cumulative multi-decade replay (paper Fig. 9).
 
+#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +21,9 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"timeline"};
+
+/// Most samples one timeline may hold: the per-axis `count` ceiling.
+constexpr double kMaxSamples = 1'000'000;
 constexpr std::string_view kResultKeys[] = {"timeline"};
 
 void write_params(const ScenarioSpec& spec, std::string_view /*key*/, io::JsonWriter& out) {
@@ -47,6 +51,14 @@ void validate(const ScenarioSpec& spec) {
   if (spec.timeline.horizon_years <= 0.0 || spec.timeline.step_years <= 0.0) {
     throw std::invalid_argument("ScenarioSpec '" + spec.name +
                                 "': timeline horizon and step must be positive");
+  }
+  // The series holds horizon / step + 1 samples: a tiny step would
+  // overflow the sample count or allocate gigabytes.
+  const double samples = spec.timeline.horizon_years / spec.timeline.step_years + 1.0;
+  if (!std::isfinite(samples) || samples > kMaxSamples) {
+    throw std::invalid_argument(
+        "ScenarioSpec '" + spec.name + "': timeline horizon_years / step_years + 1 is " +
+        units::format_significant(samples, 4) + " samples; at most 1000000 are allowed");
   }
 }
 

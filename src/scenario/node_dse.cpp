@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -48,7 +47,7 @@ NodeCandidate evaluate_node_candidate(const core::LifecycleModel& model,
 
 void rank_node_candidates(std::vector<NodeCandidate>& candidates) {
   if (candidates.empty()) {
-    throw std::invalid_argument("NodeDse: no candidate node can manufacture this design");
+    throw std::invalid_argument("node_dse: no candidate node can manufacture this design");
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const NodeCandidate& a, const NodeCandidate& b) {
@@ -58,31 +57,6 @@ void rank_node_candidates(std::vector<NodeCandidate>& candidates) {
   for (NodeCandidate& candidate : candidates) {
     candidate.total_vs_best = candidate.total().canonical() / best;
   }
-}
-
-NodeDse::NodeDse(core::LifecycleModel model, workload::Schedule schedule)
-    : model_(std::move(model)), schedule_(std::move(schedule)) {
-  workload::validate(schedule_);
-}
-
-std::vector<NodeCandidate> NodeDse::explore(
-    const device::ChipSpec& chip, std::span<const tech::ProcessNode> nodes) const {
-  if (nodes.empty()) {
-    // Legacy contract: an explicitly empty node list has no candidates.
-    // (In a DseSpec, an empty list means "all database nodes" instead.)
-    throw std::invalid_argument("NodeDse: no candidate node can manufacture this design");
-  }
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::node_dse;
-  spec.suite = model_.suite();
-  spec.schedule.explicit_schedule = schedule_;
-  spec.dse.chip = chip;
-  spec.dse.nodes.assign(nodes.begin(), nodes.end());
-  return Engine().run(spec).candidates;
-}
-
-NodeCandidate NodeDse::best(const device::ChipSpec& chip) const {
-  return explore(chip).front();
 }
 
 }  // namespace greenfpga::scenario

@@ -19,9 +19,8 @@
 /// *feasibility frontier* (large designs fall off the reticle on trailing
 /// nodes).  `retarget_to_node` scales a chip across nodes with documented
 /// first-order rules (area by logic density, power by the CV^2f-style
-/// per-node factor), and `NodeDse` ranks the candidates.
+/// per-node factor), and the node_dse kind ranks the candidates.
 
-#include <span>
 #include <vector>
 
 #include "core/lifecycle_model.hpp"
@@ -62,32 +61,6 @@ struct NodeCandidate {
 /// `total_vs_best`.  Throws std::invalid_argument when `candidates` is
 /// empty (no node can manufacture the design).
 void rank_node_candidates(std::vector<NodeCandidate>& candidates);
-
-/// Ranks fabrication nodes for one device + schedule by lifecycle CFP.
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// node_dse-kind `ScenarioSpec` and call `Engine::run` (which also
-/// evaluates the candidates in parallel).
-class NodeDse {
- public:
-  /// `model` supplies every sub-model; the schedule fixes the deployment.
-  NodeDse(core::LifecycleModel model, workload::Schedule schedule);
-
-  /// Evaluate the chip retargeted to each candidate node; unmanufacturable
-  /// retargets (reticle violations) are skipped.  Returns candidates
-  /// sorted by ascending lifecycle CFP; `total_vs_best` is 1.0 for the
-  /// winner.  Throws std::invalid_argument if no candidate fits.
-  [[nodiscard]] std::vector<NodeCandidate> explore(
-      const device::ChipSpec& chip,
-      std::span<const tech::ProcessNode> nodes = tech::all_nodes()) const;
-
-  /// The winning node for this deployment.
-  [[nodiscard]] NodeCandidate best(const device::ChipSpec& chip) const;
-
- private:
-  core::LifecycleModel model_;
-  workload::Schedule schedule_;
-};
 
 }  // namespace greenfpga::scenario
 

@@ -75,49 +75,6 @@ std::vector<ParameterRange> table1_ranges() {
 
 double TornadoEntry::swing() const { return std::fabs(ratio_at_high - ratio_at_low); }
 
-namespace {
-
-/// Sensitivity-kind spec skeleton shared by the public shims.
-ScenarioSpec sensitivity_spec(const core::ModelSuite& base,
-                              const device::DomainTestcase& testcase,
-                              const workload::Schedule& schedule,
-                              const std::vector<ParameterRange>& ranges) {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::sensitivity;
-  spec.domain = testcase.domain;
-  spec.suite = base;
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase.fpga}};
-  spec.schedule.explicit_schedule = schedule;
-  spec.sensitivity.ranges = ranges;
-  return spec;
-}
-
-}  // namespace
-
-std::vector<TornadoEntry> tornado(const core::ModelSuite& base,
-                                  const device::DomainTestcase& testcase,
-                                  const workload::Schedule& schedule,
-                                  const std::vector<ParameterRange>& ranges) {
-  ScenarioSpec spec = sensitivity_spec(base, testcase, schedule, ranges);
-  spec.sensitivity.run_tornado = true;
-  spec.sensitivity.run_monte_carlo = false;
-  return Engine().run(spec).tornado;
-}
-
-MonteCarloResult monte_carlo(const core::ModelSuite& base,
-                             const device::DomainTestcase& testcase,
-                             const workload::Schedule& schedule,
-                             const std::vector<ParameterRange>& ranges, int samples,
-                             unsigned seed) {
-  ScenarioSpec spec = sensitivity_spec(base, testcase, schedule, ranges);
-  spec.sensitivity.run_tornado = false;
-  spec.sensitivity.run_monte_carlo = true;
-  spec.sensitivity.samples = samples;
-  spec.sensitivity.seed = seed;
-  return *Engine().run(spec).monte_carlo;
-}
-
 namespace detail {
 
 std::vector<TornadoEntry> tornado_analysis(const core::ModelSuite& base,

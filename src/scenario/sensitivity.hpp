@@ -43,16 +43,6 @@ struct TornadoEntry {
   [[nodiscard]] double swing() const;
 };
 
-/// Evaluate every range one-at-a-time around `base`; entries are returned
-/// sorted by descending swing (classic tornado order).
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// sensitivity-kind `ScenarioSpec` and call `Engine::run`.
-[[nodiscard]] std::vector<TornadoEntry> tornado(const core::ModelSuite& base,
-                                                const device::DomainTestcase& testcase,
-                                                const workload::Schedule& schedule,
-                                                const std::vector<ParameterRange>& ranges);
-
 /// Monte-Carlo summary of the FPGA:ASIC ratio distribution.
 struct MonteCarloResult {
   int samples = 0;
@@ -65,22 +55,14 @@ struct MonteCarloResult {
   double fpga_win_fraction = 0.0;
 };
 
-/// Sample all ranges uniformly and independently `samples` times.
-/// Deterministic for a fixed `seed`.
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// sensitivity-kind `ScenarioSpec` and call `Engine::run`.
-[[nodiscard]] MonteCarloResult monte_carlo(const core::ModelSuite& base,
-                                           const device::DomainTestcase& testcase,
-                                           const workload::Schedule& schedule,
-                                           const std::vector<ParameterRange>& ranges,
-                                           int samples, unsigned seed = 42);
-
 namespace detail {
 
-/// Engine primitives: the actual tornado / Monte-Carlo implementations
-/// (identical semantics to the public functions, which shim through
-/// `scenario::Engine`).
+/// Engine primitives behind the sensitivity kind.  `tornado_analysis`
+/// evaluates every range one-at-a-time around `base` and returns entries
+/// sorted by descending swing (classic tornado order);
+/// `monte_carlo_analysis` samples all ranges uniformly and independently
+/// `samples` times, deterministic for a fixed `seed`.  Callers run them
+/// through `Engine::run` with a sensitivity-kind `ScenarioSpec`.
 [[nodiscard]] std::vector<TornadoEntry> tornado_analysis(
     const core::ModelSuite& base, const device::DomainTestcase& testcase,
     const workload::Schedule& schedule, const std::vector<ParameterRange>& ranges);

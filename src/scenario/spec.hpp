@@ -9,9 +9,9 @@
 /// -- platforms (by registry name or explicit device), a model suite, a
 /// deployment schedule, optional sweep/grid axes, an optional time-varying
 /// grid profile, and output selection -- while `scenario::Engine` decides
-/// *how* (dispatch, parallelism, memoisation).  Every legacy scenario
-/// entry point (sweep, heatmap, breakeven, node DSE, timeline,
-/// sensitivity) is a thin builder over this type, and the same shape
+/// *how* (dispatch, parallelism, memoisation).  Every experiment (sweep,
+/// heatmap, breakeven, node DSE, timeline, sensitivity, ...) is a spec of
+/// the matching kind, and the same shape
 /// round-trips through JSON (`spec_to_json` / `spec_from_json`) so
 /// arbitrary user-authored scenarios run via `greenfpga run <spec.json>`
 /// without recompiling.
@@ -93,7 +93,7 @@ struct AxisSpec {
   /// Materialise the sample values.
   [[nodiscard]] std::vector<double> values() const;
 
-  /// Legacy axis label ("N_app", "T_i [years]", "N_vol [units]").
+  /// Axis label ("N_app", "T_i [years]", "N_vol [units]").
   [[nodiscard]] std::string label() const;
 
   [[nodiscard]] static AxisSpec list(SweepVariable variable, std::vector<double> values);
@@ -150,8 +150,8 @@ struct DseSpec {
 
 /// Breakeven-kind parameters: which closed-form solves to run (the
 /// schedule supplies the fixed-point context).  Each solve validates its
-/// own single-fleet precondition, so selecting a subset matches the
-/// legacy per-method behaviour exactly.
+/// own single-fleet precondition, so a subset only checks the
+/// preconditions of the solves it runs.
 struct BreakevenSpec {
   bool solve_app_count = true;
   bool solve_lifetime = true;

@@ -1,33 +1,12 @@
 /// \file sweep.cpp
-/// 1-D sweep execution and A2F/F2A crossover detection.
+/// Sweep series views and A2F/F2A crossover detection.
 
 #include "scenario/sweep.hpp"
 
 #include <cmath>
 #include <stdexcept>
 
-#include "core/paper_config.hpp"
-#include "scenario/engine.hpp"
-#include "units/units.hpp"
-
 namespace greenfpga::scenario {
-
-namespace {
-
-/// Spec skeleton shared by the SweepEngine shims: explicit testcase chips,
-/// the bound model's suite.
-ScenarioSpec sweep_spec_base(const core::LifecycleModel& model,
-                             const device::DomainTestcase& testcase, ScenarioKind kind) {
-  ScenarioSpec spec;
-  spec.kind = kind;
-  spec.domain = testcase.domain;
-  spec.suite = model.suite();
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase.fpga}};
-  return spec;
-}
-
-}  // namespace
 
 std::string to_string(CrossoverKind kind) {
   switch (kind) {
@@ -108,73 +87,6 @@ std::optional<double> first_crossover(const std::vector<Crossover>& crossovers,
     }
   }
   return std::nullopt;
-}
-
-SweepEngine::SweepEngine(core::LifecycleModel model, device::DomainTestcase testcase)
-    : model_(std::move(model)), testcase_(std::move(testcase)) {}
-
-core::Comparison SweepEngine::evaluate_point(int app_count, units::TimeSpan lifetime,
-                                             double volume) const {
-  // Single-point probe on the bound model (benches and examples call this
-  // in tight loops; spinning up an Engine per point would swamp the model
-  // cost).  The sweeps below go through the engine, whose per-point
-  // evaluation tests/engine_test.cpp pins to this exact path.
-  const workload::Schedule schedule =
-      core::paper_schedule(testcase_.domain, app_count, lifetime, volume);
-  return core::compare(model_, testcase_, schedule);
-}
-
-SweepSeries SweepEngine::sweep_app_count(int from, int to, units::TimeSpan lifetime,
-                                         double volume) const {
-  if (from < 1 || to < from) {
-    throw std::invalid_argument("sweep_app_count: need 1 <= from <= to");
-  }
-  std::vector<double> counts;
-  counts.reserve(static_cast<std::size_t>(to - from + 1));
-  for (int k = from; k <= to; ++k) {
-    counts.push_back(static_cast<double>(k));
-  }
-  ScenarioSpec spec = sweep_spec_base(model_, testcase_, ScenarioKind::sweep);
-  spec.schedule.lifetime_years = lifetime.in(units::unit::years);
-  spec.schedule.volume = volume;
-  spec.axes = {AxisSpec::list(SweepVariable::app_count, std::move(counts))};
-  return Engine().run(spec).sweep_series();
-}
-
-SweepSeries SweepEngine::sweep_lifetime(std::span<const double> lifetimes_years,
-                                        int app_count, double volume) const {
-  if (lifetimes_years.empty()) {
-    // Legacy contract: an empty sample list yields an empty series
-    // (a spec axis, by contrast, must be non-empty).
-    SweepSeries series;
-    series.parameter = "T_i [years]";
-    series.domain = testcase_.domain;
-    return series;
-  }
-  ScenarioSpec spec = sweep_spec_base(model_, testcase_, ScenarioKind::sweep);
-  spec.schedule.app_count = app_count;
-  spec.schedule.volume = volume;
-  spec.axes = {AxisSpec::list(
-      SweepVariable::lifetime_years,
-      std::vector<double>(lifetimes_years.begin(), lifetimes_years.end()))};
-  return Engine().run(spec).sweep_series();
-}
-
-SweepSeries SweepEngine::sweep_volume(std::span<const double> volumes, int app_count,
-                                      units::TimeSpan lifetime) const {
-  if (volumes.empty()) {
-    // Legacy contract: see sweep_lifetime.
-    SweepSeries series;
-    series.parameter = "N_vol [units]";
-    series.domain = testcase_.domain;
-    return series;
-  }
-  ScenarioSpec spec = sweep_spec_base(model_, testcase_, ScenarioKind::sweep);
-  spec.schedule.app_count = app_count;
-  spec.schedule.lifetime_years = lifetime.in(units::unit::years);
-  spec.axes = {AxisSpec::list(SweepVariable::volume,
-                              std::vector<double>(volumes.begin(), volumes.end()))};
-  return Engine().run(spec).sweep_series();
 }
 
 std::vector<double> linspace(double lo, double hi, int count) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/comparator.hpp"
-#include "core/lifecycle_model.hpp"
 #include "device/catalog.hpp"
 
 namespace greenfpga::scenario {
@@ -63,39 +62,6 @@ struct SweepSeries {
 /// First crossover of the given kind, if any.
 [[nodiscard]] std::optional<double> first_crossover(const std::vector<Crossover>& crossovers,
                                                     CrossoverKind kind);
-
-/// Sweep engine bound to one model and one domain testcase.
-///
-/// \deprecated Thin shim over `scenario::Engine`: every sweep builds a
-/// sweep-kind `ScenarioSpec` and runs it (points evaluated in parallel).
-/// New code should construct specs directly.
-class SweepEngine {
- public:
-  SweepEngine(core::LifecycleModel model, device::DomainTestcase testcase);
-
-  [[nodiscard]] const device::DomainTestcase& testcase() const { return testcase_; }
-  [[nodiscard]] const core::LifecycleModel& model() const { return model_; }
-
-  /// Experiment A (Fig. 4): vary N_app from `from` to `to` inclusive.
-  [[nodiscard]] SweepSeries sweep_app_count(int from, int to, units::TimeSpan lifetime,
-                                            double volume) const;
-
-  /// Experiment B (Fig. 5): vary T_i across `lifetimes_years`.
-  [[nodiscard]] SweepSeries sweep_lifetime(std::span<const double> lifetimes_years,
-                                           int app_count, double volume) const;
-
-  /// Experiment C (Fig. 6): vary N_vol across `volumes`.
-  [[nodiscard]] SweepSeries sweep_volume(std::span<const double> volumes, int app_count,
-                                         units::TimeSpan lifetime) const;
-
-  /// Single evaluation at an explicit (N_app, T_i, N_vol) point.
-  [[nodiscard]] core::Comparison evaluate_point(int app_count, units::TimeSpan lifetime,
-                                                double volume) const;
-
- private:
-  core::LifecycleModel model_;
-  device::DomainTestcase testcase_;
-};
 
 /// `count` linearly spaced values over [lo, hi] (count >= 2).
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, int count);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "device/iso_performance.hpp"
-#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -29,33 +28,15 @@ std::vector<Crossover> TimelineSeries::crossovers() const {
   return find_crossovers(time_years, asic_cumulative_kg, fpga_cumulative_kg);
 }
 
-TimelineSimulator::TimelineSimulator(core::LifecycleModel model,
-                                     device::DomainTestcase testcase)
-    : model_(std::move(model)), testcase_(std::move(testcase)) {}
-
-TimelineSeries TimelineSimulator::run(const TimelineParameters& parameters) const {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::timeline;
-  spec.domain = testcase_.domain;
-  spec.suite = model_.suite();
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase_.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase_.fpga}};
-  spec.schedule.lifetime_years = parameters.app_lifetime.in(years);
-  spec.schedule.volume = parameters.volume;
-  spec.timeline.horizon_years = parameters.horizon.in(years);
-  spec.timeline.step_years = parameters.step.in(years);
-  return *Engine().run(spec).timeline;
-}
-
 TimelineSeries simulate_timeline(const core::LifecycleModel& model,
                                  const device::DomainTestcase& testcase,
                                  double horizon_years, double app_lifetime_years,
                                  double volume, double step_years) {
   if (horizon_years <= 0.0 || app_lifetime_years <= 0.0 || step_years <= 0.0) {
-    throw std::invalid_argument("TimelineSimulator: durations must be positive");
+    throw std::invalid_argument("timeline: durations must be positive");
   }
   if (volume <= 0.0) {
-    throw std::invalid_argument("TimelineSimulator: volume must be positive");
+    throw std::invalid_argument("timeline: volume must be positive");
   }
 
   const double horizon = horizon_years;

@@ -10,7 +10,7 @@
 /// FPGA's physical service life (15 years), the fleet must be
 /// re-manufactured, producing visible jumps in the FPGA's cumulative CFP
 /// at 15/30/... years -- whereas the ASIC platform already re-manufactures
-/// for every application, so its staircase is unchanged.  This simulator
+/// for every application, so its staircase is unchanged.  The simulation
 /// replays that cumulative timeline:
 ///
 ///   * at each application boundary (every `app_lifetime`): ASIC pays
@@ -27,17 +27,6 @@
 
 namespace greenfpga::scenario {
 
-/// Timeline experiment configuration (paper values: 45-year horizon,
-/// 1-year applications, 1e6 volume, 15-year FPGA service life from the
-/// chip spec).
-struct TimelineParameters {
-  units::TimeSpan horizon = 45.0 * units::unit::years;
-  units::TimeSpan app_lifetime = 1.0 * units::unit::years;
-  double volume = 1e6;
-  /// Sampling resolution of the cumulative series.
-  units::TimeSpan step = 0.25 * units::unit::years;
-};
-
 /// Cumulative CFP series for both platforms.
 struct TimelineSeries {
   std::vector<double> time_years;
@@ -49,30 +38,16 @@ struct TimelineSeries {
   [[nodiscard]] std::vector<Crossover> crossovers() const;
 };
 
-/// Engine primitive: replay the cumulative timeline for an explicit
-/// testcase, all durations in years.  Prefer `Engine::run` with a
-/// timeline-kind `ScenarioSpec`; this exists so the engine and the
-/// simulator shim share one implementation.
+/// Engine primitive behind the timeline kind: replay the cumulative
+/// timeline for an explicit testcase, all durations in years (paper
+/// Fig. 9: 45-year horizon, 1-year applications, 1e6 volume, 0.25-year
+/// step, 15-year FPGA service life from the chip spec).  Callers run it
+/// through `Engine::run` with a timeline-kind `ScenarioSpec`.
 [[nodiscard]] TimelineSeries simulate_timeline(const core::LifecycleModel& model,
                                                const device::DomainTestcase& testcase,
                                                double horizon_years,
                                                double app_lifetime_years, double volume,
                                                double step_years);
-
-/// Replays the Fig. 9 experiment for one domain testcase.
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// timeline-kind `ScenarioSpec` and call `Engine::run`.
-class TimelineSimulator {
- public:
-  TimelineSimulator(core::LifecycleModel model, device::DomainTestcase testcase);
-
-  [[nodiscard]] TimelineSeries run(const TimelineParameters& parameters) const;
-
- private:
-  core::LifecycleModel model_;
-  device::DomainTestcase testcase_;
-};
 
 }  // namespace greenfpga::scenario
 

@@ -1,10 +1,12 @@
 /// Tests for the unified evaluation API: ScenarioSpec JSON round-trip,
-/// PlatformRegistry, Engine dispatch, engine-vs-legacy equivalence for all
-/// six scenario modules, and thread-count determinism.
+/// PlatformRegistry, Engine dispatch, engine-vs-direct-model equivalence
+/// for the compare, sweep, grid, breakeven, node_dse, timeline and
+/// sensitivity kinds, and thread-count determinism.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "core/comparator.hpp"
 #include "core/config_io.hpp"
@@ -131,6 +133,25 @@ TEST(ScenarioSpecValidate, TimelineAndBreakevenRejectExplicitSchedules) {
   }
 }
 
+TEST(ScenarioSpecValidate, TimelineSampleCountIsBounded) {
+  // horizon / step + 1 samples: an overflowing or gigabyte series is
+  // rejected up front, naming the limit; the boundary itself is allowed.
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::timeline, device::Domain::dnn);
+  for (const auto& [horizon, step] : {std::pair{1e7, 1e-3}, std::pair{45.0, 1e-300},
+                                      std::pair{2000.0, 1e-4}}) {
+    spec.timeline = {.horizon_years = horizon, .step_years = step};
+    try {
+      spec.validate();
+      ADD_FAILURE() << "accepted horizon " << horizon << ", step " << step;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("at most 1000000"), std::string::npos)
+          << error.what();
+    }
+  }
+  spec.timeline = {.horizon_years = 999'999.0, .step_years = 1.0};
+  EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(ScenarioSpecJson, SensitivityRangesDefaultToTable1AndEmptyMeansNone) {
   // make() seeds the Table 1 ranges; omitting "ranges" in JSON keeps them.
   const ScenarioSpec made = ScenarioSpec::make(ScenarioKind::sensitivity,
@@ -217,10 +238,7 @@ TEST(EngineEquivalence, SweepShimMatchesDirectLoop) {
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
   const core::SweepDefaults defaults = core::paper_sweep_defaults();
 
-  // Legacy entry point (now an engine shim).
-  const SweepEngine legacy(model, testcase);
-  const SweepSeries series =
-      legacy.sweep_app_count(1, 8, defaults.app_lifetime, defaults.app_volume);
+  const SweepSeries series = Engine().run(sweep_spec()).sweep_series();
 
   // Independent reference: hand-rolled direct model loop.
   ASSERT_EQ(series.x.size(), 8u);
@@ -237,10 +255,12 @@ TEST(EngineEquivalence, SweepShimMatchesDirectLoop) {
 TEST(EngineEquivalence, LifetimeAndVolumeSweepsMatchDirectLoops) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::crypto);
-  const SweepEngine legacy(model, testcase);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, device::Domain::crypto);
+  spec.schedule.app_count = 4;
 
   const std::vector<double> lifetimes = linspace(0.5, 2.5, 5);
-  const SweepSeries by_lifetime = legacy.sweep_lifetime(lifetimes, 4, 1e6);
+  spec.axes = {AxisSpec::list(SweepVariable::lifetime_years, lifetimes)};
+  const SweepSeries by_lifetime = Engine().run(spec).sweep_series();
   for (std::size_t i = 0; i < lifetimes.size(); ++i) {
     const workload::Schedule schedule =
         core::paper_schedule(testcase.domain, 4, lifetimes[i] * years, 1e6);
@@ -250,7 +270,8 @@ TEST(EngineEquivalence, LifetimeAndVolumeSweepsMatchDirectLoops) {
   }
 
   const std::vector<double> volumes = logspace(1e4, 1e6, 5);
-  const SweepSeries by_volume = legacy.sweep_volume(volumes, 4, 2.0 * years);
+  spec.axes = {AxisSpec::list(SweepVariable::volume, volumes)};
+  const SweepSeries by_volume = Engine().run(spec).sweep_series();
   for (std::size_t i = 0; i < volumes.size(); ++i) {
     const workload::Schedule schedule =
         core::paper_schedule(testcase.domain, 4, 2.0 * years, volumes[i]);
@@ -263,20 +284,22 @@ TEST(EngineEquivalence, LifetimeAndVolumeSweepsMatchDirectLoops) {
 TEST(EngineEquivalence, HeatmapShimMatchesDirectLoop) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  const HeatmapEngine legacy(model, testcase);
-  const SweepEngine probe(model, testcase);
 
-  const std::vector<int> app_counts{1, 3, 5, 7};
+  const std::vector<double> app_counts{1, 3, 5, 7};
   const std::vector<double> lifetimes{0.5, 1.5, 2.5};
-  const Heatmap map = legacy.app_count_vs_lifetime(app_counts, lifetimes, 1e6);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {AxisSpec::list(SweepVariable::app_count, app_counts),
+               AxisSpec::list(SweepVariable::lifetime_years, lifetimes)};
+  const Heatmap map = Engine().run(spec).heatmap();
 
   ASSERT_EQ(map.ratio.size(), lifetimes.size());
   for (std::size_t iy = 0; iy < lifetimes.size(); ++iy) {
     ASSERT_EQ(map.ratio[iy].size(), app_counts.size());
     for (std::size_t ix = 0; ix < app_counts.size(); ++ix) {
-      const double direct =
-          probe.evaluate_point(app_counts[ix], lifetimes[iy] * years, 1e6).ratio();
-      EXPECT_EQ(map.ratio[iy][ix], direct);
+      const workload::Schedule schedule =
+          core::paper_schedule(testcase.domain, static_cast<int>(app_counts[ix]),
+                               lifetimes[iy] * years, 1e6);
+      EXPECT_EQ(map.ratio[iy][ix], core::compare(model, testcase, schedule).ratio());
     }
   }
 }
@@ -284,15 +307,14 @@ TEST(EngineEquivalence, HeatmapShimMatchesDirectLoop) {
 TEST(EngineEquivalence, BreakevenShimMatchesPrimitives) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  const BreakevenSolver solver(model, testcase);
   const BreakevenContext context;
 
-  EXPECT_EQ(solver.app_count_breakeven(context),
-            solve_app_count_breakeven(model, testcase, context));
-  EXPECT_EQ(solver.lifetime_breakeven(context),
-            solve_lifetime_breakeven(model, testcase, context));
-  EXPECT_EQ(solver.volume_breakeven(context),
-            solve_volume_breakeven(model, testcase, context));
+  const BreakevenReport report =
+      *Engine().run(ScenarioSpec::make(ScenarioKind::breakeven, device::Domain::dnn))
+           .breakeven;
+  EXPECT_EQ(report.app_count, solve_app_count_breakeven(model, testcase, context));
+  EXPECT_EQ(report.lifetime_years, solve_lifetime_breakeven(model, testcase, context));
+  EXPECT_EQ(report.volume, solve_volume_breakeven(model, testcase, context));
 }
 
 TEST(EngineEquivalence, NodeDseShimMatchesDirectLoop) {
@@ -300,8 +322,10 @@ TEST(EngineEquivalence, NodeDseShimMatchesDirectLoop) {
   const workload::Schedule schedule = core::paper_schedule(device::Domain::dnn);
   const device::ChipSpec fpga = device::domain_testcase(device::Domain::dnn).fpga;
 
-  const NodeDse legacy(model, schedule);
-  const std::vector<NodeCandidate> via_engine = legacy.explore(fpga);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::node_dse, device::Domain::dnn);
+  spec.schedule.explicit_schedule = schedule;
+  spec.dse.chip = fpga;
+  const std::vector<NodeCandidate> via_engine = Engine().run(spec).candidates;
 
   // Independent reference: retarget + evaluate + rank by hand.
   std::vector<NodeCandidate> direct;
@@ -326,13 +350,11 @@ TEST(EngineEquivalence, NodeDseShimMatchesDirectLoop) {
 TEST(EngineEquivalence, TimelineShimMatchesPrimitive) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  const TimelineSimulator legacy(model, testcase);
 
-  TimelineParameters parameters;
-  parameters.horizon = 30.0 * years;
-  parameters.app_lifetime = 1.0 * years;
-  parameters.step = 0.5 * years;
-  const TimelineSeries via_engine = legacy.run(parameters);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::timeline, device::Domain::dnn);
+  spec.schedule.lifetime_years = 1.0;
+  spec.timeline = {.horizon_years = 30.0, .step_years = 0.5};
+  const TimelineSeries via_engine = *Engine().run(spec).timeline;
   const TimelineSeries direct = simulate_timeline(model, testcase, 30.0, 1.0, 1e6, 0.5);
 
   EXPECT_EQ(via_engine.time_years, direct.time_years);
@@ -347,17 +369,22 @@ TEST(EngineEquivalence, SensitivityShimsMatchPrimitives) {
   const workload::Schedule schedule = core::paper_schedule(device::Domain::dnn);
   const std::vector<ParameterRange> ranges = table1_ranges();
 
-  const std::vector<TornadoEntry> via_engine = tornado(base, testcase, schedule, ranges);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sensitivity, device::Domain::dnn);
+  spec.schedule.explicit_schedule = schedule;
+  spec.sensitivity.samples = 64;
+  spec.sensitivity.seed = 7;
+  const ScenarioResult result = Engine().run(spec);
+
   const std::vector<TornadoEntry> direct =
       detail::tornado_analysis(base, testcase, schedule, ranges);
-  ASSERT_EQ(via_engine.size(), direct.size());
+  ASSERT_EQ(result.tornado.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_engine[i].name, direct[i].name);
-    EXPECT_EQ(via_engine[i].ratio_at_low, direct[i].ratio_at_low);
-    EXPECT_EQ(via_engine[i].ratio_at_high, direct[i].ratio_at_high);
+    EXPECT_EQ(result.tornado[i].name, direct[i].name);
+    EXPECT_EQ(result.tornado[i].ratio_at_low, direct[i].ratio_at_low);
+    EXPECT_EQ(result.tornado[i].ratio_at_high, direct[i].ratio_at_high);
   }
 
-  const MonteCarloResult mc_engine = monte_carlo(base, testcase, schedule, ranges, 64, 7);
+  const MonteCarloResult& mc_engine = *result.monte_carlo;
   const MonteCarloResult mc_direct =
       detail::monte_carlo_analysis(base, testcase, schedule, ranges, 64, 7);
   EXPECT_EQ(mc_engine.mean, mc_direct.mean);
@@ -398,18 +425,6 @@ TEST(EngineDeterminism, InvalidSuiteReportsAsExceptionOnEveryThreadCount) {
                std::invalid_argument);
   EXPECT_THROW((void)Engine(EngineOptions{.threads = 4}).run(spec),
                std::invalid_argument);
-}
-
-TEST(EngineEquivalence, EmptySweepSpansYieldEmptySeries) {
-  // Legacy contract: empty sample lists are valid and produce empty series.
-  const SweepEngine legacy(core::LifecycleModel(core::paper_suite()),
-                           device::domain_testcase(device::Domain::dnn));
-  const SweepSeries by_lifetime = legacy.sweep_lifetime({}, 5, 1e6);
-  EXPECT_EQ(by_lifetime.parameter, "T_i [years]");
-  EXPECT_TRUE(by_lifetime.x.empty());
-  const SweepSeries by_volume = legacy.sweep_volume({}, 5, 2.0 * years);
-  EXPECT_EQ(by_volume.parameter, "N_vol [units]");
-  EXPECT_TRUE(by_volume.x.empty());
 }
 
 TEST(ScenarioSpecDefaults, MakeSeedsScheduleFromPaperSweepDefaults) {

@@ -11,10 +11,7 @@
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/heatmap.hpp"
-#include "scenario/sensitivity.hpp"
-#include "scenario/sweep.hpp"
-#include "scenario/timeline.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga {
@@ -22,6 +19,30 @@ namespace {
 
 using namespace units::unit;
 using device::Domain;
+using scenario::AxisSpec;
+using scenario::ScenarioKind;
+using scenario::ScenarioSpec;
+using scenario::SweepVariable;
+
+/// A DNN sweep-kind spec over N_app = 1..`to` at T_i = 2 y, N_vol = 1e6.
+scenario::SweepSeries dnn_app_sweep(int to) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, Domain::dnn);
+  spec.schedule.lifetime_years = 2.0;
+  spec.schedule.volume = 1e6;
+  spec.axes = {AxisSpec::linear(SweepVariable::app_count, 1, to, to)};
+  return scenario::Engine().run(spec).sweep_series();
+}
+
+/// A timeline-kind spec for `domain` with 2-year applications, sampled on
+/// the application boundaries.
+scenario::TimelineSeries two_year_app_timeline(Domain domain, double horizon_years,
+                                               double volume) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::timeline, domain);
+  spec.schedule.lifetime_years = 2.0;
+  spec.schedule.volume = volume;
+  spec.timeline = {.horizon_years = horizon_years, .step_years = 2.0};
+  return *scenario::Engine().run(spec).timeline;
+}
 
 TEST(Integration, ScenarioFileToVerdict) {
   // Write a scenario config to disk, load it, evaluate it, and check the
@@ -44,12 +65,11 @@ TEST(Integration, ScenarioFileToVerdict) {
 }
 
 TEST(Integration, SweepMatchesPointwiseEvaluation) {
-  // The sweep engine must produce exactly what independent single-point
+  // The sweep kind must produce exactly what independent single-point
   // evaluations produce.
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::SweepEngine engine(model, testcase);
-  const scenario::SweepSeries series = engine.sweep_app_count(1, 6, 2.0 * years, 1e6);
+  const scenario::SweepSeries series = dnn_app_sweep(6);
   for (std::size_t i = 0; i < series.x.size(); ++i) {
     const int k = static_cast<int>(series.x[i]);
     const auto direct = core::compare(
@@ -63,16 +83,12 @@ TEST(Integration, SweepMatchesPointwiseEvaluation) {
 
 TEST(Integration, HeatmapRowsMatchSweeps) {
   // A one-row heat-map over N_app must match the N_app sweep ratios.
-  const core::LifecycleModel model(core::paper_suite());
-  const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::SweepEngine sweeper(model, testcase);
-  const scenario::HeatmapEngine mapper(model, testcase);
-
-  const std::vector<int> apps{1, 2, 3, 4, 5};
-  const std::vector<double> lifetimes{2.0};
-  const scenario::Heatmap map = mapper.app_count_vs_lifetime(apps, lifetimes, 1e6);
-  const scenario::SweepSeries series = sweeper.sweep_app_count(1, 5, 2.0 * years, 1e6);
-  const std::vector<double> ratios = series.ratios();
+  ScenarioSpec grid = ScenarioSpec::make(ScenarioKind::grid, Domain::dnn);
+  grid.schedule.volume = 1e6;
+  grid.axes = {AxisSpec::list(SweepVariable::app_count, {1, 2, 3, 4, 5}),
+               AxisSpec::list(SweepVariable::lifetime_years, {2.0})};
+  const scenario::Heatmap map = scenario::Engine().run(grid).heatmap();
+  const std::vector<double> ratios = dnn_app_sweep(5).ratios();
   for (std::size_t i = 0; i < ratios.size(); ++i) {
     EXPECT_DOUBLE_EQ(map.ratio[0][i], ratios[i]);
   }
@@ -84,13 +100,7 @@ TEST(Integration, TimelineConsistentWithLifecycleAtAppBoundaries) {
   // model's Eq. (2) total for a k-application schedule.
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::TimelineSimulator simulator(model, testcase);
-  scenario::TimelineParameters p;
-  p.horizon = 10.0 * years;
-  p.app_lifetime = 2.0 * years;
-  p.volume = 1e6;
-  p.step = 2.0 * years;
-  const scenario::TimelineSeries series = simulator.run(p);
+  const scenario::TimelineSeries series = two_year_app_timeline(Domain::dnn, 10.0, 1e6);
 
   // Sample at t = 10 y (end of the 5th application, all five app-dev
   // events charged, single fleet purchase).
@@ -103,13 +113,7 @@ TEST(Integration, TimelineConsistentWithLifecycleAtAppBoundaries) {
 TEST(Integration, TimelineAsicMatchesEquationOne) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::imgproc);
-  const scenario::TimelineSimulator simulator(model, testcase);
-  scenario::TimelineParameters p;
-  p.horizon = 6.0 * years;
-  p.app_lifetime = 2.0 * years;
-  p.volume = 1e5;
-  p.step = 2.0 * years;
-  const scenario::TimelineSeries series = simulator.run(p);
+  const scenario::TimelineSeries series = two_year_app_timeline(Domain::imgproc, 6.0, 1e5);
   const auto asic_eval = model.evaluate_asic(
       testcase.asic, core::paper_schedule(Domain::imgproc, 3, 2.0 * years, 1e5));
   EXPECT_NEAR(series.asic_cumulative_kg.back(), asic_eval.total.total().canonical(),
@@ -118,9 +122,7 @@ TEST(Integration, TimelineAsicMatchesEquationOne) {
 
 TEST(Integration, FigureCsvRoundTripsThroughParser) {
   // CSV written by the figure writer parses back with consistent totals.
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(Domain::dnn));
-  const scenario::SweepSeries series = engine.sweep_app_count(1, 3, 2.0 * years, 1e6);
+  const scenario::SweepSeries series = dnn_app_sweep(3);
   const std::string dir = ::testing::TempDir() + "/gf_integration_results";
   ASSERT_EQ(setenv("GREENFPGA_RESULTS_DIR", dir.c_str(), 1), 0);
   const std::string path = report::write_results_csv("fig4_dnn.csv", report::sweep_csv(series));
@@ -158,8 +160,11 @@ TEST(Integration, MonteCarloBandContainsDeterministicRatio) {
   const auto schedule = core::paper_schedule(Domain::dnn);
   const double deterministic =
       core::compare(core::LifecycleModel(core::paper_suite()), testcase, schedule).ratio();
-  const auto mc = scenario::monte_carlo(core::paper_suite(), testcase, schedule,
-                                        scenario::table1_ranges(), 96, 42);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sensitivity, Domain::dnn);
+  spec.schedule.explicit_schedule = schedule;
+  spec.sensitivity.run_tornado = false;
+  spec.sensitivity.samples = 96;
+  const scenario::MonteCarloResult mc = *scenario::Engine().run(spec).monte_carlo;
   EXPECT_GT(deterministic, mc.p05 * 0.5);
   EXPECT_LT(deterministic, mc.p95 * 2.0);
 }

@@ -1,10 +1,12 @@
-/// Tests for the carbon-aware node-selection DSE extension.
+/// Tests for the carbon-aware node-selection DSE kind.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/node_dse.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -12,6 +14,17 @@ namespace {
 
 using namespace units::unit;
 using device::Domain;
+
+/// Ranks retargets of `domain`'s FPGA with a node_dse-kind spec at the
+/// paper-default schedule; an empty `nodes` list means every node.
+std::vector<NodeCandidate> explore(Domain domain,
+                                   const core::ModelSuite& suite = core::paper_suite(),
+                                   std::vector<tech::ProcessNode> nodes = {}) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::node_dse, domain);
+  spec.suite = suite;
+  spec.dse.nodes = std::move(nodes);
+  return Engine().run(spec).candidates;
+}
 
 TEST(Retarget, SameNodeIsIdentity) {
   const device::ChipSpec chip = device::domain_testcase(Domain::dnn).asic;
@@ -55,9 +68,7 @@ TEST(Retarget, ReticleViolationThrows) {
 }
 
 TEST(NodeDse, CandidatesSortedAscending) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::dnn).fpga);
+  const auto candidates = explore(Domain::dnn);
   ASSERT_GE(candidates.size(), 5u);
   for (std::size_t i = 1; i < candidates.size(); ++i) {
     EXPECT_LE(candidates[i - 1].total(), candidates[i].total());
@@ -67,9 +78,7 @@ TEST(NodeDse, CandidatesSortedAscending) {
 }
 
 TEST(NodeDse, SkipsUnmanufacturableNodes) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::imgproc));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::imgproc).fpga);
+  const auto candidates = explore(Domain::imgproc);
   for (const NodeCandidate& candidate : candidates) {
     EXPECT_LE(candidate.chip.die_area.in(mm2), kReticleLimitMm2);
   }
@@ -78,13 +87,14 @@ TEST(NodeDse, SkipsUnmanufacturableNodes) {
 }
 
 TEST(NodeDse, BestMatchesExploreFront) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const device::ChipSpec chip = device::domain_testcase(Domain::dnn).fpga;
-  const NodeCandidate best = dse.best(chip);
-  const auto all = dse.explore(chip);
-  EXPECT_EQ(best.chip.node, all.front().chip.node);
-  EXPECT_DOUBLE_EQ(best.total().canonical(), all.front().total().canonical());
+  // The ranked front is the minimum-CFP candidate, scored 1.0 vs best.
+  const auto all = explore(Domain::dnn);
+  const auto best = std::min_element(
+      all.begin(), all.end(),
+      [](const NodeCandidate& a, const NodeCandidate& b) { return a.total() < b.total(); });
+  EXPECT_EQ(best->chip.node, all.front().chip.node);
+  EXPECT_DOUBLE_EQ(best->total().canonical(), all.front().total().canonical());
+  EXPECT_DOUBLE_EQ(all.front().total_vs_best, 1.0);
 }
 
 TEST(NodeDse, MostAdvancedFeasibleNodeWinsAtIsoDesign) {
@@ -93,9 +103,7 @@ TEST(NodeDse, MostAdvancedFeasibleNodeWinsAtIsoDesign) {
   // at iso-design the most advanced node wins on BOTH embodied and
   // operational carbon, and trailing nodes fall off the reticle.  The
   // DSE's value is quantifying the margins and the feasibility frontier.
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::dnn).fpga);
+  const auto candidates = explore(Domain::dnn);
   EXPECT_EQ(candidates.front().chip.node, tech::ProcessNode::n3);
   // The 600 mm^2 10 nm design cannot be retargeted to 14 nm or older.
   for (const NodeCandidate& candidate : candidates) {
@@ -109,12 +117,8 @@ TEST(NodeDse, OperationalShareGrowsInDatacenterRegime) {
   // The regimes rank nodes the same way at iso-design, but WHY a node wins
   // shifts: at 2 % duty the winner's advantage is embodied-dominated, at
   // 50 % duty it is operation-dominated.
-  const auto schedule = core::paper_schedule(Domain::dnn);
-  const device::ChipSpec chip = device::domain_testcase(Domain::dnn).fpga;
-  const auto edge_best =
-      NodeDse(core::LifecycleModel(core::paper_suite()), schedule).best(chip);
-  const auto dc_best =
-      NodeDse(core::LifecycleModel(core::industry_suite()), schedule).best(chip);
+  const NodeCandidate edge_best = explore(Domain::dnn, core::paper_suite()).front();
+  const NodeCandidate dc_best = explore(Domain::dnn, core::industry_suite()).front();
   const auto op_share = [](const NodeCandidate& candidate) {
     return candidate.lifecycle.operational.canonical() /
            candidate.lifecycle.total().canonical();
@@ -124,20 +128,20 @@ TEST(NodeDse, OperationalShareGrowsInDatacenterRegime) {
 }
 
 TEST(NodeDse, ExplicitNodeListRespected) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const std::vector<tech::ProcessNode> nodes{tech::ProcessNode::n8, tech::ProcessNode::n7};
-  const auto candidates =
-      dse.explore(device::domain_testcase(Domain::dnn).fpga, nodes);
+  const auto candidates = explore(Domain::dnn, core::paper_suite(),
+                                  {tech::ProcessNode::n8, tech::ProcessNode::n7});
   EXPECT_EQ(candidates.size(), 2u);
 }
 
 TEST(NodeDse, NoFeasibleNodeThrows) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::imgproc));
-  const std::vector<tech::ProcessNode> nodes{tech::ProcessNode::n28};
-  EXPECT_THROW(dse.explore(device::domain_testcase(Domain::imgproc).fpga, nodes),
-               std::invalid_argument);
+  // The error names the kind the user ran.
+  try {
+    (void)explore(Domain::imgproc, core::paper_suite(), {tech::ProcessNode::n28});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "node_dse: no candidate node can manufacture this design");
+  }
 }
 
 }  // namespace

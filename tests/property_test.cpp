@@ -7,7 +7,7 @@
 #include "core/comparator.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga {
@@ -101,9 +101,13 @@ TEST_P(DomainProperty, OperationalLinearInLifetime) {
 }
 
 TEST_P(DomainProperty, TotalsMonotoneInEveryLoad) {
-  const scenario::SweepEngine engine(model_, testcase_);
   // More applications never reduce either platform's total.
-  const auto by_apps = engine.sweep_app_count(1, 6, 2.0 * years, 1e6);
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, GetParam());
+  spec.schedule.lifetime_years = 2.0;
+  spec.schedule.volume = 1e6;
+  spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 6, 6)};
+  const scenario::SweepSeries by_apps = scenario::Engine().run(spec).sweep_series();
   for (std::size_t i = 1; i < by_apps.x.size(); ++i) {
     EXPECT_GT(by_apps.asic[i].total(), by_apps.asic[i - 1].total());
     EXPECT_GT(by_apps.fpga[i].total(), by_apps.fpga[i - 1].total());

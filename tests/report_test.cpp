@@ -11,9 +11,7 @@
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
 #include "report/markdown_report.hpp"
-#include "scenario/heatmap.hpp"
-#include "scenario/sweep.hpp"
-#include "scenario/timeline.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::report {
@@ -22,11 +20,18 @@ namespace {
 using namespace units::unit;
 using device::Domain;
 
-scenario::SweepSeries small_dnn_sweep() {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(Domain::dnn));
-  return engine.sweep_app_count(1, 4, 2.0 * years, 1e6);
+/// A sweep-kind spec over N_app = 1..`to` at T_i = 2 y, N_vol = 1e6.
+scenario::SweepSeries app_sweep(Domain domain, int to) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.schedule.lifetime_years = 2.0;
+  spec.schedule.volume = 1e6;
+  spec.axes = {
+      scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, to, to)};
+  return scenario::Engine().run(spec).sweep_series();
 }
+
+scenario::SweepSeries small_dnn_sweep() { return app_sweep(Domain::dnn, 4); }
 
 TEST(SweepTable, HasHeaderAndAllRows) {
   const std::string table = sweep_table(small_dnn_sweep());
@@ -38,18 +43,14 @@ TEST(SweepTable, HasHeaderAndAllRows) {
 }
 
 TEST(CrossoverSummary, ReportsCrossoverWithValue) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(Domain::dnn));
-  const auto series = engine.sweep_app_count(1, 8, 2.0 * years, 1e6);
+  const auto series = app_sweep(Domain::dnn, 8);
   const std::string summary = crossover_summary(series);
   EXPECT_NE(summary.find("A2F"), std::string::npos);
   EXPECT_NE(summary.find("N_app"), std::string::npos);
 }
 
 TEST(CrossoverSummary, ReportsDominanceWhenNoCrossover) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(Domain::crypto));
-  const auto series = engine.sweep_app_count(1, 4, 2.0 * years, 1e6);
+  const auto series = app_sweep(Domain::crypto, 4);
   const std::string summary = crossover_summary(series);
   EXPECT_NE(summary.find("no crossover"), std::string::npos);
   EXPECT_NE(summary.find("FPGA greener throughout"), std::string::npos);
@@ -81,12 +82,11 @@ TEST(SweepCsv, HeaderAndRowsAligned) {
 }
 
 TEST(TimelineCsv, MatchesSeriesLength) {
-  const scenario::TimelineSimulator simulator(core::LifecycleModel(core::paper_suite()),
-                                              device::domain_testcase(Domain::dnn));
-  scenario::TimelineParameters p;
-  p.horizon = 5.0 * years;
-  p.step = 1.0 * years;
-  const auto series = simulator.run(p);
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::timeline, Domain::dnn);
+  spec.schedule.lifetime_years = 1.0;
+  spec.timeline = {.horizon_years = 5.0, .step_years = 1.0};
+  const scenario::TimelineSeries series = *scenario::Engine().run(spec).timeline;
   const std::string text = timeline_csv(series).render();
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
             series.time_years.size() + 1);
@@ -140,11 +140,12 @@ TEST(LineChart, FlatSeriesRenderable) {
 }
 
 TEST(HeatmapRender, MarksCrossoverCells) {
-  const scenario::HeatmapEngine engine(core::LifecycleModel(core::paper_suite()),
-                                       device::domain_testcase(Domain::dnn));
-  const std::vector<int> apps{1, 2, 3, 4, 5, 6, 7, 8};
-  const std::vector<double> lifetimes{1.0, 2.0};
-  const scenario::Heatmap map = engine.app_count_vs_lifetime(apps, lifetimes, 1e6);
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, Domain::dnn);
+  spec.schedule.volume = 1e6;
+  spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 8, 8),
+               scenario::AxisSpec::list(scenario::SweepVariable::lifetime_years, {1.0, 2.0})};
+  const scenario::Heatmap map = scenario::Engine().run(spec).heatmap();
   const std::string rendered = render_heatmap(map);
   EXPECT_NE(rendered.find("FPGA:ASIC"), std::string::npos);
   EXPECT_NE(rendered.find('X'), std::string::npos) << "unity cells should be marked";

@@ -1,10 +1,10 @@
-/// Tests for the Table 1 sensitivity machinery (tornado + Monte Carlo).
+/// Tests for the Table 1 sensitivity kind (tornado + Monte Carlo).
 
 #include <gtest/gtest.h>
 
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/sensitivity.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -12,6 +12,23 @@ namespace {
 
 using namespace units::unit;
 using device::Domain;
+
+/// The tornado of a sensitivity-kind spec for `domain` at the paper
+/// defaults, over every Table 1 range.
+std::vector<TornadoEntry> tornado_for(Domain domain) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sensitivity, domain);
+  spec.sensitivity.run_monte_carlo = false;
+  return Engine().run(spec).tornado;
+}
+
+/// The Monte-Carlo summary of the same spec: `samples` draws from `seed`.
+MonteCarloResult monte_carlo_for(Domain domain, int samples, unsigned seed) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sensitivity, domain);
+  spec.sensitivity.run_tornado = false;
+  spec.sensitivity.samples = samples;
+  spec.sensitivity.seed = seed;
+  return *Engine().run(spec).monte_carlo;
+}
 
 TEST(Table1Ranges, CoversEveryTableRow) {
   const auto ranges = table1_ranges();
@@ -42,9 +59,7 @@ TEST(Table1Ranges, AppliersWriteTheRightField) {
 }
 
 TEST(Tornado, SortedByDescendingSwing) {
-  const auto entries =
-      tornado(core::paper_suite(), device::domain_testcase(Domain::dnn),
-              core::paper_schedule(Domain::dnn), table1_ranges());
+  const auto entries = tornado_for(Domain::dnn);
   ASSERT_EQ(entries.size(), 10u);
   for (std::size_t i = 1; i < entries.size(); ++i) {
     EXPECT_GE(entries[i - 1].swing(), entries[i].swing());
@@ -54,9 +69,7 @@ TEST(Tornado, SortedByDescendingSwing) {
 TEST(Tornado, DesignKnobsMatterForDnn) {
   // The DNN story is design-amortisation driven, so at least one design
   // parameter must rank in the top three.
-  const auto entries =
-      tornado(core::paper_suite(), device::domain_testcase(Domain::dnn),
-              core::paper_schedule(Domain::dnn), table1_ranges());
+  const auto entries = tornado_for(Domain::dnn);
   bool design_in_top3 = false;
   for (std::size_t i = 0; i < 3; ++i) {
     if (entries[i].name.find("T_proj") != std::string::npos ||
@@ -70,9 +83,7 @@ TEST(Tornado, DesignKnobsMatterForDnn) {
 }
 
 TEST(Tornado, RatiosAreFinitePositive) {
-  const auto entries =
-      tornado(core::paper_suite(), device::domain_testcase(Domain::crypto),
-              core::paper_schedule(Domain::crypto), table1_ranges());
+  const auto entries = tornado_for(Domain::crypto);
   for (const TornadoEntry& entry : entries) {
     EXPECT_GT(entry.ratio_at_low, 0.0) << entry.name;
     EXPECT_GT(entry.ratio_at_high, 0.0) << entry.name;
@@ -81,27 +92,21 @@ TEST(Tornado, RatiosAreFinitePositive) {
 }
 
 TEST(MonteCarlo, DeterministicForFixedSeed) {
-  const auto testcase = device::domain_testcase(Domain::dnn);
-  const auto schedule = core::paper_schedule(Domain::dnn);
-  const auto a = monte_carlo(core::paper_suite(), testcase, schedule, table1_ranges(), 64, 7);
-  const auto b = monte_carlo(core::paper_suite(), testcase, schedule, table1_ranges(), 64, 7);
+  const auto a = monte_carlo_for(Domain::dnn, 64, 7);
+  const auto b = monte_carlo_for(Domain::dnn, 64, 7);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.p95, b.p95);
   EXPECT_DOUBLE_EQ(a.fpga_win_fraction, b.fpga_win_fraction);
 }
 
 TEST(MonteCarlo, DifferentSeedsDiffer) {
-  const auto testcase = device::domain_testcase(Domain::dnn);
-  const auto schedule = core::paper_schedule(Domain::dnn);
-  const auto a = monte_carlo(core::paper_suite(), testcase, schedule, table1_ranges(), 64, 1);
-  const auto b = monte_carlo(core::paper_suite(), testcase, schedule, table1_ranges(), 64, 2);
+  const auto a = monte_carlo_for(Domain::dnn, 64, 1);
+  const auto b = monte_carlo_for(Domain::dnn, 64, 2);
   EXPECT_NE(a.mean, b.mean);
 }
 
 TEST(MonteCarlo, PercentilesOrdered) {
-  const auto result =
-      monte_carlo(core::paper_suite(), device::domain_testcase(Domain::dnn),
-                  core::paper_schedule(Domain::dnn), table1_ranges(), 128, 42);
+  const auto result = monte_carlo_for(Domain::dnn, 128, 42);
   EXPECT_LE(result.p05, result.p50);
   EXPECT_LE(result.p50, result.p95);
   EXPECT_GT(result.stddev, 0.0);
@@ -112,16 +117,12 @@ TEST(MonteCarlo, PercentilesOrdered) {
 
 TEST(MonteCarlo, CryptoWinsRobustly) {
   // Crypto's FPGA advantage should survive nearly all Table 1 samples.
-  const auto result =
-      monte_carlo(core::paper_suite(), device::domain_testcase(Domain::crypto),
-                  core::paper_schedule(Domain::crypto), table1_ranges(), 128, 42);
+  const auto result = monte_carlo_for(Domain::crypto, 128, 42);
   EXPECT_GT(result.fpga_win_fraction, 0.95);
 }
 
 TEST(MonteCarlo, InvalidSampleCountThrows) {
-  EXPECT_THROW(monte_carlo(core::paper_suite(), device::domain_testcase(Domain::dnn),
-                           core::paper_schedule(Domain::dnn), table1_ranges(), 0),
-               std::invalid_argument);
+  EXPECT_THROW(monte_carlo_for(Domain::dnn, 0, 42), std::invalid_argument);
 }
 
 }  // namespace

@@ -281,6 +281,18 @@ TEST_F(ServeTest, BadSpecAnswers400NamingTheOffendingKey) {
       << batch.body;
 }
 
+TEST_F(ServeTest, OversampledTimelineAnswers400NamingTheLimit) {
+  // horizon / step overflows the sample count: a client error, not a 500.
+  HttpClient http = client();
+  const HttpResponse response = http.request(
+      "POST", "/v1/run",
+      R"({"kind":"timeline","timeline":{"horizon_years":1e7,"step_years":1e-3}})");
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(io::parse_json(response.body).at("error").as_string().find("at most 1000000"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST_F(ServeTest, DepthBombAnswers400WithoutCrashing) {
   HttpClient http = client();
   const std::string bomb(100'000, '[');

@@ -1,10 +1,10 @@
-/// Tests for the sweep engine and crossover detection.
+/// Tests for the sweep kind's series view and crossover detection.
 
 #include <gtest/gtest.h>
 
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -13,9 +13,15 @@ namespace {
 using namespace units::unit;
 using device::Domain;
 
-SweepEngine dnn_engine() {
-  return SweepEngine(core::LifecycleModel(core::paper_suite()),
-                     device::domain_testcase(Domain::dnn));
+/// Runs a sweep-kind spec over `axis` at N_app = 5, T_i = 2 y,
+/// N_vol = 1e6 unless swept.
+SweepSeries sweep(AxisSpec axis, Domain domain = Domain::dnn) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, domain);
+  spec.schedule.app_count = 5;
+  spec.schedule.lifetime_years = 2.0;
+  spec.schedule.volume = 1e6;
+  spec.axes = {std::move(axis)};
+  return Engine().run(spec).sweep_series();
 }
 
 TEST(FindCrossovers, DetectsSingleA2f) {
@@ -91,7 +97,7 @@ TEST(FirstCrossover, FiltersByKind) {
 }
 
 TEST(SweepEngine, AppCountSweepShape) {
-  const SweepSeries series = dnn_engine().sweep_app_count(1, 8, 2.0 * years, 1e6);
+  const SweepSeries series = sweep(AxisSpec::linear(SweepVariable::app_count, 1, 8, 8));
   ASSERT_EQ(series.x.size(), 8u);
   EXPECT_EQ(series.parameter, "N_app");
   EXPECT_EQ(series.domain, Domain::dnn);
@@ -104,8 +110,7 @@ TEST(SweepEngine, AppCountSweepShape) {
 
 TEST(SweepEngine, AsicTotalsIndependentOfPlatformReuse) {
   // In a lifetime sweep, both platforms' totals increase with T.
-  const std::vector<double> lifetimes{0.5, 1.0, 2.0};
-  const SweepSeries series = dnn_engine().sweep_lifetime(lifetimes, 5, 1e6);
+  const SweepSeries series = sweep(AxisSpec::list(SweepVariable::lifetime_years, {0.5, 1.0, 2.0}));
   const auto asic = series.asic_totals_kg();
   const auto fpga = series.fpga_totals_kg();
   EXPECT_LT(asic[0], asic[2]);
@@ -113,8 +118,7 @@ TEST(SweepEngine, AsicTotalsIndependentOfPlatformReuse) {
 }
 
 TEST(SweepEngine, VolumeSweepMonotone) {
-  const std::vector<double> volumes{1e3, 1e4, 1e5, 1e6};
-  const SweepSeries series = dnn_engine().sweep_volume(volumes, 5, 2.0 * years);
+  const SweepSeries series = sweep(AxisSpec::list(SweepVariable::volume, {1e3, 1e4, 1e5, 1e6}));
   const auto asic = series.asic_totals_kg();
   const auto fpga = series.fpga_totals_kg();
   for (std::size_t i = 1; i < asic.size(); ++i) {
@@ -124,7 +128,7 @@ TEST(SweepEngine, VolumeSweepMonotone) {
 }
 
 TEST(SweepEngine, RatiosMatchTotalsElementwise) {
-  const SweepSeries series = dnn_engine().sweep_app_count(1, 4, 2.0 * years, 1e6);
+  const SweepSeries series = sweep(AxisSpec::linear(SweepVariable::app_count, 1, 4, 4));
   const auto ratios = series.ratios();
   const auto asic = series.asic_totals_kg();
   const auto fpga = series.fpga_totals_kg();
@@ -134,8 +138,11 @@ TEST(SweepEngine, RatiosMatchTotalsElementwise) {
 }
 
 TEST(SweepEngine, InvalidRangesThrow) {
-  EXPECT_THROW(dnn_engine().sweep_app_count(0, 5, 2.0 * years, 1e6), std::invalid_argument);
-  EXPECT_THROW(dnn_engine().sweep_app_count(5, 4, 2.0 * years, 1e6), std::invalid_argument);
+  EXPECT_THROW(sweep(AxisSpec::linear(SweepVariable::app_count, 0, 5, 6)),
+               std::invalid_argument);
+  EXPECT_THROW(sweep(AxisSpec::list(SweepVariable::app_count, {})), std::invalid_argument);
+  EXPECT_THROW(sweep(AxisSpec::linear(SweepVariable::app_count, 1, 5, 1)),
+               std::invalid_argument);
 }
 
 TEST(Spacing, LinspaceEndpointsAndCount) {
@@ -173,9 +180,8 @@ TEST(ToString, CrossoverKinds) {
 class SweepSlopeProperty : public ::testing::TestWithParam<Domain> {};
 
 TEST_P(SweepSlopeProperty, FpgaMarginalCostBelowAsic) {
-  const SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                           device::domain_testcase(GetParam()));
-  const SweepSeries series = engine.sweep_app_count(1, 8, 2.0 * years, 1e6);
+  const SweepSeries series =
+      sweep(AxisSpec::linear(SweepVariable::app_count, 1, 8, 8), GetParam());
   const auto asic = series.asic_totals_kg();
   const auto fpga = series.fpga_totals_kg();
   for (std::size_t i = 1; i < asic.size(); ++i) {

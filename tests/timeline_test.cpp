@@ -1,10 +1,10 @@
-/// Tests for the Fig. 9 timeline simulator (chip-lifetime replacement).
+/// Tests for the Fig. 9 timeline kind (chip-lifetime replacement).
 
 #include <gtest/gtest.h>
 
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/timeline.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -13,22 +13,20 @@ namespace {
 using namespace units::unit;
 using device::Domain;
 
-TimelineSimulator simulator_for(Domain domain) {
-  return TimelineSimulator(core::LifecycleModel(core::paper_suite()),
-                           device::domain_testcase(domain));
+/// The Fig. 9 timeline spec for `domain`: 45-year horizon, 1-year
+/// applications, 1e6 volume, quarter-year samples.
+ScenarioSpec paper_spec(Domain domain) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::timeline, domain);
+  spec.schedule.lifetime_years = 1.0;
+  spec.schedule.volume = 1e6;
+  spec.timeline = {.horizon_years = 45.0, .step_years = 0.25};
+  return spec;
 }
 
-TimelineParameters paper_parameters() {
-  TimelineParameters p;
-  p.horizon = 45.0 * years;
-  p.app_lifetime = 1.0 * years;
-  p.volume = 1e6;
-  p.step = 0.25 * years;
-  return p;
-}
+TimelineSeries run(const ScenarioSpec& spec) { return *Engine().run(spec).timeline; }
 
 TEST(Timeline, SeriesCoversHorizon) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   ASSERT_FALSE(series.time_years.empty());
   EXPECT_DOUBLE_EQ(series.time_years.front(), 0.0);
   EXPECT_DOUBLE_EQ(series.time_years.back(), 45.0);
@@ -37,7 +35,7 @@ TEST(Timeline, SeriesCoversHorizon) {
 }
 
 TEST(Timeline, CumulativeSeriesNeverDecrease) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   for (std::size_t i = 1; i < series.time_years.size(); ++i) {
     EXPECT_GE(series.asic_cumulative_kg[i], series.asic_cumulative_kg[i - 1]);
     EXPECT_GE(series.fpga_cumulative_kg[i], series.fpga_cumulative_kg[i - 1]);
@@ -45,7 +43,7 @@ TEST(Timeline, CumulativeSeriesNeverDecrease) {
 }
 
 TEST(Timeline, FpgaFleetRepurchasedEveryFifteenYears) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   // 45-year horizon, 15-year FPGA service life: purchases at 0, 15, 30.
   ASSERT_EQ(series.fpga_purchase_years.size(), 3u);
   EXPECT_DOUBLE_EQ(series.fpga_purchase_years[0], 0.0);
@@ -54,7 +52,7 @@ TEST(Timeline, FpgaFleetRepurchasedEveryFifteenYears) {
 }
 
 TEST(Timeline, FpgaJumpsAtServiceLifeBoundaries) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   // Find samples just before and at year 15: the FPGA step must exceed the
   // typical between-year step (operation + appdev) by the fleet embodied.
   const auto at = [&](double year) {
@@ -74,7 +72,7 @@ TEST(Timeline, FpgaJumpsAtServiceLifeBoundaries) {
 TEST(Timeline, AsicStaircaseHasNoFifteenYearJump) {
   // ASIC chips are re-manufactured every application (yearly) anyway, so
   // year 15 looks like any other year.
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   std::vector<double> yearly_steps;
   for (double year = 1.0; year <= 45.0; year += 1.0) {
     const auto index = static_cast<std::size_t>(year / 0.25);
@@ -87,29 +85,29 @@ TEST(Timeline, AsicStaircaseHasNoFifteenYearJump) {
 }
 
 TEST(Timeline, ShortHorizonHasSinglePurchase) {
-  TimelineParameters p = paper_parameters();
-  p.horizon = 10.0 * years;
-  const TimelineSeries series = simulator_for(Domain::dnn).run(p);
+  ScenarioSpec spec = paper_spec(Domain::dnn);
+  spec.timeline.horizon_years = 10.0;
+  const TimelineSeries series = run(spec);
   EXPECT_EQ(series.fpga_purchase_years.size(), 1u);
 }
 
 TEST(Timeline, OneYearAppsFavourFpgaForDnn) {
   // Fig. 9 story: with 1-year applications, DNN FPGAs stay below ASICs
   // even across fleet replacements.
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::dnn));
   EXPECT_LT(series.fpga_cumulative_kg.back(), series.asic_cumulative_kg.back());
 }
 
 TEST(Timeline, ImgprocSeesMultipleCrossovers) {
   // Fig. 9 (ImgProc): the 15/30-year jumps produce repeated A2F/F2A flips.
-  const TimelineSeries series = simulator_for(Domain::imgproc).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::imgproc));
   const auto crossovers = series.crossovers();
   EXPECT_GE(crossovers.size(), 2u)
       << "paper reports multiple A2F and F2A crossovers for ImgProc";
 }
 
 TEST(Timeline, CryptoFpgaAlwaysBelow) {
-  const TimelineSeries series = simulator_for(Domain::crypto).run(paper_parameters());
+  const TimelineSeries series = run(paper_spec(Domain::crypto));
   for (std::size_t i = 1; i < series.time_years.size(); ++i) {
     EXPECT_LT(series.fpga_cumulative_kg[i], series.asic_cumulative_kg[i])
         << "at year " << series.time_years[i];
@@ -117,15 +115,15 @@ TEST(Timeline, CryptoFpgaAlwaysBelow) {
 }
 
 TEST(Timeline, InvalidParametersThrow) {
-  TimelineParameters p = paper_parameters();
-  p.horizon = units::TimeSpan{};
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
-  p = paper_parameters();
-  p.volume = 0.0;
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
-  p = paper_parameters();
-  p.step = units::TimeSpan{-1.0};
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
+  ScenarioSpec spec = paper_spec(Domain::dnn);
+  spec.timeline.horizon_years = 0.0;
+  EXPECT_THROW(run(spec), std::invalid_argument);
+  spec = paper_spec(Domain::dnn);
+  spec.schedule.volume = 0.0;
+  EXPECT_THROW(run(spec), std::invalid_argument);
+  spec = paper_spec(Domain::dnn);
+  spec.timeline.step_years = -1.0;
+  EXPECT_THROW(run(spec), std::invalid_argument);
 }
 
 }  // namespace
