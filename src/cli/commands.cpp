@@ -1326,20 +1326,13 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out, std::ostre
         err << "--threads: missing worker count\n";
         return 2;
       }
-      // Strict parse (trailing garbage and overflow rejected), same rules
-      // as the GREENFPGA_THREADS environment path; the engine clamps to
-      // its kMaxThreads pool bound.
-      const std::string& value = args[i + 1];
-      char* end = nullptr;
-      errno = 0;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
-          parsed < 1) {
-        err << "--threads: invalid worker count '" << value << "'\n";
+      // The GREENFPGA_THREADS environment path's parser.
+      const std::optional<int> parsed = scenario::Engine::parse_threads(args[i + 1]);
+      if (!parsed) {
+        err << "--threads: invalid worker count '" << args[i + 1] << "'\n";
         return 2;
       }
-      context.threads = static_cast<int>(
-          std::min<long>(parsed, scenario::Engine::kMaxThreads));
+      context.threads = *parsed;
       ++i;
     } else if (args[i] == "--format") {
       if (i + 1 >= args.size()) {

@@ -249,7 +249,8 @@ FrontierResult FrontierSearch::run() const {
         cell.objective_kg = cell_objectives(problem, model, chips, schedule, digits);
         cell.winner = winner_of(cell.objective_kg);
         cell.margin = margin_of(cell.objective_kg, cell.winner);
-      });
+      },
+      problem.platform_names.size());
 
   // -- confidence pass: one task per Monte-Carlo sample, each sample
   //    re-parameterises the suite from its counter stream and re-decides
@@ -274,7 +275,8 @@ FrontierResult FrontierSearch::run() const {
             winners[s][i] =
                 winner_of(cell_objectives(problem, model, chips, schedule, digits));
           }
-        });
+        },
+        grid.cells * problem.platform_names.size());
     for (std::size_t i = 0; i < grid.cells; ++i) {
       std::size_t agree = 0;
       for (int s = 0; s < samples; ++s) {

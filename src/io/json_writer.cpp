@@ -33,15 +33,40 @@ constexpr std::string_view kPad =
 }  // namespace
 
 JsonWriter::JsonWriter(std::string& out, int indent)
-    : out_(out), indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0) {}
+    : out_(&out), indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0) {}
+
+JsonWriter::JsonWriter(Continuation, const JsonWriter& parent)
+    : out_(nullptr),
+      indent_(parent.indent_),
+      frames_(parent.frames_.begin(),
+              parent.frames_.begin() + static_cast<std::ptrdiff_t>(parent.depth_)),
+      depth_(parent.depth_) {
+  if (depth_ == 0 || frames_.back().object || parent.key_pending_) {
+    throw std::logic_error("JsonWriter: a continuation must start inside an array");
+  }
+  frames_.back().empty = false;  // the parent writes the elements before ours
+}
 
 JsonWriter::~JsonWriter() { std::free(buffer_); }
 
 void JsonWriter::finish() {
+  if (out_ == nullptr) {
+    throw std::logic_error("JsonWriter: a continuation has no output; splice it");
+  }
   if (cursor_ != buffer_) {
-    out_.append(buffer_, static_cast<std::size_t>(cursor_ - buffer_));
+    out_->append(buffer_, static_cast<std::size_t>(cursor_ - buffer_));
     cursor_ = buffer_;
   }
+}
+
+void JsonWriter::splice(JsonWriter& part) {
+  if (part.out_ != nullptr || part.depth_ != depth_ || part.key_pending_ || key_pending_ ||
+      depth_ == 0 || frames_[depth_ - 1].object || frames_[depth_ - 1].empty) {
+    throw std::logic_error(
+        "JsonWriter: splice needs a continuation that ended in this writer's non-empty array");
+  }
+  append(part.buffer_, static_cast<std::size_t>(part.cursor_ - part.buffer_));
+  part.cursor_ = part.buffer_;
 }
 
 std::uint64_t JsonWriter::finish_hashed() {

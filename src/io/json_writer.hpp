@@ -20,11 +20,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "io/json.hpp"
 
 namespace greenfpga::io {
@@ -67,9 +69,23 @@ class JsonKey {
 /// than writing the bytes).  Only `finish()` appends the buffered bytes to
 /// `out`; a writer destroyed without it (say, by an exception) leaves
 /// `out` unchanged.  `indent` <= 0 writes the compact single-line form.
+///
+/// A *continuation* writer writes the next stretch of a document another
+/// writer has open, so one array's elements can be written in parallel:
+/// it starts inside the parent's open containers (same depth, indent and
+/// key-order state, the innermost array already non-empty), and
+/// `parent.splice(part)` moves its bytes into the parent's buffer in
+/// order.  The bytes equal those of writing every element on the parent.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string& out, int indent = 2);
+  /// Tag selecting the continuation constructor.
+  struct Continuation {};
+  static constexpr Continuation continuation{};
+  /// A continuation of `parent`, which must be inside an array holding at
+  /// least one element by the time this writer's bytes are spliced.  Has
+  /// no output of its own: `finish()` on it throws std::logic_error.
+  JsonWriter(Continuation, const JsonWriter& parent);
   ~JsonWriter();
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -124,6 +140,10 @@ class JsonWriter {
   /// Append the bytes written since the last `finish()` to `out`.  The
   /// writer stays usable.
   void finish();
+  /// Append the bytes `part` (a continuation of this writer) wrote since
+  /// its last splice, and leave `part` empty.  Throws std::logic_error
+  /// unless `part` ended in the container this writer is in.
+  void splice(JsonWriter& part);
   /// `finish()`, returning the FNV-1a 64 digest of the bytes it appended
   /// (`io::fnv1a64` of them), folded as they are handed over.
   [[nodiscard]] std::uint64_t finish_hashed();
@@ -160,7 +180,7 @@ class JsonWriter {
   }
   void append(const char* data, std::size_t n);
 
-  std::string& out_;
+  std::string* out_;  ///< null for a continuation
   std::size_t indent_ = 0;
   char* buffer_ = nullptr;     ///< malloc'd; bytes not yet appended to out_
   char* cursor_ = nullptr;     ///< next byte to write
@@ -169,6 +189,41 @@ class JsonWriter {
   std::size_t depth_ = 0;
   bool key_pending_ = false;  ///< a key was written; its value comes next
 };
+
+/// Write `count` elements into the array `out` is in, element `i` by
+/// `write(writer, i)`, in contiguous chunks on up to `threads` workers
+/// (`core::parallel_for_state`; `item_work` estimates one element's cost
+/// for its inline cutoff).  The first chunk goes to `out` itself and each
+/// later one to a continuation spliced back in order, so the bytes equal
+/// a serial loop's, and each chunk still checks its key order.  An
+/// exception from any element is rethrown here.
+template <class WriteElement>
+void write_elements(JsonWriter& out, std::size_t count, int threads, std::size_t item_work,
+                    WriteElement&& write) {
+  const std::size_t chunks = core::pool_workers(count, threads, item_work);
+  if (chunks <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      write(out, i);
+    }
+    return;
+  }
+  std::deque<JsonWriter> parts;  // stable addresses; JsonWriter does not move
+  for (std::size_t c = 1; c < chunks; ++c) {
+    parts.emplace_back(JsonWriter::continuation, out);
+  }
+  core::parallel_for_state(
+      chunks, static_cast<int>(chunks), [] { return 0; },
+      [&](int& /*state*/, std::size_t c) {
+        JsonWriter& writer = c == 0 ? out : parts[c - 1];
+        for (std::size_t i = c * count / chunks; i < (c + 1) * count / chunks; ++i) {
+          write(writer, i);
+        }
+      },
+      (count + chunks - 1) / chunks * item_work);
+  for (JsonWriter& part : parts) {
+    out.splice(part);
+  }
+}
 
 /// Build a DOM from writer calls: `write(writer)` fills a compact buffer,
 /// which is then parsed.  For the few callers that need an `io::Json` of a

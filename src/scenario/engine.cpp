@@ -6,6 +6,7 @@
 #include "scenario/engine.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -163,12 +164,20 @@ Engine::Engine(EngineOptions options)
       registry_(options.registry),
       cache_(options.cache) {}
 
+std::optional<int> Engine::parse_threads(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE || parsed < 1) {
+    return std::nullopt;
+  }
+  return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+}
+
 int Engine::default_threads() {
   if (const char* env = std::getenv("GREENFPGA_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && end != env && *end == '\0' && parsed >= 1) {
-      return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+    if (const std::optional<int> parsed = parse_threads(env)) {
+      return *parsed;
     }
   }
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -411,6 +420,10 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
   std::vector<core::ModelSuite> suites;
   std::vector<std::string> suite_keys;  // canonical JSON, parallel to `suites`
   std::vector<Task> tasks;
+  // Estimated evaluations for the pool's inline cutoff: a planned task
+  // evaluates every platform once; a whole spec is counted as worth a
+  // helper of its own.
+  std::size_t work = 0;
   for (std::size_t s = 0; s < jobs.size(); ++s) {
     SpecJob& job = jobs[s];
     const KindModule& module = kind_module(job.prepared.result.spec.kind);
@@ -422,6 +435,7 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
       // evaluations or internally small); a serial engine keeps the pool
       // flat.
       tasks.push_back(Task{.spec = s, .index = 0});
+      work += core::kInlineWork;
       continue;
     }
     if (job.plan.uses_suite_model) {
@@ -439,6 +453,7 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
     for (std::size_t i = 0; i < job.plan.task_count; ++i) {
       tasks.push_back(Task{.spec = s, .index = i});
     }
+    work += job.plan.task_count * job.prepared.result.resolved_chips.size();
   }
 
   // One pool over the flattened task list.  Worker state: one lazily
@@ -465,7 +480,8 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
           model = &*slot;
         }
         job.plan.run_job(model, task.index, result);
-      });
+      },
+      tasks.empty() ? 1 : (work + tasks.size() - 1) / tasks.size());
 
   // Serial post phase: deterministic reductions.
   std::vector<ScenarioResult> results;

@@ -157,9 +157,9 @@ struct ScenarioResult {
 /// The unified evaluation engine.
 class Engine {
  public:
-  /// Upper bound on the worker count (a pool is spawned per run; an
-  /// unbounded request would otherwise spawn one OS thread per grid
-  /// point).
+  /// Upper bound on the worker count.  Runs share the process's one
+  /// worker pool (core/parallel.hpp), which grows to `threads() - 1`
+  /// helpers on first use, so the bound caps the pool's size.
   static constexpr int kMaxThreads = 256;
 
   explicit Engine(EngineOptions options = {});
@@ -220,9 +220,15 @@ class Engine {
 
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// GREENFPGA_THREADS (>= 1) when set and parseable, else hardware
+  /// GREENFPGA_THREADS when `parse_threads` accepts it, else hardware
   /// concurrency (>= 1).
   [[nodiscard]] static int default_threads();
+
+  /// The one strict worker-count parser, for `--threads` and
+  /// GREENFPGA_THREADS alike: a whole decimal integer >= 1, clamped to
+  /// kMaxThreads; nullopt for trailing garbage, zero, negatives and
+  /// values beyond `long` (never clamped: an overflow is an error).
+  [[nodiscard]] static std::optional<int> parse_threads(const std::string& text);
 
  private:
   struct PreparedRun;  ///< prepared spec + effective suite (engine.cpp)

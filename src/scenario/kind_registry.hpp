@@ -111,9 +111,10 @@ struct KindModule {
   /// Called on every result, once per owned key, in the global sorted
   /// order of all top-level result keys; members inside the section must
   /// be written in sorted key order too (`io::JsonWriter` checks).
-  /// Optional.
+  /// `threads` bounds the pool workers a large section may write with
+  /// (`io::write_elements`); the bytes do not depend on it.  Optional.
   void (*write_result)(const ScenarioResult& result, std::string_view key,
-                       io::JsonWriter& out) = nullptr;
+                       io::JsonWriter& out, int threads) = nullptr;
   /// Parse this module's sections when present.  Called for every module.
   /// Optional.
   void (*result_from_json)(const io::Json& json, ScenarioResult& result) = nullptr;

@@ -81,11 +81,12 @@ void points_execute(const KindRunContext& context, const core::ModelSuite& suite
   // Coordinate grid: axis 0 is the inner (fastest) dimension.
   const PointPlan plan = plan_points(result.spec);
   result.points.resize(plan.total);
-  parallel_for(plan.total, context.threads, suite,
-               [&](core::LifecycleModel& model, std::size_t i) {
-                 evaluate_point(result.spec, plan, result.resolved_chips, model, i,
-                                result.points[i]);
-               });
+  parallel_for(
+      plan.total, context.threads, suite,
+      [&](core::LifecycleModel& model, std::size_t i) {
+        evaluate_point(result.spec, plan, result.resolved_chips, model, i, result.points[i]);
+      },
+      result.resolved_chips.size());
 }
 
 KindBatchPlan points_plan_jobs(const core::ModelSuite& /*suite*/,

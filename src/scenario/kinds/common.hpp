@@ -27,11 +27,13 @@ inline constexpr double kKgPerTonne = 1000.0;
 
 /// The classic pool shape: each worker owns a private LifecycleModel built
 /// from `suite` (the model's embodied-carbon memoisation is not
-/// thread-safe to share).
+/// thread-safe to share).  `item_work` as for `core::parallel_for_state`.
 template <typename Fn>
-void parallel_for(std::size_t n, int threads, const core::ModelSuite& suite, Fn&& fn) {
+void parallel_for(std::size_t n, int threads, const core::ModelSuite& suite, Fn&& fn,
+                  std::size_t item_work = 1) {
   core::parallel_for_state(
-      n, threads, [&suite] { return core::LifecycleModel(suite); }, std::forward<Fn>(fn));
+      n, threads, [&suite] { return core::LifecycleModel(suite); }, std::forward<Fn>(fn),
+      item_work);
 }
 
 // -- point machinery (compare / sweep / grid) --------------------------------------

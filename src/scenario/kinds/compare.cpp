@@ -27,23 +27,26 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
 }
 
 void write_result(const ScenarioResult& result, std::string_view /*key*/,
-                  io::JsonWriter& out) {
+                  io::JsonWriter& out, int threads) {
   if (result.points.empty()) {
     return;
   }
   out.key("points");
   out.begin_array();
-  for (const EvalPoint& point : result.points) {
-    out.begin_object();
-    out.numbers("coords", point.coords);
-    out.key("platforms");
-    out.begin_array();
-    for (const core::PlatformCfp& platform : point.platforms) {
-      core::write_json(out, platform);
-    }
-    out.end_array();
-    out.end_object();
-  }
+  // The array is most of a grid's bytes: written in chunks on the pool.
+  io::write_elements(out, result.points.size(), threads, result.platform_names.size(),
+                     [&result](io::JsonWriter& writer, std::size_t i) {
+                       const EvalPoint& point = result.points[i];
+                       writer.begin_object();
+                       writer.numbers("coords", point.coords);
+                       writer.key("platforms");
+                       writer.begin_array();
+                       for (const core::PlatformCfp& platform : point.platforms) {
+                         core::write_json(writer, platform);
+                       }
+                       writer.end_array();
+                       writer.end_object();
+                     });
   out.end_array();
 }
 

@@ -119,13 +119,14 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
         for (std::size_t p = 0; p < sample.groups.size(); ++p) {
           uq.sample_totals_kg[p][i] = sample.groups[p].total.total().canonical();
         }
-      });
+      },
+      result.resolved_chips.size());
   reduce_montecarlo(uq);
   result.uncertainty = std::move(uq);
 }
 
 void write_result(const ScenarioResult& result, std::string_view /*key*/,
-                  io::JsonWriter& out) {
+                  io::JsonWriter& out, int /*threads*/) {
   if (result.fleet) {
     out.key("fleet");
     write_fleet_result(out, *result.fleet);

@@ -93,7 +93,7 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
 }
 
 void write_result(const ScenarioResult& result, std::string_view /*key*/,
-                  io::JsonWriter& out) {
+                  io::JsonWriter& out, int /*threads*/) {
   if (!result.frontier) {
     return;
   }

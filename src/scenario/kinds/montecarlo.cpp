@@ -239,7 +239,8 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
       [] { return 0; },
       [&](int& /*state*/, std::size_t i) {
         evaluate_mc_sample(spec, plan, suite, result.resolved_chips, i, uq);
-      });
+      },
+      result.resolved_chips.size());
 
   // Serial reduction on the caller's thread (deterministic order).
   reduce_montecarlo(uq);
@@ -277,7 +278,7 @@ void write_stats(io::JsonWriter& out, io::JsonKey key, const std::vector<UqStat>
 }
 
 void write_result(const ScenarioResult& result, std::string_view /*key*/,
-                  io::JsonWriter& out) {
+                  io::JsonWriter& out, int /*threads*/) {
   if (!result.uncertainty) {
     return;
   }

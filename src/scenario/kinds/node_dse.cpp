@@ -113,7 +113,7 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
 }
 
 void write_result(const ScenarioResult& result, std::string_view /*key*/,
-                  io::JsonWriter& out) {
+                  io::JsonWriter& out, int /*threads*/) {
   if (result.candidates.empty()) {
     return;
   }

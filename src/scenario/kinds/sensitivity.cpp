@@ -104,7 +104,8 @@ void execute(const KindRunContext& /*context*/, const core::ModelSuite& suite,
   }
 }
 
-void write_result(const ScenarioResult& result, std::string_view key, io::JsonWriter& out) {
+void write_result(const ScenarioResult& result, std::string_view key, io::JsonWriter& out,
+                  int /*threads*/) {
   if (key == "tornado" && !result.tornado.empty()) {
     out.key("tornado");
     out.begin_array();

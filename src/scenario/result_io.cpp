@@ -83,13 +83,13 @@ void check_result_keys(const Json& json) {
 
 }  // namespace
 
-void write_result(const ScenarioResult& result, io::JsonWriter& out) {
+void write_result(const ScenarioResult& result, io::JsonWriter& out, int threads) {
   out.begin_object();
   for (const ResultSection& section : result_sections()) {
     if (section.module == nullptr) {
       write_envelope(result, section.key, out);
     } else if (section.module->write_result != nullptr) {
-      section.module->write_result(result, section.key, out);
+      section.module->write_result(result, section.key, out, threads);
     }
   }
   out.end_object();
@@ -103,10 +103,10 @@ std::string result_bytes(const ScenarioResult& result, int indent) {
   return text;
 }
 
-std::string result_document(const ScenarioResult& result) {
+std::string result_document(const ScenarioResult& result, int threads) {
   std::string text;
   io::JsonWriter out(text);
-  write_result(result, out);
+  write_result(result, out, threads);
   // Through the writer: appending the newline afterwards would regrow
   // (and copy) a string sized exactly to the bytes.
   out.newline();

@@ -40,16 +40,18 @@ namespace greenfpga::scenario {
 /// of `out`: the as-run spec, the resolved platforms, and the
 /// kind-dependent payload (every field, sorted keys, shortest round-trip
 /// numbers).  Each section is streamed by its owner in the global sorted
-/// key order.
-void write_result(const ScenarioResult& result, io::JsonWriter& out);
+/// key order.  Up to `threads` pool workers write the large sections
+/// (the bytes are the same at any count).
+void write_result(const ScenarioResult& result, io::JsonWriter& out, int threads = 1);
 
 /// The canonical result bytes: `indent` 2 is the pretty form, 0 the
 /// compact form.
 [[nodiscard]] std::string result_bytes(const ScenarioResult& result, int indent = 2);
 
 /// The pretty bytes plus a trailing newline: exactly what `--format json`
-/// prints, a result file holds and a `/v1/run` response carries.
-[[nodiscard]] std::string result_document(const ScenarioResult& result);
+/// prints, a result file holds and a `/v1/run` response carries;
+/// `threads` as for `write_result`.
+[[nodiscard]] std::string result_document(const ScenarioResult& result, int threads = 1);
 
 /// The canonical result as a DOM: `io::parse_json` of the compact bytes.
 /// For callers that inspect or edit the value; anything that only needs

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/config_io.hpp"
+#include "core/parallel.hpp"
 #include "device/catalog.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
@@ -89,9 +90,10 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
     context.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
     response.body = *body;
   } else {
-    // Miss: the kind modules write the canonical bytes directly.
-    auto rendered =
-        std::make_shared<const std::string>(scenario::result_document(*run.result));
+    // Miss: the kind modules write the canonical bytes directly, a large
+    // section on the engine's workers.
+    auto rendered = std::make_shared<const std::string>(
+        scenario::result_document(*run.result, context.engine().threads()));
     context.rendered().insert(run.key, rendered);
     response.body = *rendered;
   }
@@ -130,7 +132,7 @@ HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   io::JsonWriter out(response.body);
   out.begin_array();
   for (const scenario::ScenarioResult& result : results) {
-    scenario::write_result(result, out);
+    scenario::write_result(result, out, context.engine().threads());
   }
   out.end_array();
   out.newline();
@@ -169,6 +171,12 @@ HttpResponse handle_stats(ServeContext& context, const HttpRequest&) {
   body["errors"] = context.errors.load(std::memory_order_relaxed);
   body["fast_path_hits"] = context.fast_path_hits.load(std::memory_order_relaxed);
   body["threads"] = context.engine().threads();
+  const core::PoolStats pool_stats = core::pool_stats();
+  Json pool = Json::object();
+  pool["helpers"] = pool_stats.helpers;
+  pool["tasks_run"] = pool_stats.tasks_run;
+  pool["tasks_inline"] = pool_stats.tasks_inline;
+  body["pool"] = std::move(pool);
   return json_response(200, body);
 }
 

@@ -20,7 +20,8 @@
 ///   * `GET /v1/stats`   -- cache hit/miss/eviction counters, occupancy,
 ///     request counts, `fast_path_hits` (responses streamed from the
 ///     rendered-body cache without re-dumping a result), engine worker
-///     count.
+///     count, and the worker pool's `pool` counters (`helpers`,
+///     `tasks_run`, `tasks_inline`; see core/parallel.hpp).
 ///   * `GET /healthz`    -- liveness: `{"status":"ok"}`.
 ///
 /// Request bodies parse into the arena DOM (io/json_arena.hpp): one

@@ -410,23 +410,33 @@ void SocketStream::send_all(std::string_view bytes) {
   }
 }
 
-std::string serialize_response(const HttpResponse& response) {
+namespace {
+
+/// The head of `response`, in a string with room for `extra` more bytes.
+std::string head_with_room(const HttpResponse& response, std::size_t extra) {
   const std::string status = std::to_string(response.status);
   const std::string reason = reason_phrase(response.status);
   const std::string length = std::to_string(response.body.size());
-  // Size the head exactly so head + body is one allocation and the body
-  // is copied once.
-  std::size_t head = 9 + status.size() + 1 + reason.size() + 2 + 16 + length.size() + 4;
+  std::size_t size = 9 + status.size() + 1 + reason.size() + 2 + 16 + length.size() + 4;
   for (const auto& [name, value] : response.headers) {
-    head += name.size() + 2 + value.size() + 2;
+    size += name.size() + 2 + value.size() + 2;
   }
   std::string out;
-  out.reserve(head + response.body.size());
+  out.reserve(size + extra);
   out.append("HTTP/1.1 ").append(status).append(" ").append(reason).append("\r\n");
   for (const auto& [name, value] : response.headers) {
     out.append(name).append(": ").append(value).append("\r\n");
   }
   out.append("Content-Length: ").append(length).append("\r\n\r\n");
+  return out;
+}
+
+}  // namespace
+
+std::string response_head(const HttpResponse& response) { return head_with_room(response, 0); }
+
+std::string serialize_response(const HttpResponse& response) {
+  std::string out = head_with_room(response, response.body.size());
   out.append(response.body);
   return out;
 }

@@ -81,9 +81,14 @@ struct HttpLimits {
   std::size_t max_body_bytes = 8 * 1024 * 1024;
 };
 
-/// Serialize `response` to wire bytes (status line, headers,
-/// Content-Length, body).  The single definition used by the blocking
-/// stream and the event-loop server, so both paths emit identical bytes.
+/// The wire head of `response`: status line, headers, Content-Length and
+/// the blank line.  The single head writer of the blocking stream, the
+/// event-loop server (which sends head and body side by side, never
+/// concatenated) and `serialize_response`, so every path emits identical
+/// bytes.
+[[nodiscard]] std::string response_head(const HttpResponse& response);
+
+/// `response_head(response)` followed by the body: the whole wire bytes.
 [[nodiscard]] std::string serialize_response(const HttpResponse& response);
 
 /// Incremental HTTP/1.1 request framing over a caller-owned receive

@@ -9,6 +9,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -194,7 +195,7 @@ void Server::on_connection_ready(Connection& connection, std::uint32_t ready) {
 }
 
 void Server::advance(Connection& connection) {
-  if (connection.processing || !connection.outbox.empty()) {
+  if (connection.processing || connection.writing()) {
     return;  // a request is in flight; reads stay paused (backpressure)
   }
   HttpRequest request;
@@ -231,16 +232,33 @@ void Server::queue_response(Connection& connection, const HttpResponse& response
   HttpResponse finished = response;
   finished.set_header("Connection", keep_alive ? "keep-alive" : "close");
   requests_.fetch_add(1, std::memory_order_relaxed);
-  connection.outbox += serialize_response(finished);
+  // Only called with nothing pending (advance and the timeout sweep skip
+  // connections that are writing or processing).
+  connection.out_head = response_head(finished);
+  connection.out_body = std::move(finished.body);
   connection.close_after_write = !keep_alive;
   connection.last_activity = std::chrono::steady_clock::now();
 }
 
 bool Server::flush_outbox(Connection& connection) {
-  while (connection.sent < connection.outbox.size()) {
-    const ssize_t n = ::send(connection.fd, connection.outbox.data() + connection.sent,
-                             connection.outbox.size() - connection.sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
+  const std::string& head = connection.out_head;
+  const std::string& body = connection.out_body;
+  while (connection.sent < head.size() + body.size()) {
+    // The unsent tail of the head, then of the body, in one call.
+    iovec parts[2];
+    msghdr message{};
+    message.msg_iov = parts;
+    if (connection.sent < head.size()) {
+      parts[message.msg_iovlen++] = {const_cast<char*>(head.data()) + connection.sent,
+                                     head.size() - connection.sent};
+    }
+    const std::size_t body_sent =
+        connection.sent > head.size() ? connection.sent - head.size() : 0;
+    if (body_sent < body.size()) {
+      parts[message.msg_iovlen++] = {const_cast<char*>(body.data()) + body_sent,
+                                     body.size() - body_sent};
+    }
+    const ssize_t n = ::sendmsg(connection.fd, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       connection.sent += static_cast<std::size_t>(n);
       connection.last_activity = std::chrono::steady_clock::now();
@@ -258,7 +276,10 @@ bool Server::flush_outbox(Connection& connection) {
     destroy_connection(connection);  // peer went away mid-write
     return false;
   }
-  connection.outbox.clear();
+  // Release, not clear: a multi-MB body should not stay resident on an
+  // idle keep-alive connection.
+  connection.out_head = std::string();
+  connection.out_body = std::string();
   connection.sent = 0;
   if (connection.close_after_write) {
     destroy_connection(connection);
@@ -270,7 +291,7 @@ bool Server::flush_outbox(Connection& connection) {
   return true;
 }
 
-void Server::complete(std::uint64_t connection_id, std::string bytes,
+void Server::complete(std::uint64_t connection_id, std::string head, std::string body,
                       bool keep_alive) {
   const auto it = connections_.find(connection_id);
   if (it == connections_.end()) {
@@ -278,13 +299,10 @@ void Server::complete(std::uint64_t connection_id, std::string bytes,
   }
   Connection& connection = *it->second;
   connection.processing = false;
-  // The usual case is an idle outbox: take the worker's buffer instead of
-  // copying the whole response into it.
-  if (connection.outbox.empty()) {
-    connection.outbox = std::move(bytes);
-  } else {
-    connection.outbox += bytes;
-  }
+  // Nothing else is pending while a request is processing (reads and the
+  // timeout sweep both wait for it), so the worker's buffers move in.
+  connection.out_head = std::move(head);
+  connection.out_body = std::move(body);
   connection.close_after_write = !keep_alive;
   connection.last_activity = std::chrono::steady_clock::now();
   flush_outbox(connection);
@@ -310,7 +328,7 @@ void Server::sweep_timeouts() {
       continue;  // the handler is computing; no socket stall involved
     }
     const auto quiet = now - connection->last_activity;
-    if (!connection->outbox.empty()) {
+    if (connection->writing()) {
       if (options_.io_timeout_ms > 0 && quiet > io_limit) {
         stalled.push_back(connection.get());
       }
@@ -372,9 +390,12 @@ void Server::worker_main() {
         job.request.keep_alive() && running_.load(std::memory_order_relaxed);
     response.set_header("Connection", keep ? "keep-alive" : "close");
     requests_.fetch_add(1, std::memory_order_relaxed);
-    std::string bytes = serialize_response(response);
-    loop_.post([this, id = job.connection_id, bytes = std::move(bytes), keep]() mutable {
-      complete(id, std::move(bytes), keep);
+    // Head and body travel to the loop separately: copying a multi-MB
+    // body behind its head would cost more than writing the head.
+    std::string head = response_head(response);
+    loop_.post([this, id = job.connection_id, head = std::move(head),
+                body = std::move(response.body), keep]() mutable {
+      complete(id, std::move(head), std::move(body), keep);
     });
   }
 }

@@ -8,7 +8,7 @@
 /// all non-blocking) and does nothing but framing and byte shuffling;
 /// fully-framed requests are handed to a fixed pool of worker threads
 /// that run the router (and, behind it, the evaluation engine), posting
-/// serialized responses back to the loop for writing.  No socket
+/// each response's head and body back to the loop for writing.  No socket
 /// operation ever blocks a shared thread, so one slow or never-reading
 /// peer cannot stall accept, other connections, or overload shedding --
 /// the head-of-line failure the old thread-per-connection acceptor had
@@ -107,8 +107,12 @@ class Server {
     int fd = -1;
     RequestFramer framer;
     std::string inbox;    ///< received, not yet framed
-    std::string outbox;   ///< serialized response bytes pending write
-    std::size_t sent = 0;
+    /// The response pending write: its head and body, sent side by side
+    /// (one `sendmsg` of both), never concatenated.
+    std::string out_head;
+    std::string out_body;
+    std::size_t sent = 0;  ///< bytes of head, then body, already sent
+    [[nodiscard]] bool writing() const { return !out_head.empty() || !out_body.empty(); }
     bool processing = false;        ///< a request is in the worker pool
     bool close_after_write = false;
     bool peer_eof = false;          ///< peer half-closed; close once drained
@@ -130,7 +134,8 @@ class Server {
   void queue_response(Connection& connection, const HttpResponse& response,
                       bool keep_alive);
   bool flush_outbox(Connection& connection);  ///< false: connection destroyed
-  void complete(std::uint64_t connection_id, std::string bytes, bool keep_alive);
+  void complete(std::uint64_t connection_id, std::string head, std::string body,
+                bool keep_alive);
   void destroy_connection(Connection& connection);
   void sweep_timeouts();
 

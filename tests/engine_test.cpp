@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <thread>
 #include <utility>
 
 #include "core/comparator.hpp"
@@ -474,6 +476,33 @@ TEST(EngineOptionsTest, DefaultThreadsHonoursEnvironment) {
   EXPECT_EQ(Engine(EngineOptions{.threads = 2}).threads(), 2);
   // Requests beyond the pool bound are clamped, not honoured literally.
   EXPECT_EQ(Engine(EngineOptions{.threads = 100000}).threads(), Engine::kMaxThreads);
+}
+
+TEST(EngineOptionsTest, AnOverflowingEnvironmentValueFallsBackToHardware) {
+  const unsigned hardware = std::thread::hardware_concurrency();
+  const int fallback = hardware == 0 ? 1 : static_cast<int>(hardware);
+  // Beyond `long`: strtol saturates with ERANGE, which must not read as
+  // "the largest request" and clamp to kMaxThreads.
+  ::setenv("GREENFPGA_THREADS", "99999999999999999999", /*overwrite=*/1);
+  EXPECT_EQ(Engine::default_threads(), fallback);
+  ::setenv("GREENFPGA_THREADS", "0", 1);
+  EXPECT_EQ(Engine::default_threads(), fallback);
+  ::setenv("GREENFPGA_THREADS", "4x", 1);
+  EXPECT_EQ(Engine::default_threads(), fallback);
+  ::unsetenv("GREENFPGA_THREADS");
+}
+
+TEST(EngineOptionsTest, ParseThreadsIsStrict) {
+  EXPECT_EQ(Engine::parse_threads("1"), 1);
+  EXPECT_EQ(Engine::parse_threads("12"), 12);
+  EXPECT_EQ(Engine::parse_threads("100000"), Engine::kMaxThreads);  // in range: clamped
+  EXPECT_EQ(Engine::parse_threads("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads("-99999999999999999999"), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads(""), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads("0"), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads("-3"), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads("3 "), std::nullopt);
+  EXPECT_EQ(Engine::parse_threads("three"), std::nullopt);
 }
 
 TEST(EngineGridProfile, CarbonAwareSchedulingLowersOperationalCarbon) {

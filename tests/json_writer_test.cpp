@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "golden_result_specs.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
@@ -53,18 +55,30 @@ std::string written(int indent, Write&& write) {
 
 // -- every kind: writer bytes == DOM dump == golden ---------------------------------
 
+/// The writer thread counts every result test runs at: the bytes never
+/// depend on how many workers wrote them.
+constexpr int kWriterThreads[] = {1, 2, 3, 8};
+
+std::string result_bytes_at(const scenario::ScenarioResult& result, int indent, int threads) {
+  return written(indent,
+                 [&](JsonWriter& out) { scenario::write_result(result, out, threads); });
+}
+
 class JsonWriterResults : public ::testing::TestWithParam<scenario::ScenarioKind> {};
 
 TEST_P(JsonWriterResults, BytesMatchTheDomDumpAndTheGolden) {
   const scenario::ScenarioResult result = scenario::golden::run_kind(GetParam());
   const Json dom = scenario::result_to_json(result);
-  for (const int indent : {0, 2}) {
-    EXPECT_EQ(scenario::result_bytes(result, indent), dom.dump(indent))
-        << "indent " << indent;
-  }
   const std::string golden = read_file(std::string(GREENFPGA_GOLDEN_DIR) + "/result_" +
                                        scenario::to_string(GetParam()) + ".json");
   ASSERT_FALSE(golden.empty());
+  for (const int threads : kWriterThreads) {
+    for (const int indent : {0, 2}) {
+      EXPECT_EQ(result_bytes_at(result, indent, threads), dom.dump(indent))
+          << "indent " << indent << ", threads " << threads;
+    }
+    EXPECT_EQ(scenario::result_document(result, threads), golden) << "threads " << threads;
+  }
   EXPECT_EQ(scenario::result_bytes(result) + "\n", golden);
 }
 
@@ -72,12 +86,15 @@ TEST_P(JsonWriterResults, ResultObjectStreamsAtAnyDepth) {
   // Nested inside an array (the /v1/batch body shape) the result is the
   // same bytes as its own DOM dumped one level down.
   const scenario::ScenarioResult result = scenario::golden::run_kind(GetParam());
-  const std::string streamed = written(2, [&](JsonWriter& out) {
-    out.begin_array();
-    scenario::write_result(result, out);
-    out.end_array();
-  });
-  EXPECT_EQ(streamed, Json::array({scenario::result_to_json(result)}).dump(2));
+  const std::string expected = Json::array({scenario::result_to_json(result)}).dump(2);
+  for (const int threads : kWriterThreads) {
+    const std::string streamed = written(2, [&](JsonWriter& out) {
+      out.begin_array();
+      scenario::write_result(result, out, threads);
+      out.end_array();
+    });
+    EXPECT_EQ(streamed, expected) << "threads " << threads;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, JsonWriterResults,
@@ -411,6 +428,103 @@ TEST(JsonWriter, EmptyStringsAndKeys) {
                       out.end_object();
                     }),
             R"({"":""})");
+}
+
+// -- chunked writing: continuations spliced in order ----------------------------------
+
+TEST(JsonWriterChunks, ALargeGridWritesTheSameBytesAtEveryThreadCount) {
+  // 20 x 20 points x 2 platforms is past the pool's inline cutoff, so at
+  // two or more threads the points array goes out in spliced chunks.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 20),
+               scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 3.0,
+                                          20)};
+  const scenario::ScenarioResult result =
+      scenario::Engine(scenario::EngineOptions{.threads = 1}).run(spec);
+  ASSERT_GE(result.points.size() * result.platform_names.size(), core::kInlineWork);
+  const std::string document = scenario::result_document(result);
+  const std::string nested = written(2, [&](JsonWriter& out) {
+    out.begin_array();
+    scenario::write_result(result, out);
+    out.end_array();
+  });
+  // EXPECT_TRUE(a == b), not EXPECT_EQ: gtest's line diff of two
+  // half-MB documents takes seconds and a lot of memory.
+  const std::string compact = scenario::result_bytes(result, 0);
+  for (const int threads : kWriterThreads) {
+    EXPECT_TRUE(scenario::result_document(result, threads) == document) << "threads " << threads;
+    EXPECT_TRUE(result_bytes_at(result, 0, threads) == compact) << "threads " << threads;
+    const std::string streamed = written(2, [&](JsonWriter& out) {
+      out.begin_array();
+      scenario::write_result(result, out, threads);
+      out.end_array();
+    });
+    EXPECT_TRUE(streamed == nested) << "threads " << threads;
+  }
+}
+
+/// `count` objects {"i": i, "sq": i*i} written through io::write_elements,
+/// with one element allowed to misorder its keys.
+std::string chunked_objects(std::size_t count, int threads, std::size_t misordered = SIZE_MAX) {
+  return written(2, [&](JsonWriter& out) {
+    out.begin_object();
+    out.key("items");
+    out.begin_array();
+    io::write_elements(out, count, threads, core::kInlineWork,
+                       [&](JsonWriter& writer, std::size_t i) {
+                         writer.begin_object();
+                         if (i == misordered) {
+                           writer.number("sq", static_cast<double>(i * i));
+                           writer.number("i", static_cast<double>(i));
+                         } else {
+                           writer.number("i", static_cast<double>(i));
+                           writer.number("sq", static_cast<double>(i * i));
+                         }
+                         writer.end_object();
+                       });
+    out.end_array();
+    out.end_object();
+  });
+}
+
+TEST(JsonWriterChunks, ChunkedElementsEqualTheSerialBytes) {
+  for (const std::size_t count : {1, 2, 3, 10, 97}) {
+    const std::string serial = chunked_objects(count, 1);
+    for (const int threads : kWriterThreads) {
+      EXPECT_EQ(chunked_objects(count, threads), serial)
+          << "count " << count << ", threads " << threads;
+    }
+  }
+}
+
+TEST(JsonWriterChunks, AMisorderedKeyInALaterChunkThrowsOnTheCaller) {
+  // 8 elements on 2 workers: element 7 belongs to the second chunk, which
+  // a continuation writer writes.
+  EXPECT_THROW(chunked_objects(8, 2, 7), std::logic_error);
+  EXPECT_THROW(chunked_objects(8, 3, 7), std::logic_error);
+}
+
+TEST(JsonWriterChunks, ContinuationsCheckWhereTheyStartAndEnd) {
+  std::string text;
+  JsonWriter out(text, 0);
+  out.begin_object();
+  EXPECT_THROW(JsonWriter(JsonWriter::continuation, out), std::logic_error);  // not in an array
+  out.key("a");
+  out.begin_array();
+  JsonWriter part(JsonWriter::continuation, out);
+  EXPECT_THROW(out.splice(part), std::logic_error);  // the parent wrote no element yet
+  out.number(1.0);
+  part.number(2.0);
+  EXPECT_THROW(part.finish(), std::logic_error);  // a continuation has no output
+  JsonWriter open(JsonWriter::continuation, out);
+  open.begin_array();
+  EXPECT_THROW(out.splice(open), std::logic_error);  // it left an array open
+  out.splice(part);
+  out.end_array();
+  out.end_object();
+  out.finish();
+  EXPECT_EQ(text, R"({"a":[1,2]})");
 }
 
 }  // namespace

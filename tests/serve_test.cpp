@@ -198,6 +198,44 @@ TEST_F(ServeTest, StatsCountsCacheAndRequests) {
   EXPECT_EQ(stats.at("errors").as_number(), 0.0);
   // The warm request streamed the rendered bytes straight back.
   EXPECT_EQ(stats.at("fast_path_hits").as_number(), 1.0);
+  // The process's worker pool: exactly these three lifetime counters.
+  const io::Json& pool = stats.at("pool");
+  EXPECT_EQ(pool.as_object().size(), 3u);
+  EXPECT_GE(pool.at("helpers").as_number(), 0.0);
+  EXPECT_GE(pool.at("tasks_run").as_number(), 0.0);
+  EXPECT_GE(pool.at("tasks_inline").as_number(), 0.0);
+}
+
+TEST(ServeServer, LargeResponsesAreTheCliBytesAtAnyEngineWidth) {
+  // A 40 x 40 grid answers about 1.9 MB: more than a socket buffer, so
+  // the head + body send resumes part-way, and past the pool's cutoff,
+  // so a wide engine writes the points in chunks.
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 40),
+               scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 3.0,
+                                          40)};
+  const std::string expected = cli_json_bytes(spec);
+  const std::string body = spec_to_json(spec).dump();
+  // Multi-MB bodies compare with EXPECT_TRUE(a == b): gtest's line diff of
+  // two such strings would take minutes and gigabytes.
+  for (const int threads : {1, 4}) {
+    ServeContext context(scenario::EngineOptions{.threads = threads});
+    Server server(make_router(context), ServerOptions{});
+    server.start();
+    HttpClient http("127.0.0.1", server.port());
+    for (const char* cache : {"miss", "hit"}) {
+      const HttpResponse response = http.request("POST", "/v1/run", body);
+      ASSERT_EQ(response.status, 200) << response.body;
+      EXPECT_EQ(response.header_or("x-cache"), cache) << "threads " << threads;
+      EXPECT_TRUE(response.body == expected) << "threads " << threads;
+    }
+    const HttpResponse batch =
+        http.request("POST", "/v1/batch", "{\"specs\": [" + body + "]}");
+    ASSERT_EQ(batch.status, 200) << batch.body;
+    EXPECT_TRUE(io::parse_json(batch.body).as_array().front().dump(2) + "\n" == expected)
+        << "threads " << threads;
+    server.stop();
+  }
 }
 
 TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
@@ -364,8 +402,13 @@ TEST_F(ServeTest, ConcurrentClientsGetIdenticalBytes) {
 /// abstraction: malformed bytes, pipelined writes, silent peers.
 class RawSocket {
  public:
-  explicit RawSocket(int port) {
+  /// `receive_buffer` > 0 shrinks SO_RCVBUF before connecting, so the
+  /// server's sends stall (EAGAIN) on any response much larger than it.
+  explicit RawSocket(int port, int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (receive_buffer > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer, sizeof receive_buffer);
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -410,6 +453,31 @@ class RawSocket {
  private:
   int fd_ = -1;
 };
+
+TEST(ServeServer, ASlowReaderGetsTheWholeResponseAcrossPartialSends) {
+  // A ~5.7 MB body (more than Linux's 4 MB send-buffer ceiling) to a
+  // peer with a tiny receive window: the head + body send stops part-way
+  // and resumes from where it stopped.
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 70),
+               scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 3.0,
+                                          70)};
+  const std::string body = spec_to_json(spec).dump();
+  ServeContext context(scenario::EngineOptions{.threads = 2});
+  Server server(make_router(context), ServerOptions{});
+  server.start();
+  RawSocket raw(server.port(), /*receive_buffer=*/4096);
+  raw.send_bytes("POST /v1/run HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: " +
+                 std::to_string(body.size()) + "\r\n\r\n" + body);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // let the sends stall
+  const std::string received = raw.read_until_close();
+  const std::size_t head_end = received.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos);
+  EXPECT_EQ(received.substr(0, 15), "HTTP/1.1 200 OK");
+  EXPECT_TRUE(received.substr(head_end + 4) == cli_json_bytes(spec))  // not EXPECT_EQ: 5.7 MB
+      << received.size() << " bytes received";
+  server.stop();
+}
 
 TEST(ServeServer, NeverReadingPeerDoesNotFreezeAcceptOrShedding) {
   // The old acceptor's 503 overload path wrote to the shed peer while
