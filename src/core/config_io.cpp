@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <limits>
 
 #include "units/units.hpp"
 
@@ -506,8 +507,9 @@ PlatformCfp platform_cfp_from_json(const Json& json) {
       check_keys(entry, "per_application", {"application", "chips_per_unit", "cfp"});
       ApplicationCfp app;
       app.application = entry.string_or("application", "");
-      app.chips_per_unit =
-          static_cast<int>(int_field_or(entry, "chips_per_unit", 1, 0, 1'000'000'000));
+      // Any count `device::fpgas_required` can return reads back.
+      app.chips_per_unit = static_cast<int>(int_field_or(
+          entry, "chips_per_unit", 1, 0, std::numeric_limits<int>::max()));
       app.cfp = breakdown_from_json(entry.at("cfp"));
       platform.per_application.push_back(std::move(app));
     }

@@ -165,7 +165,8 @@ units::CarbonMass LifecycleModel::scaled_app_dev(units::CarbonMass per_app,
 }
 
 PlatformCfp LifecycleModel::evaluate_reusable(const device::ChipSpec& chip,
-                                              const workload::Schedule& schedule) const {
+                                              const workload::Schedule& schedule,
+                                              ApplicationRows rows) const {
   chip.validate();
   workload::validate(schedule);
 
@@ -194,19 +195,20 @@ PlatformCfp LifecycleModel::evaluate_reusable(const device::ChipSpec& chip,
     const int n_chips = device::chips_per_unit(chip, app.size_gates);
     const double deployed_chips = app.volume * static_cast<double>(n_chips);
 
-    ApplicationCfp per_app;
-    per_app.application = app.name;
-    per_app.chips_per_unit = n_chips;
-    per_app.cfp.operational =
+    CfpBreakdown cfp;
+    cfp.operational =
         operation_.operational_carbon(chip.peak_power * static_cast<double>(n_chips),
                                       app.lifetime) *
         app.volume;
     const AppDevBreakdown dev = appdev_.per_application(deployed_chips, chip.kind);
-    per_app.cfp.app_dev = scaled_app_dev(dev.total(), app.lifetime);
+    cfp.app_dev = scaled_app_dev(dev.total(), app.lifetime);
 
-    result.total.operational += per_app.cfp.operational;
-    result.total.app_dev += per_app.cfp.app_dev;
-    result.per_application.push_back(std::move(per_app));
+    result.total.operational += cfp.operational;
+    result.total.app_dev += cfp.app_dev;
+    if (rows == ApplicationRows::keep) {
+      result.per_application.push_back(
+          ApplicationCfp{.application = app.name, .chips_per_unit = n_chips, .cfp = cfp});
+    }
   }
   return result;
 }
@@ -216,7 +218,7 @@ PlatformCfp LifecycleModel::evaluate_fpga(const device::ChipSpec& fpga,
   if (!fpga.is_fpga()) {
     throw std::invalid_argument("evaluate_fpga: chip '" + fpga.name + "' is not an FPGA");
   }
-  return evaluate_reusable(fpga, schedule);
+  return evaluate_reusable(fpga, schedule, ApplicationRows::keep);
 }
 
 PlatformCfp LifecycleModel::evaluate_gpu(const device::ChipSpec& gpu,
@@ -224,11 +226,12 @@ PlatformCfp LifecycleModel::evaluate_gpu(const device::ChipSpec& gpu,
   if (!gpu.is_gpu()) {
     throw std::invalid_argument("evaluate_gpu: chip '" + gpu.name + "' is not a GPU");
   }
-  return evaluate_reusable(gpu, schedule);
+  return evaluate_reusable(gpu, schedule, ApplicationRows::keep);
 }
 
 PlatformCfp LifecycleModel::evaluate_asic(const device::ChipSpec& asic,
-                                          const workload::Schedule& schedule) const {
+                                          const workload::Schedule& schedule,
+                                          ApplicationRows rows) const {
   if (asic.is_reusable()) {
     throw std::invalid_argument("evaluate_asic: chip '" + asic.name + "' is not an ASIC");
   }
@@ -242,28 +245,29 @@ PlatformCfp LifecycleModel::evaluate_asic(const device::ChipSpec& asic,
 
   // Eq. (1): every application pays design + silicon + deployment.
   for (const workload::Application& app : schedule) {
-    ApplicationCfp per_app;
-    per_app.application = app.name;
-    per_app.chips_per_unit = 1;  // N_FPGA = 1 for ASICs (paper footnote 1)
-
-    per_app.cfp = chip_embodied * app.volume;
-    per_app.cfp.design = design_per_app;
-    per_app.cfp.operational =
+    CfpBreakdown cfp = chip_embodied * app.volume;
+    cfp.design = design_per_app;
+    cfp.operational =
         operation_.operational_carbon(asic.peak_power, app.lifetime) * app.volume;
     const AppDevBreakdown dev = appdev_.per_application(app.volume, /*is_fpga=*/false);
-    per_app.cfp.app_dev = scaled_app_dev(dev.total(), app.lifetime);
+    cfp.app_dev = scaled_app_dev(dev.total(), app.lifetime);
 
     result.chips_manufactured += app.volume;
-    result.total += per_app.cfp;
-    result.per_application.push_back(std::move(per_app));
+    result.total += cfp;
+    if (rows == ApplicationRows::keep) {
+      // N_FPGA = 1 for ASICs (paper footnote 1).
+      result.per_application.push_back(
+          ApplicationCfp{.application = app.name, .chips_per_unit = 1, .cfp = cfp});
+    }
   }
   return result;
 }
 
 PlatformCfp LifecycleModel::evaluate(const device::ChipSpec& chip,
-                                     const workload::Schedule& schedule) const {
-  return chip.is_reusable() ? evaluate_reusable(chip, schedule)
-                            : evaluate_asic(chip, schedule);
+                                     const workload::Schedule& schedule,
+                                     ApplicationRows rows) const {
+  return chip.is_reusable() ? evaluate_reusable(chip, schedule, rows)
+                            : evaluate_asic(chip, schedule, rows);
 }
 
 }  // namespace greenfpga::core

@@ -82,11 +82,17 @@ struct ApplicationCfp {
   CfpBreakdown cfp;        ///< carbon attributable to this application
 };
 
+/// Whether a platform evaluation builds its `per_application` rows.  The
+/// totals and `chips_manufactured` are summed in the same order either
+/// way, so they are bit-identical; skipping only saves the rows' heap
+/// work where nothing reads them (grid and sweep points by default).
+enum class ApplicationRows { keep, skip };
+
 /// Result of evaluating one platform against one schedule.
 struct PlatformCfp {
   device::ChipKind kind = device::ChipKind::asic;
   CfpBreakdown total;
-  std::vector<ApplicationCfp> per_application;
+  std::vector<ApplicationCfp> per_application;  ///< empty when rows are skipped
   /// Chips manufactured (fleet size for FPGA; sum over apps for ASIC).
   double chips_manufactured = 0.0;
 };
@@ -148,16 +154,20 @@ class LifecycleModel {
 
   /// Eq. (1): each application gets a fresh ASIC design and fresh silicon.
   [[nodiscard]] PlatformCfp evaluate_asic(const device::ChipSpec& asic,
-                                          const workload::Schedule& schedule) const;
+                                          const workload::Schedule& schedule,
+                                          ApplicationRows rows = ApplicationRows::keep) const;
 
-  /// Dispatch on `chip.kind`.
+  /// Dispatch on `chip.kind`; `rows` says whether to build the
+  /// per-application attribution.
   [[nodiscard]] PlatformCfp evaluate(const device::ChipSpec& chip,
-                                     const workload::Schedule& schedule) const;
+                                     const workload::Schedule& schedule,
+                                     ApplicationRows rows = ApplicationRows::keep) const;
 
  private:
   /// Shared Eq. (2) implementation for reusable platforms (FPGA, GPU).
   [[nodiscard]] PlatformCfp evaluate_reusable(const device::ChipSpec& chip,
-                                              const workload::Schedule& schedule) const;
+                                              const workload::Schedule& schedule,
+                                              ApplicationRows rows) const;
 
   /// Applies the app-dev accounting policy (one-time vs literal per-year).
   [[nodiscard]] units::CarbonMass scaled_app_dev(units::CarbonMass per_app,

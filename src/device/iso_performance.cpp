@@ -4,6 +4,8 @@
 #include "device/iso_performance.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "units/units.hpp"
@@ -127,7 +129,18 @@ int fpgas_required(double application_gates, double fpga_capacity_gates) {
   if (application_gates == 0.0) {
     return 1;
   }
-  return static_cast<int>(std::ceil(application_gates / fpga_capacity_gates));
+  const double required = std::ceil(application_gates / fpga_capacity_gates);
+  // Checked before the cast: an out-of-range double-to-int conversion is
+  // undefined behaviour.
+  if (!(required <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    char text[160];
+    std::snprintf(text, sizeof text,
+                  "fpgas_required: an application of %g gates needs more than %d "
+                  "FPGAs of %g gates",
+                  application_gates, std::numeric_limits<int>::max(), fpga_capacity_gates);
+    throw std::invalid_argument(text);
+  }
+  return static_cast<int>(required);
 }
 
 int chips_per_unit(const ChipSpec& chip, double application_gates) {

@@ -65,8 +65,8 @@ struct IsoPerformanceRatios {
                                            const std::string& package = "emib");
 
 /// The `N_FPGA` rule.  Throws std::invalid_argument for non-positive
-/// capacity or negative application size; a zero-size application still
-/// occupies one device.
+/// capacity, a negative application size, or a count above INT_MAX; a
+/// zero-size application still occupies one device.
 [[nodiscard]] int fpgas_required(double application_gates, double fpga_capacity_gates);
 
 /// Chips per deployed accelerator unit: `N_FPGA` for FPGAs, 1 for ASICs.

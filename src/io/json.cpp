@@ -5,6 +5,7 @@
 #include "io/json.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -189,7 +190,10 @@ void Json::push_back(Json element) {
 
 namespace detail {
 
-std::size_t format_number_to(char* buffer, double n) {
+namespace {
+
+/// The canonical formatter proper; `format_number_to` memoises it.
+std::size_t format_number_uncached(char* buffer, double n) {
   if (!std::isfinite(n)) {
     // The canonical non-finite text tokens (quoted by the JSON writer,
     // bare in CSV); parse back via Json::as_number_total.
@@ -263,6 +267,51 @@ std::size_t format_number_to(char* buffer, double n) {
   }
   d[int_digits] = '.';
   return static_cast<std::size_t>(d + len + 1 - buffer);
+}
+
+/// One memo slot: a double's bit pattern and its canonical bytes,
+/// NUL-padded (a canonical form has no NUL; an all-NUL slot is empty).
+struct NumberMemoSlot {
+  std::uint64_t bits = 0;
+  char bytes[kMaxNumberBytes] = {};
+};
+static_assert(sizeof(NumberMemoSlot) == 32);
+
+/// Per-thread, so pool workers writing chunks never share a slot.
+thread_local NumberMemoSlot number_memo[kNumberMemoSlots];
+
+/// The slot's text length, or 0 when it does not hold `bits`.
+std::size_t memo_hit(const NumberMemoSlot& slot, std::uint64_t bits) {
+  if (slot.bits != bits || slot.bytes[0] == '\0') {
+    return 0;
+  }
+  const void* end = std::memchr(slot.bytes, '\0', kMaxNumberBytes);
+  return end == nullptr ? kMaxNumberBytes
+                        : static_cast<std::size_t>(static_cast<const char*>(end) - slot.bytes);
+}
+
+}  // namespace
+
+std::size_t format_number_to(char* buffer, double n) {
+  const auto bits = std::bit_cast<std::uint64_t>(n);
+  NumberMemoSlot& slot = number_memo[number_memo_slot(bits)];
+  if (const std::size_t size = memo_hit(slot, bits)) {
+    std::memcpy(buffer, slot.bytes, kMaxNumberBytes);
+    return size;
+  }
+  const std::size_t size = format_number_uncached(buffer, n);
+  if (size <= kMaxNumberBytes) {
+    slot.bits = bits;
+    std::memcpy(slot.bytes, buffer, size);
+    std::memset(slot.bytes + size, 0, kMaxNumberBytes - size);
+  }
+  return size;
+}
+
+std::string_view memoised_number(double n) {
+  const auto bits = std::bit_cast<std::uint64_t>(n);
+  const NumberMemoSlot& slot = number_memo[number_memo_slot(bits)];
+  return {slot.bytes, memo_hit(slot, bits)};
 }
 
 }  // namespace detail

@@ -12,7 +12,8 @@
 ///     (printf %g presentation reconstructed from std::to_chars shortest
 ///     digits; byte-identical to the historical snprintf probe loop, at
 ///     roughly one to_chars call per number instead of up to twelve
-///     snprintf+from_chars probes);
+///     snprintf+from_chars probes, and at a table lookup for a number the
+///     thread formatted recently);
 ///   * `write_escaped` -- JSON string escaping into any Sink, shared by
 ///     `JsonWriter` and the parser's hash-while-parse (`HashSink`);
 ///   * `ParserCore<Builder>` -- the recursive-descent RFC 8259 parser,
@@ -38,14 +39,46 @@ namespace greenfpga::io::detail {
 inline constexpr std::uint64_t kFnvOffset = kFnv1aOffset;
 inline constexpr std::uint64_t kFnvPrime = kFnv1aPrime;
 
-/// Upper bound on the bytes `format_number_to` writes (sign + 17 digits +
-/// point + "e-308" leaves ample slack).
+/// The buffer `format_number_to` may write to (sign + 17 digits + point +
+/// "e-308" leaves ample slack).
 inline constexpr std::size_t kNumberBufferSize = 40;
+
+/// The longest canonical form: sign, 17 significant digits, point, "e-308".
+inline constexpr std::size_t kMaxNumberBytes = 24;
+static_assert(kMaxNumberBytes <= kNumberBufferSize);
 
 /// Write the canonical shortest-round-trip form of `n` into `buffer`
 /// (bare non-finite sentinels "inf"/"-inf"/"nan"); returns the length.
-/// Defined in json.cpp; `io::format_number` is a std::string wrapper.
+/// `buffer` must hold kNumberBufferSize bytes; bytes past the length are
+/// scratch.  Defined in json.cpp; `io::format_number` is a std::string
+/// wrapper.
+///
+/// Results are memoised per thread in a direct-mapped table of
+/// kNumberMemoSlots slots keyed by the double's bit pattern (so 0 and -0
+/// are distinct keys).  A hit copies the bytes a miss wrote, so the output
+/// is identical by construction.  It pays because results repeat numbers:
+/// a volume x lifetime grid writes each point's embodied terms, which
+/// depend on volume alone, once per lifetime value.
 std::size_t format_number_to(char* buffer, double n);
+
+/// Slot count of the per-thread `format_number_to` memo: 2048 slots of
+/// 32 bytes, 64 KiB per thread.  A 50x50 grid result carries about 10.6k
+/// distinct numbers, and its embodied terms recur once per grid row; a
+/// bigger memo serves more of them (on that workload's serve path 1024
+/// slots served 50% of all calls, 2048 62% and 4096 70%), but every
+/// thread that formats pays for its memo in resident memory.
+inline constexpr int kNumberMemoBits = 11;
+inline constexpr std::size_t kNumberMemoSlots = std::size_t{1} << kNumberMemoBits;
+
+/// The memo slot of a double's bit pattern (Fibonacci hashing: the top
+/// bits of a multiplicative hash, so nearby doubles spread out).
+[[nodiscard]] constexpr std::size_t number_memo_slot(std::uint64_t bits) {
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >> (64 - kNumberMemoBits));
+}
+
+/// The calling thread's memoised bytes for `n`, or empty when its slot
+/// holds another number (a test hook: the formatter never needs it).
+[[nodiscard]] std::string_view memoised_number(double n);
 
 // -- escaping ---------------------------------------------------------------
 

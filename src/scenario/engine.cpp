@@ -458,11 +458,17 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
 
   // One pool over the flattened task list.  Worker state: one lazily
   // built LifecycleModel per distinct suite (the embodied-carbon memo is
-  // per model, so specs sharing a suite share fab/package/EOL results).
+  // per model, so specs sharing a suite share fab/package/EOL results),
+  // and the scratch its tasks reuse.
   using WorkerModels = std::vector<std::optional<core::LifecycleModel>>;
+  struct WorkerState {
+    WorkerModels models;
+    BatchWorker worker;
+  };
   parallel_for_state(
-      tasks.size(), threads_, [&suites] { return WorkerModels(suites.size()); },
-      [&](WorkerModels& models, std::size_t t) {
+      tasks.size(), threads_,
+      [&suites] { return WorkerState{.models = WorkerModels(suites.size()), .worker = {}}; },
+      [&](WorkerState& state, std::size_t t) {
         const Task& task = tasks[t];
         SpecJob& job = jobs[task.spec];
         ScenarioResult& result = job.prepared.result;
@@ -471,15 +477,15 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
           result = serial.run(result.spec);
           return;
         }
-        core::LifecycleModel* model = nullptr;
+        state.worker.model = nullptr;
         if (job.plan.uses_suite_model) {
-          std::optional<core::LifecycleModel>& slot = models[job.suite_id];
+          std::optional<core::LifecycleModel>& slot = state.models[job.suite_id];
           if (!slot) {
             slot.emplace(suites[job.suite_id]);
           }
-          model = &*slot;
+          state.worker.model = &*slot;
         }
-        job.plan.run_job(model, task.index, result);
+        job.plan.run_job(state.worker, task.index, result);
       },
       tasks.empty() ? 1 : (work + tasks.size() - 1) / tasks.size());
 

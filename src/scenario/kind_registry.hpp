@@ -34,6 +34,15 @@ struct KindRunContext {
   int threads = 1;  ///< the engine's worker budget for internal pools
 };
 
+/// Per-worker state `Engine::run_batch` hands every task a worker runs.
+struct BatchWorker {
+  /// The worker's memoised model for the task's suite when the plan
+  /// `uses_suite_model`, else null.
+  core::LifecycleModel* model = nullptr;
+  /// A schedule kept built across the point tasks this worker runs.
+  ScheduleBuffer schedule;
+};
+
 /// A kind's contribution to `Engine::run_batch`: how its work flattens
 /// onto the shared pool.  A module that returns task-level plans lets the
 /// batch interleave its tasks with every other spec's; a null `plan_jobs`
@@ -47,8 +56,7 @@ struct KindBatchPlan {
   /// Run task `index` into `result` (a pre-sized slot; bit-identical for
   /// any worker count).  Must not capture references into the planning
   /// call's locals beyond the suite/result the engine keeps alive.
-  std::function<void(core::LifecycleModel* model, std::size_t index,
-                     ScenarioResult& result)>
+  std::function<void(BatchWorker& worker, std::size_t index, ScenarioResult& result)>
       run_job;
   /// Serial post-phase after every task completed (deterministic
   /// reductions); may be null.

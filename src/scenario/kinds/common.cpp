@@ -53,7 +53,8 @@ PointPlan plan_points(const ScenarioSpec& spec) {
 
 void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
                     const std::vector<device::ChipSpec>& chips,
-                    core::LifecycleModel& model, std::size_t i, EvalPoint& point) {
+                    core::LifecycleModel& model, ScheduleBuffer& schedule, std::size_t i,
+                    EvalPoint& point) {
   ScheduleSpec schedule_spec = spec.schedule;
   std::size_t remainder = i;
   point.coords.reserve(plan.axis_values.size());
@@ -65,14 +66,13 @@ void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
   for (std::size_t a = 0; a < plan.axis_values.size(); ++a) {
     apply_axis(schedule_spec, spec.axes[a].variable, point.coords[a]);
   }
-  const workload::Schedule schedule = schedule_spec.materialise(spec.domain);
+  const workload::Schedule& applications = schedule.assign(schedule_spec, spec.domain);
+  const core::ApplicationRows rows = plan.keep_per_application
+                                         ? core::ApplicationRows::keep
+                                         : core::ApplicationRows::skip;
   point.platforms.reserve(chips.size());
   for (const device::ChipSpec& chip : chips) {
-    point.platforms.push_back(model.evaluate(chip, schedule));
-    if (!plan.keep_per_application) {
-      point.platforms.back().per_application.clear();
-      point.platforms.back().per_application.shrink_to_fit();
-    }
+    point.platforms.push_back(model.evaluate(chip, applications, rows));
   }
 }
 
@@ -81,10 +81,16 @@ void points_execute(const KindRunContext& context, const core::ModelSuite& suite
   // Coordinate grid: axis 0 is the inner (fastest) dimension.
   const PointPlan plan = plan_points(result.spec);
   result.points.resize(plan.total);
-  parallel_for(
-      plan.total, context.threads, suite,
-      [&](core::LifecycleModel& model, std::size_t i) {
-        evaluate_point(result.spec, plan, result.resolved_chips, model, i, result.points[i]);
+  struct Worker {
+    core::LifecycleModel model;
+    ScheduleBuffer schedule;
+  };
+  core::parallel_for_state(
+      plan.total, context.threads,
+      [&suite] { return Worker{.model = core::LifecycleModel(suite), .schedule = {}}; },
+      [&](Worker& worker, std::size_t i) {
+        evaluate_point(result.spec, plan, result.resolved_chips, worker.model,
+                       worker.schedule, i, result.points[i]);
       },
       result.resolved_chips.size());
 }
@@ -96,10 +102,9 @@ KindBatchPlan points_plan_jobs(const core::ModelSuite& /*suite*/,
   plan.task_count = points->total;
   plan.uses_suite_model = true;
   result.points.resize(points->total);
-  plan.run_job = [points](core::LifecycleModel* model, std::size_t index,
-                          ScenarioResult& result) {
-    evaluate_point(result.spec, *points, result.resolved_chips, *model, index,
-                   result.points[index]);
+  plan.run_job = [points](BatchWorker& worker, std::size_t index, ScenarioResult& result) {
+    evaluate_point(result.spec, *points, result.resolved_chips, *worker.model,
+                   worker.schedule, index, result.points[index]);
   };
   return plan;
 }

@@ -48,17 +48,21 @@ struct PointPlan {
 [[nodiscard]] PointPlan plan_points(const ScenarioSpec& spec);
 
 /// Evaluate scenario point `i` into `point` (pre-sized slot).  Pure in
-/// (spec, plan, chips, i): results never depend on which worker runs it.
+/// (spec, plan, chips, i): results never depend on which worker runs it,
+/// nor on the points its `model` and `schedule` served before.
+/// Per-application rows are built only when the plan keeps them.
 void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
                     const std::vector<device::ChipSpec>& chips,
-                    core::LifecycleModel& model, std::size_t i, EvalPoint& point);
+                    core::LifecycleModel& model, ScheduleBuffer& schedule, std::size_t i,
+                    EvalPoint& point);
 
-/// The point kinds' `execute` hook: evaluate every point on the pool.
+/// The point kinds' `execute` hook: evaluate every point on the pool,
+/// each worker with its own model and schedule buffer.
 void points_execute(const KindRunContext& context, const core::ModelSuite& suite,
                     ScenarioResult& result);
 
 /// The point kinds' `plan_jobs` hook: one batch task per point, sharing
-/// the per-suite memoised model.
+/// the per-suite memoised model and the worker's schedule buffer.
 [[nodiscard]] KindBatchPlan points_plan_jobs(const core::ModelSuite& suite,
                                              ScenarioResult& result);
 

@@ -255,7 +255,7 @@ KindBatchPlan plan_jobs(const core::ModelSuite& suite, ScenarioResult& result) {
   result.uncertainty = make_mc_skeleton(spec, result.resolved_chips.size());
   auto mc = std::make_shared<const McPlan>(plan_montecarlo(spec));
   const core::ModelSuite* effective = &suite;  // outlives the plan (engine-owned)
-  plan.run_job = [mc, effective](core::LifecycleModel* /*model*/, std::size_t index,
+  plan.run_job = [mc, effective](BatchWorker& /*worker*/, std::size_t index,
                                  ScenarioResult& out) {
     evaluate_mc_sample(out.spec, *mc, *effective, out.resolved_chips, index,
                        *out.uncertainty);

@@ -169,6 +169,31 @@ workload::Schedule ScheduleSpec::materialise(device::Domain domain) const {
                               volume);
 }
 
+const workload::Schedule& ScheduleBuffer::assign(const ScheduleSpec& spec,
+                                                 device::Domain domain) {
+  if (spec.explicit_schedule) {
+    return *spec.explicit_schedule;
+  }
+  if (!built_ || spec.app_count != app_count_ || domain != domain_) {
+    schedule_ = spec.materialise(domain);
+    prototype_ = workload::paper_application(domain);
+    app_count_ = spec.app_count;
+    domain_ = domain;
+    built_ = true;
+    return schedule_;
+  }
+  // What core::paper_schedule sets on the prototype, and the check
+  // workload::homogeneous_schedule runs on it.
+  prototype_.lifetime = spec.lifetime_years * units::unit::years;
+  prototype_.volume = spec.volume;
+  prototype_.validate();
+  for (workload::Application& app : schedule_) {
+    app.lifetime = prototype_.lifetime;
+    app.volume = prototype_.volume;
+  }
+  return schedule_;
+}
+
 ScenarioSpec ScenarioSpec::make(ScenarioKind kind, device::Domain domain) {
   ScenarioSpec spec;
   spec.kind = kind;
@@ -212,6 +237,18 @@ void ScenarioSpec::validate() const {
     } else if (axis.scale == AxisScale::log && (axis.from <= 0.0 || axis.to <= 0.0)) {
       throw std::invalid_argument("ScenarioSpec '" + name + "': log axis " +
                                   to_string(axis.variable) + " needs positive bounds");
+    }
+    if (axis.variable == SweepVariable::app_count) {
+      // Each point builds llround(value) applications: hold every value
+      // to the bound `schedule.app_count` is read with.
+      for (const double value : axis.values()) {
+        if (!(value >= 0.5 && value < ScheduleSpec::kMaxAppCount + 0.5)) {
+          throw std::invalid_argument(
+              "ScenarioSpec '" + name + "': axis app_count value " +
+              io::format_number(value) + " rounds outside [1, " +
+              std::to_string(ScheduleSpec::kMaxAppCount) + "] applications");
+        }
+      }
     }
   }
   if (!schedule.explicit_schedule) {
@@ -296,7 +333,7 @@ ScheduleSpec schedule_spec_from_json(const Json& json, ScheduleSpec schedule) {
              {"app_count", "lifetime_years", "volume", "applications"});
   schedule.app_count =
       static_cast<int>(int_field_ctx(json, "schedule", "app_count",
-                                     schedule.app_count, 1, 1'000'000));
+                                     schedule.app_count, 1, ScheduleSpec::kMaxAppCount));
   schedule.lifetime_years =
       number_field_or(json, "schedule", "lifetime_years", schedule.lifetime_years);
   schedule.volume = number_field_or(json, "schedule", "volume", schedule.volume);

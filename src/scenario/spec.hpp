@@ -118,6 +118,9 @@ struct PlatformRef {
 /// from `core::paper_sweep_defaults()` so a calibration change reaches
 /// the engine path.
 struct ScheduleSpec {
+  /// Bound on `app_count`, and on every `app_count` axis value.
+  static constexpr int kMaxAppCount = 1'000'000;
+
   int app_count = 5;
   double lifetime_years = 2.0;
   double volume = 1e6;
@@ -125,6 +128,28 @@ struct ScheduleSpec {
 
   /// Build the concrete schedule for `domain` (paper prototype apps).
   [[nodiscard]] workload::Schedule materialise(device::Domain domain) const;
+};
+
+/// One built schedule reused across evaluation points (one per pool
+/// worker), so a point costs its arithmetic rather than a fresh vector
+/// and `app_count` name strings.  `assign` returns exactly what
+/// `spec.materialise(domain)` would: it materialises only when the
+/// application count or domain changes, and otherwise overwrites every
+/// application's lifetime and volume with the same arithmetic after the
+/// same prototype check (a bad axis value throws the same error).  An
+/// explicit schedule is returned as is.  The reference lives until the
+/// next `assign`, and for an explicit schedule as long as `spec`.
+class ScheduleBuffer {
+ public:
+  [[nodiscard]] const workload::Schedule& assign(const ScheduleSpec& spec,
+                                                 device::Domain domain);
+
+ private:
+  workload::Schedule schedule_;
+  workload::Application prototype_;
+  device::Domain domain_ = device::Domain::dnn;
+  int app_count_ = 0;
+  bool built_ = false;
 };
 
 /// Time-varying grid-intensity selection (act/grid_profile): a named

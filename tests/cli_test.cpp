@@ -416,8 +416,11 @@ TEST(Cli, FormatWorksOnEverySubcommand) {
   EXPECT_EQ(run_cli({"--format", "md", "dump-config"}).exit_code, 2);
 }
 
-std::string write_batch_inputs() {
-  const std::string dir = ::testing::TempDir() + "/greenfpga_cli_batch_specs";
+/// Batch inputs in a directory of the caller's own: ctest runs the tests
+/// in parallel processes, and a shared directory rewritten by one test
+/// while another reads it made both flaky.
+std::string write_batch_inputs(const std::string& test_name) {
+  const std::string dir = ::testing::TempDir() + "/greenfpga_cli_batch_specs_" + test_name;
   std::filesystem::create_directories(dir);
   auto compare = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare,
                                               device::Domain::crypto);
@@ -443,7 +446,7 @@ std::string write_batch_inputs() {
 }
 
 TEST(Cli, BatchOverDirectoryWritesResultsAndIndex) {
-  const std::string dir = write_batch_inputs();
+  const std::string dir = write_batch_inputs("directory");
   const std::string out_dir = ::testing::TempDir() + "/greenfpga_cli_batch_out";
   std::filesystem::remove_all(out_dir);
   const CliRun result = run_cli({"--output", out_dir, "batch", dir, "--validate"});
@@ -461,7 +464,7 @@ TEST(Cli, BatchOverDirectoryWritesResultsAndIndex) {
 }
 
 TEST(Cli, BatchResultsMatchIndividualRunsAtAnyThreads) {
-  const std::string dir = write_batch_inputs();
+  const std::string dir = write_batch_inputs("threads");
   const std::string out_dir = ::testing::TempDir() + "/greenfpga_cli_batch_threads";
   std::filesystem::remove_all(out_dir);
   const CliRun batch =

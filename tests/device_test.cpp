@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "device/catalog.hpp"
 #include "device/chip_spec.hpp"
 #include "device/iso_performance.hpp"
@@ -88,6 +90,26 @@ TEST(IsoPerformance, FpgasRequiredCeils) {
 TEST(IsoPerformance, FpgasRequiredValidates) {
   EXPECT_THROW(fpgas_required(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(fpgas_required(-1.0, 1e6), std::invalid_argument);
+}
+
+TEST(IsoPerformance, FpgasRequiredRejectsCountsPastIntMax) {
+  // The count is checked before the double-to-int cast (out of range, that
+  // cast is undefined behaviour): INT_MAX itself is fine, one more is not.
+  EXPECT_EQ(fpgas_required(2147483647.0, 1.0), 2147483647);
+  EXPECT_EQ(fpgas_required(4e18, 1.96875e9), 2031746032);
+  for (const double gates : {2147483648.0, 1e300, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(fpgas_required(gates, 1.0), std::invalid_argument) << gates;
+  }
+  try {
+    (void)fpgas_required(1e300, 1e6);
+    ADD_FAILURE() << "1e300 gates accepted";
+  } catch (const std::invalid_argument& error) {
+    // Names the application size, the limit and the chip capacity.
+    EXPECT_STREQ(error.what(),
+                 "fpgas_required: an application of 1e+300 gates needs more than "
+                 "2147483647 FPGAs of 1e+06 gates");
+  }
 }
 
 TEST(IsoPerformance, ChipsPerUnitIsOneForAsic) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "scenario/engine.hpp"
 #include "scenario/heatmap.hpp"
 #include "scenario/node_dse.hpp"
+#include "scenario/result_io.hpp"
 #include "scenario/sensitivity.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -151,6 +155,39 @@ TEST(ScenarioSpecValidate, TimelineSampleCountIsBounded) {
     }
   }
   spec.timeline = {.horizon_years = 999'999.0, .step_years = 1.0};
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(ScenarioSpecValidate, AppCountAxisValuesAreBounded) {
+  // Each point builds llround(value) applications, so every app_count axis
+  // value must round into [1, ScheduleSpec::kMaxAppCount]; 4e8 used to
+  // reserve 4e8 applications and die of std::bad_alloc.
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, device::Domain::dnn);
+  const std::vector<AxisSpec> rejected = {
+      AxisSpec::linear(SweepVariable::app_count, 1, 4e8, 2),
+      AxisSpec::log(SweepVariable::app_count, 1, 2e6, 3),
+      AxisSpec::list(SweepVariable::app_count, {3, 1e300}),
+      AxisSpec::list(SweepVariable::app_count, {0.49}),
+      AxisSpec::list(SweepVariable::app_count, {1'000'000.5}),
+      AxisSpec::list(SweepVariable::app_count, {-2}),
+      AxisSpec::list(SweepVariable::app_count, {std::nan("")}),
+  };
+  for (const AxisSpec& axis : rejected) {
+    spec.axes = {axis};
+    try {
+      spec.validate();
+      ADD_FAILURE() << "accepted app_count axis ending at " << axis.values().back();
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("axis app_count"), std::string::npos) << message;
+      EXPECT_NE(message.find("[1, 1000000]"), std::string::npos) << message;
+    }
+  }
+  // The bounds themselves, after rounding, are allowed.
+  spec.axes = {AxisSpec::list(SweepVariable::app_count, {0.5, 1'000'000.4})};
+  EXPECT_NO_THROW(spec.validate());
+  // Other axes are not counts.
+  spec.axes = {AxisSpec::list(SweepVariable::volume, {4e8})};
   EXPECT_NO_THROW(spec.validate());
 }
 
@@ -444,6 +481,100 @@ TEST(EngineDeterminism, WorkerExceptionsPropagate) {
   spec.axes = {AxisSpec::list(SweepVariable::volume, {1e6, -5.0, 1e6, 1e6})};
   EXPECT_THROW((void)Engine(EngineOptions{.threads = 4}).run(spec),
                std::invalid_argument);
+}
+
+TEST(EngineDeterminism, BadVolumeThrowsTheMaterialiseErrorOnBothExecutors) {
+  // The per-worker schedule buffer checks each point's volume as
+  // ScheduleSpec::materialise does, with the same message, whether the
+  // bad value is the first point a worker sees or comes after a good one.
+  ScheduleSpec bad;
+  bad.volume = -5.0;
+  std::string expected;
+  try {
+    (void)bad.materialise(device::Domain::dnn);
+  } catch (const std::invalid_argument& error) {
+    expected = error.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  for (const std::vector<double>& volumes :
+       {std::vector<double>{-5.0, 1e6}, std::vector<double>{1e6, -5.0, 1e6, 1e6}}) {
+    ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, device::Domain::dnn);
+    spec.axes = {AxisSpec::list(SweepVariable::volume, volumes)};
+    for (const int threads : {1, 4}) {
+      const Engine engine(EngineOptions{.threads = threads});
+      try {
+        (void)engine.run(spec);
+        ADD_FAILURE() << "run accepted a negative volume";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_EQ(std::string(error.what()), expected);
+      }
+      try {
+        (void)engine.run_batch({spec});
+        ADD_FAILURE() << "run_batch accepted a negative volume";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_EQ(std::string(error.what()), expected);
+      }
+    }
+  }
+}
+
+TEST(EngineDeterminism, AppCountGridBytesMatchAtAnyWidthAndInABatch) {
+  // An app_count x volume grid changes the application count every point
+  // along axis 0, so every worker rebuilds its schedule buffer, mid-block
+  // and across blocks; a lifetime x app_count grid changes it once per
+  // row.  Every executor and width must write the same bytes.
+  ScenarioSpec by_count = ScenarioSpec::make(ScenarioKind::grid, device::Domain::dnn);
+  // Both grids are above the pool's inline cutoff (core::kInlineWork).
+  by_count.axes = {AxisSpec::linear(SweepVariable::app_count, 1, 12, 12),
+                   AxisSpec::log(SweepVariable::volume, 1e3, 1e7, 24)};
+  ScenarioSpec by_row = ScenarioSpec::make(ScenarioKind::grid, device::Domain::imgproc);
+  by_row.axes = {AxisSpec::linear(SweepVariable::lifetime_years, 0.5, 4.0, 30),
+                 AxisSpec::list(SweepVariable::app_count, {3, 1, 12, 12, 2})};
+  for (const ScenarioSpec& spec : {by_count, by_row}) {
+    const std::string serial = result_bytes(Engine(EngineOptions{.threads = 1}).run(spec));
+    for (const int threads : {1, 2, 8}) {
+      const Engine engine(EngineOptions{.threads = threads});
+      EXPECT_EQ(result_bytes(engine.run(spec)), serial) << threads << " threads";
+      // A batch interleaves the spec's tasks with another spec's, so a
+      // worker's buffer also moves between domains.
+      const std::vector<ScenarioResult> batch = engine.run_batch({spec, by_count, spec});
+      EXPECT_EQ(result_bytes(batch[0]), serial) << threads << " threads, batch";
+      EXPECT_EQ(result_bytes(batch[2]), serial) << threads << " threads, batch";
+    }
+  }
+}
+
+TEST(EngineOutputs, SkippingPerApplicationRowsKeepsTotalsBitIdentical) {
+  // Rows are built only when kept; the totals add up in the same order
+  // either way.  Compare keeps rows regardless, so its check is that the
+  // flag leaves it untouched.
+  ScenarioSpec compare = ScenarioSpec::make(ScenarioKind::compare, device::Domain::crypto);
+  compare.platforms = {{.name = "asic"}, {.name = "fpga"}, {.name = "gpu"}};
+  for (ScenarioSpec spec : {grid_spec(6, 5), sweep_spec(), compare}) {
+    spec.outputs.per_application = false;
+    const ScenarioResult lean = Engine(EngineOptions{.threads = 1}).run(spec);
+    spec.outputs.per_application = true;
+    const ScenarioResult full = Engine(EngineOptions{.threads = 3}).run(spec);
+    ASSERT_EQ(lean.points.size(), full.points.size()) << to_string(spec.kind);
+    for (std::size_t i = 0; i < lean.points.size(); ++i) {
+      ASSERT_EQ(lean.points[i].platforms.size(), full.points[i].platforms.size());
+      for (std::size_t p = 0; p < lean.points[i].platforms.size(); ++p) {
+        const core::PlatformCfp& a = lean.points[i].platforms[p];
+        const core::PlatformCfp& b = full.points[i].platforms[p];
+        for (const auto& component :
+             {&core::CfpBreakdown::design, &core::CfpBreakdown::manufacturing,
+              &core::CfpBreakdown::packaging, &core::CfpBreakdown::eol,
+              &core::CfpBreakdown::operational, &core::CfpBreakdown::app_dev}) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>((a.total.*component).canonical()),
+                    std::bit_cast<std::uint64_t>((b.total.*component).canonical()));
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.chips_manufactured),
+                  std::bit_cast<std::uint64_t>(b.chips_manufactured));
+        EXPECT_EQ(a.per_application.empty(), spec.kind != ScenarioKind::compare);
+        EXPECT_FALSE(b.per_application.empty());
+      }
+    }
+  }
 }
 
 TEST(EngineOutputs, PerApplicationDroppedForGridsKeptForCompare) {

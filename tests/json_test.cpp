@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -11,10 +12,12 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/hash.hpp"
 #include "io/json.hpp"
+#include "io/json_detail.hpp"
 
 namespace greenfpga::io {
 namespace {
@@ -323,15 +326,76 @@ TEST(JsonFormatNumber, MatchesThePrintfProbeLoopOverAMillionDoubles) {
     add(unit(rng) * scale);
     add(std::round(unit(rng) * scale));
   }
+  // Each value twice: the first call formats it and fills its memo slot,
+  // the second is served from the memo; both must be the probe bytes.
   std::size_t mismatches = 0;
+  std::size_t unmemoised = 0;
   for (const double value : values) {
     const std::string expected = probe_loop_format(value);
     const std::string actual = format_number(value);
-    if (actual != expected && ++mismatches <= 10) {
-      ADD_FAILURE() << "format_number(" << expected << ") wrote " << actual;
+    if (detail::memoised_number(value) != expected) {
+      ++unmemoised;
+    }
+    const std::string repeat = format_number(value);
+    if ((actual != expected || repeat != expected) && ++mismatches <= 10) {
+      ADD_FAILURE() << "format_number(" << expected << ") wrote " << actual
+                    << ", then " << repeat;
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
+  EXPECT_EQ(unmemoised, 0u) << "of " << values.size() << " doubles";
+}
+
+TEST(JsonFormatNumber, MemoSlotCollisionsKeepEachNumbersBytes) {
+  // Doubles sharing a memo slot evict each other; each still formats to
+  // its own probe-loop bytes, whatever the slot held before.
+  std::mt19937_64 rng(77);
+  std::vector<double> by_slot(detail::kNumberMemoSlots, 0.0);
+  std::vector<bool> seen(detail::kNumberMemoSlots, false);
+  std::vector<std::pair<double, double>> pairs;
+  std::uniform_real_distribution<double> unit(-1e9, 1e9);
+  while (pairs.size() < 200) {
+    const double value = unit(rng);
+    const std::size_t slot = detail::number_memo_slot(std::bit_cast<std::uint64_t>(value));
+    if (seen[slot] && by_slot[slot] != value) {
+      pairs.emplace_back(by_slot[slot], value);
+    }
+    seen[slot] = true;
+    by_slot[slot] = value;
+  }
+  for (const auto& [a, b] : pairs) {
+    const std::string a_bytes = probe_loop_format(a);
+    const std::string b_bytes = probe_loop_format(b);
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(format_number(a), a_bytes);
+      EXPECT_EQ(detail::memoised_number(a), a_bytes);
+      EXPECT_EQ(format_number(b), b_bytes);
+      EXPECT_EQ(detail::memoised_number(b), b_bytes);
+      EXPECT_TRUE(detail::memoised_number(a).empty()) << a_bytes << " survived " << b_bytes;
+    }
+  }
+}
+
+TEST(JsonFormatNumber, MemoKeepsSignedZerosAndTheLongestFormsApart) {
+  // 0 and -0 compare equal but are distinct bit patterns, so distinct keys.
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(format_number(0.0), "0");
+    EXPECT_EQ(format_number(-0.0), "-0");
+  }
+  EXPECT_EQ(detail::memoised_number(0.0), "0");
+  EXPECT_EQ(detail::memoised_number(-0.0), "-0");
+  // The longest canonical forms fill kMaxNumberBytes exactly; they are
+  // memoised and replayed whole.
+  for (const double value : {-1.7976931348623157e308, -2.2250738585072014e-308,
+                             -1.2345678901234567e-100, -0.00012345678901234567}) {
+    const std::string expected = probe_loop_format(value);
+    EXPECT_LE(expected.size(), detail::kMaxNumberBytes);
+    EXPECT_EQ(format_number(value), expected);
+    EXPECT_EQ(detail::memoised_number(value), expected);
+    EXPECT_EQ(format_number(value), expected);
+  }
+  EXPECT_EQ(format_number(-1.7976931348623157e308).size(), detail::kMaxNumberBytes);
+  EXPECT_EQ(format_number(-2.2250738585072014e-308).size(), detail::kMaxNumberBytes);
 }
 
 TEST(JsonDump, DumpToAppendsIdenticalBytes) {

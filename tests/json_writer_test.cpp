@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,7 @@
 #include "golden_result_specs.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
+#include "io/json_detail.hpp"
 #include "io/json_writer.hpp"
 #include "scenario/kind_registry.hpp"
 #include "scenario/result_io.hpp"
@@ -503,6 +506,41 @@ TEST(JsonWriterChunks, AMisorderedKeyInALaterChunkThrowsOnTheCaller) {
   // a continuation writer writes.
   EXPECT_THROW(chunked_objects(8, 2, 7), std::logic_error);
   EXPECT_THROW(chunked_objects(8, 3, 7), std::logic_error);
+}
+
+TEST(JsonWriterChunks, PoolThreadsFormatThroughTheirOwnNumberMemos) {
+  // Each thread formats numbers through its own memo.  Three distinct
+  // numbers per memo slot (so slots are hit, evicted and refilled)
+  // written from 8 pool workers at once give the serial bytes.
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> unit(-1e7, 1e7);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < 3 * io::detail::kNumberMemoSlots; ++i) {
+    values.push_back(i % 3 == 0 ? std::round(unit(rng)) : unit(rng));
+  }
+  const auto document = [&values](std::size_t item) {
+    std::string text;
+    JsonWriter out(text, 0);
+    out.begin_array();
+    for (std::size_t k = 0; k < 64; ++k) {
+      out.number(values[(item * 37 + k * 101) % values.size()]);
+    }
+    out.end_array();
+    out.finish();
+    return text;
+  };
+  constexpr std::size_t kItems = 2000;
+  std::vector<std::string> serial(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    serial[i] = document(i);
+  }
+  std::vector<std::string> pooled(kItems);
+  core::parallel_for_state(
+      kItems, 8, [] { return 0; },
+      [&](int& /*state*/, std::size_t i) { pooled[i] = document(i); }, core::kInlineWork);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(pooled[i], serial[i]) << "item " << i;
+  }
 }
 
 TEST(JsonWriterChunks, ContinuationsCheckWhereTheyStartAndEnd) {

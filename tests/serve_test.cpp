@@ -331,6 +331,33 @@ TEST_F(ServeTest, OversampledTimelineAnswers400NamingTheLimit) {
       << response.body;
 }
 
+TEST_F(ServeTest, AppCountAxisPastTheScheduleBoundAnswers400) {
+  // 4e8 applications per point used to die of std::bad_alloc: a 500, or
+  // the daemon's memory.  It is a client error naming the axis and limit.
+  HttpClient http = client();
+  const HttpResponse response = http.request(
+      "POST", "/v1/run",
+      R"({"kind":"sweep","domain":"dnn","axes":[{"variable":"app_count","scale":"linear","from":1,"to":4e8,"count":2}]})");
+  EXPECT_EQ(response.status, 400) << response.body;
+  const std::string error = io::parse_json(response.body).at("error").as_string();
+  EXPECT_NE(error.find("axis app_count value 400000000 rounds"), std::string::npos) << error;
+  EXPECT_NE(error.find("[1, 1000000]"), std::string::npos) << error;
+}
+
+TEST_F(ServeTest, ApplicationNeedingMoreThanIntMaxFpgasAnswers400) {
+  // The FPGA count used to overflow an int (undefined behaviour) and fail
+  // with an unrelated "negative power" error.
+  HttpClient http = client();
+  const HttpResponse response = http.request(
+      "POST", "/v1/run",
+      R"({"kind":"compare","domain":"dnn","schedule":{"applications":[{"name":"huge","size_gates":1e300}]}})");
+  EXPECT_EQ(response.status, 400) << response.body;
+  const std::string error = io::parse_json(response.body).at("error").as_string();
+  EXPECT_NE(error.find("an application of 1e+300 gates needs more than 2147483647 FPGAs"),
+            std::string::npos)
+      << error;
+}
+
 TEST_F(ServeTest, DepthBombAnswers400WithoutCrashing) {
   HttpClient http = client();
   const std::string bomb(100'000, '[');

@@ -80,20 +80,24 @@ std::vector<PlatformRef> random_platforms(std::mt19937& rng, device::Domain doma
 
 AxisSpec random_axis(std::mt19937& rng) {
   const SweepVariable variable = static_cast<SweepVariable>(uniform_int(rng, 0, 2));
+  // app_count values must round into [1, ScheduleSpec::kMaxAppCount].
+  const bool counts = variable == SweepVariable::app_count;
+  const double lo = counts ? 1.0 : 0.1;
+  const double hi = counts ? 1e6 : 1e7;
   switch (uniform_int(rng, 0, 2)) {
     case 0: {
       std::vector<double> values;
       const int count = uniform_int(rng, 1, 6);
       for (int i = 0; i < count; ++i) {
-        values.push_back(uniform(rng, 0.1, 1e7));
+        values.push_back(uniform(rng, lo, hi));
       }
       return AxisSpec::list(variable, std::move(values));
     }
     case 1:
-      return AxisSpec::linear(variable, uniform(rng, 0.1, 10.0), uniform(rng, 10.0, 1e6),
+      return AxisSpec::linear(variable, uniform(rng, lo, 10.0), uniform(rng, 10.0, 1e6),
                               uniform_int(rng, 2, 20));
     default:
-      return AxisSpec::log(variable, uniform(rng, 0.1, 100.0), uniform(rng, 100.0, 1e7),
+      return AxisSpec::log(variable, uniform(rng, lo, 100.0), uniform(rng, 100.0, hi),
                            uniform_int(rng, 2, 20));
   }
 }
