@@ -290,7 +290,7 @@ std::vector<BenchCase> builtin_cases() {
       .group = "json",
       .name = "parse_result",
       .description = "io::parse_json_arena of a large canonical result document "
-                     "(25x24 grid result) -- the serve/cache ingestion path",
+                     "(25x24 grid result); no production path parses with the arena",
       .setup = [] {
         auto text = std::make_shared<std::string>(large_result_text());
         return PreparedCase{.op =
@@ -359,16 +359,16 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_spec",
-      .description = "io::parse_json_arena with hash-while-parse of one serve "
-                     "request body (the /v1/run spec shape, pretty form)",
+      .description = "io::parse_json_hashed of one serve request body (the /v1/run "
+                     "spec shape, pretty form): the handler's one parse, digest included",
       .setup = [] {
         auto text = std::make_shared<std::string>(spec_request_text());
         return PreparedCase{.op =
                                 [text] {
-                                  const io::JsonDocument parsed = io::parse_json_arena(
-                                      *text, {}, /*hash_canonical=*/true);
+                                  const io::ParsedJson parsed = io::parse_json_hashed(
+                                      *text, {.allow_comments = true});
                                   g_sink = static_cast<std::size_t>(
-                                      parsed.parse_digest().value_or(0));
+                                      parsed.canonical_digest.value_or(0));
                                 },
                             .iterations = 32,
                             .bytes_per_op = static_cast<double>(text->size())};
@@ -397,15 +397,15 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_manifest",
-      .description = "io::parse_json_arena of a /v1/batch manifest embedding the "
-                     "five fleet specs",
+      .description = "io::parse_json of a /v1/batch manifest embedding the five "
+                     "fleet specs: the handler's one parse",
       .setup = [] {
         auto text = std::make_shared<std::string>(batch_manifest_text());
         return PreparedCase{.op =
                                 [text] {
-                                  const io::JsonDocument parsed =
-                                      io::parse_json_arena(*text);
-                                  g_sink = parsed.root().size();
+                                  const io::Json parsed =
+                                      io::parse_json(*text, {.allow_comments = true});
+                                  g_sink = parsed.size();
                                 },
                             .iterations = 8,
                             .bytes_per_op = static_cast<double>(text->size())};

@@ -89,9 +89,8 @@ struct CaseResult {
 };
 
 /// Build a `CaseResult` from already-measured per-operation seconds
-/// samples (the shared tail of `run_case`; also the entry point for
-/// external drivers -- bench/serve_throughput.cpp feeds per-request
-/// latencies through here to emit BENCH_serve.json).
+/// samples (the shared tail of `run_case`; also the entry point for a
+/// program that times its own operations).
 [[nodiscard]] CaseResult result_from_samples(std::string group, std::string name,
                                              int warmup, std::int64_t iterations,
                                              std::vector<double> per_op_seconds,

@@ -569,9 +569,9 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
   }
 
   // Baseline comparison.  Whole groups the run did not execute are
-  // skipped with a note (a directory baseline may track groups produced
-  // by external drivers, e.g. BENCH_serve.json), and --filter applies to
-  // baseline cases exactly as to the run, so a filtered run never reports
+  // skipped with a note (a directory baseline may track groups the
+  // run's --filter excluded), and --filter applies to baseline cases
+  // exactly as to the run, so a filtered run never reports
   // deliberately-skipped cases as missing.  Within a compared group,
   // a baseline case absent from the run is a failure.
   const double limit = max_regression.value_or(10.0);

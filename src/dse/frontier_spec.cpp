@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/config_io.hpp"
+#include "workload/application.hpp"
 
 namespace greenfpga::dse {
 
@@ -326,6 +327,10 @@ void FrontierSpec::validate() const {
         throw std::invalid_argument("FrontierSpec: axis " + to_string(axis.variable) +
                                     " needs positive bounds");
       }
+    }
+    if (axis.variable == FrontierVariable::app_count) {
+      // Each cell builds lround(value) applications.
+      workload::check_app_count_axis(axis.values(), "FrontierSpec: ");
     }
   }
   if (node_axes > 1) {

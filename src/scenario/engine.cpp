@@ -273,7 +273,8 @@ Engine::CachedRun Engine::run_cached(const ScenarioSpec& spec) const {
   outcome.key = std::move(key.bytes);
   outcome.fingerprint = key.fingerprint;
   if (cache_ != nullptr) {
-    if (std::shared_ptr<const ScenarioResult> hit = cache_->lookup(outcome.key)) {
+    if (std::shared_ptr<const ScenarioResult> hit =
+            cache_->lookup(outcome.key, &outcome.bytes)) {
       outcome.result = std::move(hit);
       outcome.hit = true;
       return outcome;

@@ -182,6 +182,9 @@ class Engine {
     /// (hash-while-dump): the compact fingerprint serve surfaces as
     /// X-Cache-Key without re-hashing the key bytes.
     std::uint64_t fingerprint = 0;
+    /// On a hit, the entry's canonical `result_document` bytes when they
+    /// were attached (`ResultCache::attach_bytes`); else nullptr.
+    std::shared_ptr<const std::string> bytes;
   };
   [[nodiscard]] CachedRun run_cached(const ScenarioSpec& spec) const;
 

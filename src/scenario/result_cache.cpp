@@ -30,14 +30,18 @@ ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
   return *shards_[io::fnv1a64(key) % shards_.size()];
 }
 
-std::shared_ptr<const ScenarioResult> ResultCache::lookup(const std::string& key) {
+std::shared_ptr<const ScenarioResult> ResultCache::lookup(
+    const std::string& key, std::shared_ptr<const std::string>* bytes) {
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
+    const auto it = shard.index.find(std::string_view(key));
     if (it != shard.index.end()) {
       ++shard.hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // freshen
+      if (bytes != nullptr) {
+        *bytes = it->second->bytes;
+      }
       return it->second->result;
     }
   }
@@ -72,19 +76,30 @@ void ResultCache::insert(const std::string& key,
   }
 }
 
+void ResultCache::attach_bytes(const std::string& key,
+                               std::shared_ptr<const std::string> bytes) {
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.index.find(std::string_view(key));
+  if (it != shard.index.end() && it->second->bytes == nullptr) {
+    it->second->bytes = std::move(bytes);
+  }
+}
+
 void ResultCache::insert_locked(Shard& shard, const std::string& key,
                                 std::shared_ptr<const ScenarioResult> result) {
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find(std::string_view(key));
   if (it != shard.index.end()) {
-    // Same content key => same deterministic result; refresh recency only.
+    // Same content key => same deterministic result (and bytes); refresh
+    // recency only.
     it->second->result = std::move(result);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(result)});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front(Entry{key, std::move(result), nullptr});
+  shard.index.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
   if (shard.lru.size() > shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
+    shard.index.erase(std::string_view(shard.lru.back().key));
     shard.lru.pop_back();
     ++shard.evictions;
   }

@@ -29,12 +29,20 @@
 /// disk hit re-promotes the entry to memory and counts as a hit (plus
 /// `disk_hits`).  Store IO runs *outside* every shard lock, so a slow
 /// disk never serializes the memory tier.
+///
+/// An entry can also hold its result's canonical `result_document`
+/// bytes, attached once by whoever first renders them (the serve
+/// `/v1/run` handler), so a repeat request streams them back without
+/// rendering again.  Entries inserted by `run_batch` or promoted from
+/// disk start without bytes; evicting an entry frees its bytes with it.
+/// Bytes never reach the store, whose format is the result alone.
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,13 +80,21 @@ class ResultCache {
   /// The cached result for `key`, or nullptr.  Counts a hit or a miss and
   /// freshens the entry's LRU position.  On a memory miss with a store
   /// attached, a disk hit re-promotes the entry and counts as a hit.
-  [[nodiscard]] std::shared_ptr<const ScenarioResult> lookup(const std::string& key);
+  /// A non-null `bytes` receives the entry's attached canonical bytes
+  /// (nullptr on a miss or when none are attached yet).
+  [[nodiscard]] std::shared_ptr<const ScenarioResult> lookup(
+      const std::string& key, std::shared_ptr<const std::string>* bytes = nullptr);
 
   /// Insert (or refresh) `key -> result`, evicting the least recently
   /// used entry of the key's shard when over capacity.  `result` must not
   /// be null.  Persisted to the store when one is attached (best-effort,
   /// outside the shard lock).
   void insert(const std::string& key, std::shared_ptr<const ScenarioResult> result);
+
+  /// Attach the canonical bytes of `key`'s result to its live entry,
+  /// unless bytes are already attached or the entry is gone.  Counts no
+  /// hit or miss, keeps the LRU position, and writes nothing to the store.
+  void attach_bytes(const std::string& key, std::shared_ptr<const std::string> bytes);
 
   /// Drop every in-memory entry (counters are preserved: they are
   /// lifetime totals).  Disk entries are untouched.
@@ -90,12 +106,15 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::shared_ptr<const ScenarioResult> result;
+    std::shared_ptr<const std::string> bytes;  ///< null until attached
   };
 
   struct Shard {
     mutable std::mutex mutex;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    /// Views each entry's own `key`: list nodes are stable, so a view
+    /// lives exactly as long as its node, and each key is stored once.
+    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;

@@ -239,16 +239,8 @@ void ScenarioSpec::validate() const {
                                   to_string(axis.variable) + " needs positive bounds");
     }
     if (axis.variable == SweepVariable::app_count) {
-      // Each point builds llround(value) applications: hold every value
-      // to the bound `schedule.app_count` is read with.
-      for (const double value : axis.values()) {
-        if (!(value >= 0.5 && value < ScheduleSpec::kMaxAppCount + 0.5)) {
-          throw std::invalid_argument(
-              "ScenarioSpec '" + name + "': axis app_count value " +
-              io::format_number(value) + " rounds outside [1, " +
-              std::to_string(ScheduleSpec::kMaxAppCount) + "] applications");
-        }
-      }
+      // Each point builds llround(value) applications.
+      workload::check_app_count_axis(axis.values(), "ScenarioSpec '" + name + "': ");
     }
   }
   if (!schedule.explicit_schedule) {
@@ -333,7 +325,7 @@ ScheduleSpec schedule_spec_from_json(const Json& json, ScheduleSpec schedule) {
              {"app_count", "lifetime_years", "volume", "applications"});
   schedule.app_count =
       static_cast<int>(int_field_ctx(json, "schedule", "app_count",
-                                     schedule.app_count, 1, ScheduleSpec::kMaxAppCount));
+                                     schedule.app_count, 1, workload::kMaxAppCount));
   schedule.lifetime_years =
       number_field_or(json, "schedule", "lifetime_years", schedule.lifetime_years);
   schedule.volume = number_field_or(json, "schedule", "volume", schedule.volume);

@@ -118,9 +118,6 @@ struct PlatformRef {
 /// from `core::paper_sweep_defaults()` so a calibration change reaches
 /// the engine path.
 struct ScheduleSpec {
-  /// Bound on `app_count`, and on every `app_count` axis value.
-  static constexpr int kMaxAppCount = 1'000'000;
-
   int app_count = 5;
   double lifetime_years = 2.0;
   double volume = 1e6;

@@ -14,7 +14,6 @@
 #include "device/catalog.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
-#include "io/json_arena.hpp"
 #include "scenario/result_io.hpp"
 #include "scenario/spec.hpp"
 
@@ -52,66 +51,51 @@ Router::Handler wrap(ServeContext& context, Router::Handler handler) {
   };
 }
 
-/// Parse one spec out of request-body JSON: the exact dialect of
-/// `greenfpga run <spec.json>` (// comments allowed, so a spec file can
-/// be POSTed verbatim), with the parser's nesting cap, so a depth bomb
-/// is a 400, never a crash.  The body parses into a per-request arena
-/// (one monotonic buffer, freed wholesale) with hash-while-parse, so the
-/// request's canonical digest comes out of the same pass when its keys
-/// arrive sorted.
-scenario::ScenarioSpec spec_of_body(const std::string& body,
-                                    std::optional<std::uint64_t>* digest = nullptr) {
-  const io::JsonDocument doc =
-      io::parse_json_arena(body, io::JsonParseOptions{.allow_comments = true},
-                           /*hash_canonical=*/digest != nullptr);
-  if (digest != nullptr) {
-    *digest = doc.parse_digest();
-  }
-  scenario::ScenarioSpec spec = scenario::spec_from_json(doc.to_json());
-  spec.validate();
-  return spec;
-}
+/// The request-body dialect: that of `greenfpga run <spec.json>` (//
+/// comments allowed, so a spec file can be POSTed verbatim), with the
+/// parser's nesting cap, so a depth bomb is a 400, never a crash.
+constexpr io::JsonParseOptions kBodyDialect{.allow_comments = true};
 
 HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
-  std::optional<std::uint64_t> request_digest;
-  const scenario::ScenarioSpec spec = spec_of_body(request.body, &request_digest);
-  const scenario::Engine::CachedRun run = context.engine().run_cached(spec);
+  // One parse into the facade DOM, hashing as it goes: the request's
+  // canonical digest comes out of the same pass when its keys arrive
+  // sorted.
+  const io::ParsedJson parsed = io::parse_json_hashed(request.body, kBodyDialect);
+  // run_cached validates the spec before it builds the key.
+  const scenario::Engine::CachedRun run =
+      context.engine().run_cached(scenario::spec_from_json(parsed.value));
   HttpResponse response;
   response.status = 200;
   response.set_header("Content-Type", "application/json");
-  std::shared_ptr<const std::string> body;
-  if (run.hit) {
-    body = context.rendered().lookup(run.key);
-  }
-  if (body != nullptr) {
-    // Fast path: the engine reported a cache hit and the rendered bytes
-    // are still resident -- stream them back without materializing the
-    // result DOM or dumping anything.
+  std::shared_ptr<const std::string> bytes = run.bytes;
+  if (bytes != nullptr) {
+    // The cache entry holds its rendered bytes: stream them back without
+    // writing anything.
     context.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
-    response.body = *body;
   } else {
-    // Miss: the kind modules write the canonical bytes directly, a large
-    // section on the engine's workers.
-    auto rendered = std::make_shared<const std::string>(
+    // A miss, or a hit on an entry not rendered yet (inserted by a batch
+    // or promoted from disk): the kind modules write the canonical bytes
+    // directly, a large section on the engine's workers, and the live
+    // entry keeps them for the next hit.
+    bytes = std::make_shared<const std::string>(
         scenario::result_document(*run.result, context.engine().threads()));
-    context.rendered().insert(run.key, rendered);
-    response.body = *rendered;
+    context.cache().attach_bytes(run.key, bytes);
   }
+  response.body = *bytes;
   response.set_header("X-Cache", run.hit ? "hit" : "miss");
   // The fingerprint was folded while the key was dumped; same text as
   // content_digest(run.key), no re-hash of the key bytes.
   response.set_header("X-Cache-Key", io::content_digest_of_hash(run.fingerprint));
-  if (request_digest.has_value()) {
-    response.set_header("X-Request-Digest", io::content_digest_of_hash(*request_digest));
+  if (parsed.canonical_digest.has_value()) {
+    response.set_header("X-Request-Digest",
+                        io::content_digest_of_hash(*parsed.canonical_digest));
   }
   return response;
 }
 
 HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   // Same dialect as /v1/run, so spec files embed verbatim.
-  const Json parsed =
-      io::parse_json_arena(request.body, io::JsonParseOptions{.allow_comments = true})
-          .to_json();
+  const Json parsed = io::parse_json(request.body, kBodyDialect);
   core::check_known_keys(parsed, "batch request", {"name", "specs"});
   std::vector<scenario::ScenarioSpec> specs;
   const Json::Array& entries = parsed.at("specs").as_array();
@@ -188,42 +172,6 @@ HttpResponse handle_healthz(const HttpRequest&) {
 
 }  // namespace
 
-std::shared_ptr<const std::string> RenderedBodyCache::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::string_view(key));
-  if (it == index_.end()) {
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return lru_.front().body;
-}
-
-void RenderedBodyCache::insert(const std::string& key,
-                               std::shared_ptr<const std::string> body) {
-  if (capacity_ == 0) {
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::string_view(key));
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, std::move(body)});
-  // The index views the entry's own key string; list nodes are stable,
-  // so the view survives every splice/push until its node is erased.
-  index_.emplace(std::string_view(lru_.front().key), lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(std::string_view(lru_.back().key));
-    lru_.pop_back();
-  }
-}
-
-std::size_t RenderedBodyCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
 ServeContext::ServeContext(scenario::EngineOptions engine_options,
                            std::size_t cache_capacity, std::size_t cache_shards,
                            const std::string& cache_dir)
@@ -237,8 +185,7 @@ ServeContext::ServeContext(scenario::EngineOptions engine_options,
       }()),
       registry_(engine_options.registry != nullptr
                     ? engine_options.registry
-                    : &device::PlatformRegistry::builtins()),
-      rendered_(cache_capacity) {
+                    : &device::PlatformRegistry::builtins()) {
   if (store_.has_value()) {
     cache_.attach_store(&*store_);
   }

@@ -18,21 +18,22 @@
 ///     specs come from the cache.
 ///   * `GET /v1/platforms` -- registry platform names and known domains.
 ///   * `GET /v1/stats`   -- cache hit/miss/eviction counters, occupancy,
-///     request counts, `fast_path_hits` (responses streamed from the
-///     rendered-body cache without re-dumping a result), engine worker
+///     request counts, `fast_path_hits` (hits answered from the cache
+///     entry's stored bytes, with nothing rendered), engine worker
 ///     count, and the worker pool's `pool` counters (`helpers`,
 ///     `tasks_run`, `tasks_inline`; see core/parallel.hpp).
 ///   * `GET /healthz`    -- liveness: `{"status":"ok"}`.
 ///
-/// Request bodies parse into the arena DOM (io/json_arena.hpp): one
-/// monotonic buffer per request, freed wholesale, with the canonical
-/// FNV-1a digest computed during the parse.  On the response side a miss
-/// has the kind modules write the canonical bytes directly
-/// (`scenario::result_bytes`, no result DOM), and a cache-hit `/v1/run`
-/// takes the *fast path*: the fully rendered body is kept in a small LRU
-/// keyed by the engine's content key, so a repeat request writes nothing
-/// and streams the cached bytes back (still consulting the engine cache,
-/// so hit/miss accounting is unchanged).
+/// Each request body is parsed once, into the `io::Json` facade:
+/// `/v1/run` with `io::parse_json_hashed`, which computes the canonical
+/// FNV-1a digest during the parse, and `/v1/batch` with `io::parse_json`.
+/// On the response side a miss has the kind modules write the canonical
+/// bytes directly (`scenario::result_document`, no result DOM), and the
+/// handler attaches those bytes to the result's entry in the one
+/// `scenario::ResultCache`.  A later `/v1/run` hit gets them back from
+/// the same lookup (`Engine::CachedRun::bytes`) and streams them without
+/// rendering; a hit on an entry with no bytes yet (inserted by a batch
+/// or promoted from disk) renders once and attaches them.
 ///
 /// Spec parse/validation failures answer 400 with the same
 /// offending-key-naming message the CLI prints; over-limit or malformed
@@ -42,12 +43,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "scenario/cache_store.hpp"
 #include "scenario/engine.hpp"
@@ -55,39 +52,6 @@
 #include "serve/router.hpp"
 
 namespace greenfpga::serve {
-
-/// A bounded LRU of fully rendered `/v1/run` response bodies, keyed by
-/// the engine's content key (the full canonical key bytes -- collision-
-/// proof identity per io/hash.hpp, never the 64-bit digest alone).  The
-/// engine is deterministic, so a rendered body can never go stale while
-/// its result is cached; at worst an evicted body is re-rendered.
-/// Thread-safe; bodies are shared immutably with in-flight responses.
-class RenderedBodyCache {
- public:
-  explicit RenderedBodyCache(std::size_t capacity) : capacity_(capacity) {}
-
-  /// The rendered body for `key`, refreshed to most-recently-used, or
-  /// nullptr when absent.
-  [[nodiscard]] std::shared_ptr<const std::string> lookup(const std::string& key);
-
-  /// Remember `body` for `key` (no-op on a duplicate key beyond the
-  /// recency refresh), evicting the least recently used entry over
-  /// capacity.
-  void insert(const std::string& key, std::shared_ptr<const std::string> body);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const std::string> body;
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
-};
 
 /// Shared state behind one serving process: the content-addressed result
 /// cache (sharded; optionally disk-backed) and the engine wired to it,
@@ -108,13 +72,11 @@ class ServeContext {
   [[nodiscard]] const scenario::Engine& engine() const { return engine_; }
   /// The registry the engine resolves platform names against.
   [[nodiscard]] const device::PlatformRegistry& registry() const { return *registry_; }
-  /// Rendered `/v1/run` bodies for the cache-hit fast path.
-  [[nodiscard]] RenderedBodyCache& rendered() { return rendered_; }
 
   std::atomic<std::uint64_t> requests{0};  ///< routed requests
   std::atomic<std::uint64_t> errors{0};    ///< non-2xx responses
-  /// `/v1/run` responses streamed from the rendered-body cache (no
-  /// result materialization, no dump).  Surfaced in `/v1/stats`.
+  /// `/v1/run` hits answered from the cache entry's stored bytes (nothing
+  /// rendered).  Surfaced in `/v1/stats`.
   std::atomic<std::uint64_t> fast_path_hits{0};
 
  private:
@@ -124,7 +86,6 @@ class ServeContext {
   scenario::ResultCache cache_;
   scenario::Engine engine_;
   const device::PlatformRegistry* registry_;
-  RenderedBodyCache rendered_;
 };
 
 /// Build the dispatch table over `context` (which must outlive the

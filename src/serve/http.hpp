@@ -16,8 +16,7 @@
 ///
 /// `SocketStream` is the shared framing layer (buffered reads, EINTR
 /// retry, SIGPIPE-safe writes) used by the server's connection loop and
-/// by `HttpClient`, the keep-alive client used by tests and
-/// bench/serve_throughput.cpp.
+/// by `HttpClient`, the keep-alive client used by tests and e2ebench.
 
 #include <cstddef>
 #include <stdexcept>

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 
+#include "io/json.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::workload {
@@ -21,6 +22,16 @@ void Application::validate() const {
   }
   if (size_gates < 0.0) {
     throw std::invalid_argument("Application '" + name + "': size must be non-negative");
+  }
+}
+
+void check_app_count_axis(const std::vector<double>& values, const std::string& context) {
+  for (const double value : values) {
+    if (!(value >= 0.5 && value < kMaxAppCount + 0.5)) {
+      throw std::invalid_argument(context + "axis app_count value " + io::format_number(value) +
+                                  " rounds outside [1, " + std::to_string(kMaxAppCount) +
+                                  "] applications");
+    }
   }
 }
 

@@ -41,6 +41,17 @@ using Schedule = std::vector<Application>;
 /// Total deployed wall-clock time of a schedule (sum of lifetimes).
 [[nodiscard]] units::TimeSpan total_lifetime(const Schedule& schedule);
 
+/// Bound on the application count of a homogeneous schedule that a spec
+/// may ask for (`schedule.app_count` and every `app_count` axis value of
+/// the point and frontier kinds): each one is an `Application` built per
+/// evaluation, so an unbounded count is unbounded memory.
+inline constexpr int kMaxAppCount = 1'000'000;
+
+/// Throws std::invalid_argument, prefixed with `context`, naming the first
+/// of an `app_count` axis's `values` that does not round into
+/// [1, kMaxAppCount].
+void check_app_count_axis(const std::vector<double>& values, const std::string& context);
+
 /// A schedule of `count` identical applications (the paper's sweep
 /// workloads): names are suffixed -1, -2, ...
 [[nodiscard]] Schedule homogeneous_schedule(int count, const Application& prototype);

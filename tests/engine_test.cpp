@@ -160,7 +160,7 @@ TEST(ScenarioSpecValidate, TimelineSampleCountIsBounded) {
 
 TEST(ScenarioSpecValidate, AppCountAxisValuesAreBounded) {
   // Each point builds llround(value) applications, so every app_count axis
-  // value must round into [1, ScheduleSpec::kMaxAppCount]; 4e8 used to
+  // value must round into [1, workload::kMaxAppCount]; 4e8 used to
   // reserve 4e8 applications and die of std::bad_alloc.
   ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::sweep, device::Domain::dnn);
   const std::vector<AxisSpec> rejected = {

@@ -86,6 +86,33 @@ TEST(FrontierSpecJson, UnknownKeysAndBadShapesFail) {
   EXPECT_THROW(dup.validate(), std::invalid_argument);
 }
 
+TEST(FrontierSpecJson, AppCountAxisValuesAreBounded) {
+  // Each cell builds lround(value) applications, so every app_count axis
+  // value must round into [1, workload::kMaxAppCount]; 4e8 used to ask
+  // for 4e8 applications and die of std::bad_alloc.
+  const std::vector<FrontierAxisSpec> rejected = {
+      FrontierAxisSpec::linear(FrontierVariable::app_count, 1, 4e8, 2),
+      FrontierAxisSpec::log(FrontierVariable::app_count, 1, 2e6, 3),
+      FrontierAxisSpec::list(FrontierVariable::app_count, {3, 1e300}),
+      FrontierAxisSpec::list(FrontierVariable::app_count, {0.49}),
+      FrontierAxisSpec::list(FrontierVariable::app_count, {1'000'000.5}),
+  };
+  FrontierSpec spec = small_spec();
+  for (const FrontierAxisSpec& axis : rejected) {
+    spec.axes.front() = axis;
+    try {
+      spec.validate();
+      ADD_FAILURE() << "accepted app_count axis ending at " << axis.values().back();
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("axis app_count value"), std::string::npos) << message;
+      EXPECT_NE(message.find("rounds outside [1, 1000000]"), std::string::npos) << message;
+    }
+  }
+  spec.axes.front() = FrontierAxisSpec::list(FrontierVariable::app_count, {0.5, 1'000'000});
+  EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(FrontierSpecAxes, ValuesMaterialiseLikeTheScenarioAxes) {
   const FrontierAxisSpec lin =
       FrontierAxisSpec::linear(FrontierVariable::app_count, 1, 4, 4);

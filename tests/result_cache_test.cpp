@@ -1,17 +1,22 @@
 /// Tests for the content-addressed LRU result cache and its engine hook:
 /// hit/miss/eviction determinism (a cached result is byte-identical to a
 /// cold run), capacity-bound eviction order, batch dedup, sharded
-/// counters staying exact, the disk tier promoting on memory miss, and
-/// multi-threaded hammers (run under the ASan+UBSan CI job).
+/// counters staying exact, the disk tier promoting on memory miss,
+/// attached result bytes (returned with a hit, freed with the entry,
+/// never counted or persisted), and multi-threaded hammers (run under
+/// the ASan+UBSan CI job).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/hash.hpp"
@@ -84,6 +89,67 @@ TEST(ResultCache, EvictedEntrySurvivesForHolders) {
   cache.insert("b", result_of(compare_spec(2)));
   EXPECT_EQ(cache.lookup("a"), nullptr);
   EXPECT_EQ(held->spec.schedule.app_count, 1);
+}
+
+TEST(ResultCache, AttachedBytesComeBackWithTheHitAndLeaveWithTheEntry) {
+  ResultCache cache(1);
+  cache.insert("a", result_of(compare_spec(1)));
+  std::shared_ptr<const std::string> bytes;
+  ASSERT_NE(cache.lookup("a", &bytes), nullptr);
+  EXPECT_EQ(bytes, nullptr);  // nothing attached yet
+  auto attached = std::make_shared<const std::string>("rendered a");
+  cache.attach_bytes("a", attached);
+  // First attach wins: the entry's bytes are never replaced.
+  cache.attach_bytes("a", std::make_shared<const std::string>("other"));
+  ASSERT_NE(cache.lookup("a", &bytes), nullptr);
+  EXPECT_EQ(bytes, attached);
+  // Attaching to an absent key is a no-op.
+  cache.attach_bytes("missing", std::make_shared<const std::string>("x"));
+  EXPECT_EQ(cache.stats().size, 1u);
+
+  // Evicting the entry frees its bytes once no reader holds them.
+  const std::weak_ptr<const std::string> watch = attached;
+  attached.reset();
+  bytes.reset();
+  EXPECT_FALSE(watch.expired());
+  cache.insert("b", result_of(compare_spec(2)));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(cache.lookup("a", &bytes), nullptr);
+  EXPECT_EQ(bytes, nullptr);
+}
+
+TEST(ResultCache, AttachingBytesCountsNothingAndWritesNothingToTheStore) {
+  const std::string dir = ::testing::TempDir() + "/greenfpga_cache_attach";
+  std::filesystem::remove_all(dir);
+  CacheStore store(dir);
+  ResultCache cache(4);
+  cache.attach_store(&store);
+  cache.insert("a", result_of(compare_spec(1)));
+  ASSERT_NE(cache.lookup("a"), nullptr);
+  const auto snapshot = [&dir] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files.emplace_back(entry.path().string(),
+                         std::string(std::istreambuf_iterator<char>(in), {}));
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto files_before = snapshot();
+  ASSERT_EQ(files_before.size(), 1u);
+  const ResultCacheStats before = cache.stats();
+
+  cache.attach_bytes("a", std::make_shared<const std::string>("rendered a"));
+
+  const ResultCacheStats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.size, before.size);
+  EXPECT_EQ(snapshot(), files_before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, ClearKeepsLifetimeCounters) {

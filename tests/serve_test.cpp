@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "dse/frontier_spec.hpp"
+#include "io/hash.hpp"
 #include "io/json.hpp"
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
@@ -248,10 +249,10 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   ASSERT_EQ(cold.status, 200) << cold.body;
   EXPECT_EQ(cold.header_or("x-cache"), "miss");
   EXPECT_EQ(context_.fast_path_hits.load(), 0u);
-  EXPECT_EQ(context_.rendered().size(), 1u);
+  EXPECT_EQ(context_.cache().stats().size, 1u);
 
-  // Warm, same bytes: engine hit + rendered-body hit, response
-  // byte-identical to the cold render.
+  // Warm, same bytes: a cache hit on an entry holding its bytes, the
+  // response byte-identical to the cold render.
   const HttpResponse warm = http.request("POST", "/v1/run", compact);
   ASSERT_EQ(warm.status, 200);
   EXPECT_EQ(warm.header_or("x-cache"), "hit");
@@ -259,13 +260,13 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   EXPECT_EQ(context_.fast_path_hits.load(), 1u);
 
   // A formatting variant of the same spec normalizes to the same content
-  // key, so it rides the fast path too.
+  // key, so it is answered from the stored bytes too.
   const HttpResponse variant = http.request("POST", "/v1/run", pretty);
   ASSERT_EQ(variant.status, 200);
   EXPECT_EQ(variant.header_or("x-cache"), "hit");
   EXPECT_EQ(variant.body, cold.body);
   EXPECT_EQ(context_.fast_path_hits.load(), 2u);
-  EXPECT_EQ(context_.rendered().size(), 1u);
+  EXPECT_EQ(context_.cache().stats().size, 1u);
 
   // The cache-key header is the engine key's digest, identical across
   // all three; the request digest tracks the POSTed bytes (facade dumps
@@ -276,6 +277,100 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   EXPECT_EQ(warm.header_or("x-request-digest"), cold.header_or("x-request-digest"));
   // The digest streams canonical bytes, so formatting never changes it.
   EXPECT_EQ(variant.header_or("x-request-digest"), cold.header_or("x-request-digest"));
+}
+
+TEST_F(ServeTest, BatchEntryIsAHitThatRendersOnceThenStreamsItsBytes) {
+  HttpClient http = client();
+  const ScenarioSpec spec = spec_for(ScenarioKind::compare);
+  io::Json request = io::Json::object();
+  io::Json specs = io::Json::array();
+  specs.push_back(spec_to_json(spec));
+  request["specs"] = std::move(specs);
+  ASSERT_EQ(http.request("POST", "/v1/batch", request.dump()).status, 200);
+
+  // The batch cached the result without its bytes: the run is a hit that
+  // renders them, so it does not count as a fast-path hit ...
+  const std::string body = spec_to_json(spec).dump();
+  const std::string expected = cli_json_bytes(spec);
+  const HttpResponse first = http.request("POST", "/v1/run", body);
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(first.header_or("x-cache"), "hit");
+  EXPECT_EQ(first.body, expected);
+  EXPECT_EQ(context_.fast_path_hits.load(), 0u);
+
+  // ... and attaches them, so the next identical run streams them.
+  const HttpResponse second = http.request("POST", "/v1/run", body);
+  ASSERT_EQ(second.status, 200) << second.body;
+  EXPECT_EQ(second.header_or("x-cache"), "hit");
+  EXPECT_EQ(second.body, expected);
+  EXPECT_EQ(context_.fast_path_hits.load(), 1u);
+  const scenario::ResultCacheStats stats = context_.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.size, 1u);
+}
+
+TEST(ServeServer, EvictedEntryIsAMissWithIdenticalBytes) {
+  // One entry in total: the second spec evicts the first, bytes and all.
+  ServeContext context(scenario::EngineOptions{.threads = 1}, /*cache_capacity=*/1,
+                       /*cache_shards=*/1);
+  Server server(make_router(context), ServerOptions{});
+  server.start();
+  HttpClient http("127.0.0.1", server.port());
+  const std::string a = spec_to_json(spec_for(ScenarioKind::compare)).dump();
+  const std::string b = spec_to_json(spec_for(ScenarioKind::breakeven)).dump();
+  const HttpResponse first = http.request("POST", "/v1/run", a);
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(first.header_or("x-cache"), "miss");
+  ASSERT_EQ(http.request("POST", "/v1/run", b).status, 200);
+  const HttpResponse again = http.request("POST", "/v1/run", a);
+  ASSERT_EQ(again.status, 200) << again.body;
+  EXPECT_EQ(again.header_or("x-cache"), "miss");
+  EXPECT_EQ(again.body, first.body);
+  EXPECT_EQ(again.body, cli_json_bytes(spec_for(ScenarioKind::compare)));
+  const scenario::ResultCacheStats stats = context.cache().stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(context.fast_path_hits.load(), 0u);
+  server.stop();
+}
+
+TEST_F(ServeTest, MalformedBodiesAnswer400WithTheParserMessage) {
+  HttpClient http = client();
+  struct Case {
+    std::string body;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {R"({"kind": "compare", "kind": "sweep"})",
+       "JSON parse error at 1:27: duplicate object key"},
+      {R"({"kind": "compare", "domain": )", "JSON parse error at 1:31: unexpected end of input"},
+      {std::string(100'000, '['), "JSON parse error at 1:257: nesting depth exceeds 256"},
+  };
+  for (const Case& c : cases) {
+    for (const char* target : {"/v1/run", "/v1/batch"}) {
+      const HttpResponse response = http.request("POST", target, c.body);
+      EXPECT_EQ(response.status, 400) << target << ": " << response.body;
+      EXPECT_EQ(io::parse_json(response.body).at("error").as_string(), c.error) << target;
+    }
+  }
+}
+
+TEST_F(ServeTest, RequestDigestOnlyForSortedKeys) {
+  HttpClient http = client();
+  // A canonical body: the header is the digest of its own compact bytes.
+  const std::string canonical = spec_to_json(spec_for(ScenarioKind::compare)).dump(0);
+  const HttpResponse sorted = http.request("POST", "/v1/run", canonical);
+  ASSERT_EQ(sorted.status, 200) << sorted.body;
+  EXPECT_EQ(sorted.header_or("x-request-digest"), io::content_digest(canonical));
+  // Out-of-order keys ("kind" before "domain"): parsed, but no digest.
+  const HttpResponse unsorted =
+      http.request("POST", "/v1/run", R"({"kind": "compare", "domain": "dnn"})");
+  ASSERT_EQ(unsorted.status, 200) << unsorted.body;
+  EXPECT_EQ(unsorted.header_or("x-request-digest"), "");
+  EXPECT_FALSE(unsorted.header_or("x-cache-key").empty());
 }
 
 TEST_F(ServeTest, BatchMatchesIndividualRunsAndDedups) {
@@ -342,6 +437,20 @@ TEST_F(ServeTest, AppCountAxisPastTheScheduleBoundAnswers400) {
   const std::string error = io::parse_json(response.body).at("error").as_string();
   EXPECT_NE(error.find("axis app_count value 400000000 rounds"), std::string::npos) << error;
   EXPECT_NE(error.find("[1, 1000000]"), std::string::npos) << error;
+}
+
+TEST_F(ServeTest, FrontierAppCountAxisPastTheScheduleBoundAnswers400) {
+  // The frontier kind's app_count axis had no bound: 4e8 applications per
+  // cell died of std::bad_alloc, a 500.
+  HttpClient http = client();
+  const HttpResponse response = http.request(
+      "POST", "/v1/run",
+      R"({"kind":"frontier","domain":"dnn","frontier":{"axes":[{"variable":"app_count","scale":"linear","from":1,"to":4e8,"count":2},{"variable":"volume","scale":"log","from":1e4,"to":1e6,"count":2}]}})");
+  EXPECT_EQ(response.status, 400) << response.body;
+  const std::string error = io::parse_json(response.body).at("error").as_string();
+  EXPECT_NE(error.find("axis app_count value 400000000 rounds outside [1, 1000000]"),
+            std::string::npos)
+      << error;
 }
 
 TEST_F(ServeTest, ApplicationNeedingMoreThanIntMaxFpgasAnswers400) {

@@ -80,7 +80,7 @@ std::vector<PlatformRef> random_platforms(std::mt19937& rng, device::Domain doma
 
 AxisSpec random_axis(std::mt19937& rng) {
   const SweepVariable variable = static_cast<SweepVariable>(uniform_int(rng, 0, 2));
-  // app_count values must round into [1, ScheduleSpec::kMaxAppCount].
+  // app_count values must round into [1, workload::kMaxAppCount].
   const bool counts = variable == SweepVariable::app_count;
   const double lo = counts ? 1.0 : 0.1;
   const double hi = counts ? 1e6 : 1e7;
