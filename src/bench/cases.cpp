@@ -358,6 +358,32 @@ std::vector<BenchCase> builtin_cases() {
 
   cases.push_back(BenchCase{
       .group = "json",
+      .name = "result_write_grid50_chunked",
+      .description = "scenario::result_document of the same 50x50 grid result at 2 "
+                     "threads -- the serve render call: the points array in two chunks, "
+                     "the second on a pool helper's continuation writer, spliced at "
+                     "finish.  A single-request loop of this call pays fresh page "
+                     "faults for the helper's chunk buffer: when the chunk was copied "
+                     "into the caller's buffer at splice it cost ~550 minor faults per "
+                     "document (getrusage; 0 at 1 thread), handed over and copied once "
+                     "at finish it costs ~0-3",
+      .setup = [] {
+        auto result = std::make_shared<const scenario::ScenarioResult>(
+            single_thread_engine().run(grid_spec()));
+        const double bytes =
+            static_cast<double>(scenario::result_document(*result, 2).size());
+        return PreparedCase{.op =
+                                [result] {
+                                  const std::string text =
+                                      scenario::result_document(*result, 2);
+                                  g_sink = text.size();
+                                },
+                            .iterations = 1,
+                            .bytes_per_op = bytes};
+      }});
+
+  cases.push_back(BenchCase{
+      .group = "json",
       .name = "parse_spec",
       .description = "io::parse_json_hashed of one serve request body (the /v1/run "
                      "spec shape, pretty form): the handler's one parse, digest included",

@@ -524,7 +524,7 @@ Json to_json(const PlatformCfp& platform) {
 void write_json(io::JsonWriter& out, const PlatformCfp& platform) {
   out.begin_object();
   out.number("chips_manufactured", platform.chips_manufactured);
-  out.string("kind", to_string(platform.kind));
+  out.string("kind", device::kind_name(platform.kind));
   out.key("per_application");
   out.begin_array();
   for (const ApplicationCfp& app : platform.per_application) {

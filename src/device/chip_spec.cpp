@@ -7,7 +7,7 @@
 
 namespace greenfpga::device {
 
-std::string to_string(ChipKind kind) {
+std::string_view kind_name(ChipKind kind) {
   switch (kind) {
     case ChipKind::asic:
       return "ASIC";
@@ -20,6 +20,8 @@ std::string to_string(ChipKind kind) {
   }
   return "unknown";
 }
+
+std::string to_string(ChipKind kind) { return std::string(kind_name(kind)); }
 
 std::string to_string(Domain domain) {
   switch (domain) {

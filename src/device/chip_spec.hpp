@@ -5,6 +5,7 @@
 /// Device descriptions shared by every model: what a chip is, physically.
 
 #include <string>
+#include <string_view>
 
 #include "tech/node.hpp"
 #include "units/quantity.hpp"
@@ -24,6 +25,8 @@ enum class ChipKind {
          ///< maximal reuse, worst iso-performance silicon and power
 };
 
+/// "ASIC", "FPGA", "GPU" or "CPU" (static storage).
+[[nodiscard]] std::string_view kind_name(ChipKind kind);
 [[nodiscard]] std::string to_string(ChipKind kind);
 
 /// Application domains evaluated by the paper (Table 2).

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -269,49 +270,58 @@ std::size_t format_number_uncached(char* buffer, double n) {
   return static_cast<std::size_t>(d + len + 1 - buffer);
 }
 
-/// One memo slot: a double's bit pattern and its canonical bytes,
-/// NUL-padded (a canonical form has no NUL; an all-NUL slot is empty).
+/// One memo slot: a tag naming the double it holds, and that double's
+/// canonical bytes (the bytes past its length are stale).
+///
+/// The tag is the low kTagBits bits of the double's `number_memo_hash`
+/// with the form's length above them.  The hash is a bijection and the
+/// slot index is its top bits, so within one slot the low bits alone name the
+/// double, and the top bits are free to carry the length: a lookup is one
+/// xor and a mask test, with no scan for the end of the bytes.  An empty
+/// slot's tag is 0, whose length reads 0: a miss.
 struct NumberMemoSlot {
-  std::uint64_t bits = 0;
-  char bytes[kMaxNumberBytes] = {};
+  std::uint64_t tag = 0;
+  char text[kMaxNumberBytes] = {};
 };
 static_assert(sizeof(NumberMemoSlot) == 32);
+
+constexpr int kTagBits = 64 - kNumberMemoBits;
+constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagBits) - 1;
+static_assert(kMaxNumberBytes < (std::size_t{1} << kNumberMemoBits));
 
 /// Per-thread, so pool workers writing chunks never share a slot.
 thread_local NumberMemoSlot number_memo[kNumberMemoSlots];
 
-/// The slot's text length, or 0 when it does not hold `bits`.
-std::size_t memo_hit(const NumberMemoSlot& slot, std::uint64_t bits) {
-  if (slot.bits != bits || slot.bytes[0] == '\0') {
-    return 0;
-  }
-  const void* end = std::memchr(slot.bytes, '\0', kMaxNumberBytes);
-  return end == nullptr ? kMaxNumberBytes
-                        : static_cast<std::size_t>(static_cast<const char*>(end) - slot.bytes);
+/// The slot's text length, or 0 when it does not hold the double whose
+/// hash is `hash`.
+[[nodiscard]] std::size_t memo_hit(const NumberMemoSlot& slot, std::uint64_t hash) {
+  const std::uint64_t diff = slot.tag ^ (hash & kTagMask);
+  return (diff & kTagMask) == 0 ? static_cast<std::size_t>(diff >> kTagBits) : 0;
 }
 
 }  // namespace
 
 std::size_t format_number_to(char* buffer, double n) {
-  const auto bits = std::bit_cast<std::uint64_t>(n);
-  NumberMemoSlot& slot = number_memo[number_memo_slot(bits)];
-  if (const std::size_t size = memo_hit(slot, bits)) {
-    std::memcpy(buffer, slot.bytes, kMaxNumberBytes);
+  const std::uint64_t hash = number_memo_hash(std::bit_cast<std::uint64_t>(n));
+  NumberMemoSlot& slot = number_memo[hash >> kTagBits];
+  if (const std::size_t size = memo_hit(slot, hash)) {
+    // One fixed-size copy of the whole text field: the bytes past the
+    // length land where `buffer` is scratch.
+    std::memcpy(buffer, slot.text, kMaxNumberBytes);
     return size;
   }
   const std::size_t size = format_number_uncached(buffer, n);
   if (size <= kMaxNumberBytes) {
-    slot.bits = bits;
-    std::memcpy(slot.bytes, buffer, size);
-    std::memset(slot.bytes + size, 0, kMaxNumberBytes - size);
+    slot.tag = (hash & kTagMask) | (static_cast<std::uint64_t>(size) << kTagBits);
+    std::memcpy(slot.text, buffer, size);
   }
   return size;
 }
 
 std::string_view memoised_number(double n) {
-  const auto bits = std::bit_cast<std::uint64_t>(n);
-  const NumberMemoSlot& slot = number_memo[number_memo_slot(bits)];
-  return {slot.bytes, memo_hit(slot, bits)};
+  const std::uint64_t hash = number_memo_hash(std::bit_cast<std::uint64_t>(n));
+  const NumberMemoSlot& slot = number_memo[hash >> kTagBits];
+  return {slot.text, memo_hit(slot, hash)};
 }
 
 }  // namespace detail
@@ -327,57 +337,89 @@ std::string format_number(double n) {
 
 namespace {
 
-/// Builds mutable `Json` values from the shared parser core.  Object
-/// members accumulate directly into the sorted flat storage: canonical
-/// input (keys already sorted) appends in O(1); out-of-order keys pay one
-/// mid-vector insert.
+/// Builds mutable `Json` values from the shared parser core.  Each open
+/// container collects its entries in a scratch vector kept per nesting
+/// level and reused by every container at that level, so a parse stops
+/// regrowing vectors once its first few containers have been read; a
+/// finished container moves out into a vector of exactly its size.
+/// Object members accumulate in sorted order: canonical input (keys
+/// already sorted) appends in O(1); out-of-order keys pay one mid-vector
+/// insert.
 struct FacadeBuilder {
   using Value = Json;
 
   struct ArrayCtx {
-    Json::Array elements;
+    std::size_t level;  ///< index into `arrays`
   };
   struct ObjectCtx {
-    JsonObject::Storage members;
+    std::size_t level;        ///< index into `objects`
     std::size_t pending = 0;  ///< index the next member_value fills
   };
+
+  std::vector<Json::Array> arrays;
+  std::size_t array_depth = 0;
+  std::vector<JsonObject::Storage> objects;
+  std::size_t object_depth = 0;
 
   Json null_value() { return Json(nullptr); }
   Json boolean(bool b) { return Json(b); }
   Json number(double n) { return Json(n); }
   Json string_value(std::string_view s) { return Json(std::string(s)); }
 
-  ArrayCtx array_begin() { return {}; }
-  void array_push(ArrayCtx& ctx, Json value) { ctx.elements.push_back(std::move(value)); }
-  Json array_end(ArrayCtx& ctx) { return Json(std::move(ctx.elements)); }
+  ArrayCtx array_begin() {
+    if (array_depth == arrays.size()) {
+      arrays.emplace_back();
+    }
+    return {array_depth++};
+  }
+  void array_push(ArrayCtx& ctx, Json value) { arrays[ctx.level].push_back(std::move(value)); }
+  Json array_end(ArrayCtx& ctx) {
+    Json::Array& scratch = arrays[ctx.level];
+    Json::Array elements(std::make_move_iterator(scratch.begin()),
+                         std::make_move_iterator(scratch.end()));
+    scratch.clear();
+    --array_depth;
+    return Json(std::move(elements));
+  }
 
-  ObjectCtx object_begin() { return {}; }
+  ObjectCtx object_begin() {
+    if (object_depth == objects.size()) {
+      objects.emplace_back();
+    }
+    return {object_depth++};
+  }
 
   detail::MemberOrder member_key(ObjectCtx& ctx, std::string_view key) {
-    if (ctx.members.empty() || std::string_view(ctx.members.back().first) < key) {
-      ctx.pending = ctx.members.size();
-      ctx.members.emplace_back(std::string(key), Json());
+    JsonObject::Storage& members = objects[ctx.level];
+    if (members.empty() || std::string_view(members.back().first) < key) {
+      ctx.pending = members.size();
+      members.emplace_back(std::string(key), Json());
       return detail::MemberOrder::appended;
     }
     const auto it = std::lower_bound(
-        ctx.members.begin(), ctx.members.end(), key,
+        members.begin(), members.end(), key,
         [](const JsonObject::Member& m, std::string_view k) {
           return std::string_view(m.first) < k;
         });
-    if (it != ctx.members.end() && it->first == key) {
+    if (it != members.end() && it->first == key) {
       return detail::MemberOrder::duplicate;
     }
-    ctx.pending = static_cast<std::size_t>(it - ctx.members.begin());
-    ctx.members.emplace(it, std::string(key), Json());
+    ctx.pending = static_cast<std::size_t>(it - members.begin());
+    members.emplace(it, std::string(key), Json());
     return detail::MemberOrder::inserted;
   }
 
   void member_value(ObjectCtx& ctx, Json value) {
-    ctx.members[ctx.pending].second = std::move(value);
+    objects[ctx.level][ctx.pending].second = std::move(value);
   }
 
   Json object_end(ObjectCtx& ctx) {
-    return Json(JsonObject::adopt_sorted(std::move(ctx.members)));
+    JsonObject::Storage& scratch = objects[ctx.level];
+    JsonObject::Storage members(std::make_move_iterator(scratch.begin()),
+                                std::make_move_iterator(scratch.end()));
+    scratch.clear();
+    --object_depth;
+    return Json(JsonObject::adopt_sorted(std::move(members)));
   }
 };
 

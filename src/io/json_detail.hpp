@@ -70,10 +70,16 @@ std::size_t format_number_to(char* buffer, double n);
 inline constexpr int kNumberMemoBits = 11;
 inline constexpr std::size_t kNumberMemoSlots = std::size_t{1} << kNumberMemoBits;
 
-/// The memo slot of a double's bit pattern (Fibonacci hashing: the top
-/// bits of a multiplicative hash, so nearby doubles spread out).
+/// The memo's hash of a double's bit pattern (Fibonacci hashing: a
+/// multiplication by an odd constant, so a bijection that spreads nearby
+/// doubles out).
+[[nodiscard]] constexpr std::uint64_t number_memo_hash(std::uint64_t bits) {
+  return bits * 0x9E3779B97F4A7C15ULL;
+}
+
+/// The memo slot of a double's bit pattern: the top bits of its hash.
 [[nodiscard]] constexpr std::size_t number_memo_slot(std::uint64_t bits) {
-  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >> (64 - kNumberMemoBits));
+  return static_cast<std::size_t>(number_memo_hash(bits) >> (64 - kNumberMemoBits));
 }
 
 /// The calling thread's memoised bytes for `n`, or empty when its slot

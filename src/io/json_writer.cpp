@@ -1,25 +1,19 @@
 /// \file json_writer.cpp
-/// The canonical JSON writer (see json_writer.hpp).
+/// The canonical JSON writer (see json_writer.hpp): its slow paths, the
+/// DOM walk, and the splice / finish bookkeeping.
 
 #include "io/json_writer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 
 #include "io/hash.hpp"
-#include "io/json_detail.hpp"
 
 namespace greenfpga::io {
 
 namespace {
-
-/// The pad string indentation is copied from (in chunks past its length).
-constexpr std::string_view kPad =
-    "                                                                ";
 
 [[nodiscard]] bool needs_escaping(std::string_view text) {
   for (const char c : text) {
@@ -47,16 +41,80 @@ JsonWriter::JsonWriter(Continuation, const JsonWriter& parent)
   frames_.back().empty = false;  // the parent writes the elements before ours
 }
 
-JsonWriter::~JsonWriter() { std::free(buffer_); }
+JsonWriter::~JsonWriter() {
+  release_segments();
+  std::free(buffer_);
+}
+
+// -- errors -----------------------------------------------------------------------------
+
+void JsonWriter::throw_value_without_key() {
+  throw std::logic_error("JsonWriter: an object member needs a key before its value");
+}
+
+void JsonWriter::throw_misplaced_key(std::string_view key) {
+  throw std::logic_error("JsonWriter: key \"" + std::string(key) +
+                         "\" written outside an object member position");
+}
+
+void JsonWriter::throw_misordered_key(std::string_view key, std::string_view last) {
+  throw std::logic_error("JsonWriter: key \"" + std::string(key) + "\" written after \"" +
+                         std::string(last) + "\" (object keys must be strictly increasing)");
+}
+
+void JsonWriter::throw_unbalanced(char bracket) {
+  throw std::logic_error(std::string("JsonWriter: unbalanced '") + bracket + "'");
+}
+
+// -- output ---------------------------------------------------------------------------
+
+template <class Emit>
+void JsonWriter::for_each_segment(Emit&& emit) const {
+  std::size_t from = 0;
+  for (const Segment& segment : segments_) {
+    if (segment.at != from) {
+      emit(buffer_ + from, segment.at - from);
+      from = segment.at;
+    }
+    emit(segment.data, segment.size);
+  }
+  const auto used = static_cast<std::size_t>(cursor_ - buffer_);
+  if (used != from) {
+    emit(buffer_ + from, used - from);
+  }
+}
+
+void JsonWriter::release_segments() {
+  for (char* part : spliced_) {
+    std::free(part);
+  }
+  spliced_.clear();
+  segments_.clear();
+}
 
 void JsonWriter::finish() {
   if (out_ == nullptr) {
     throw std::logic_error("JsonWriter: a continuation has no output; splice it");
   }
-  if (cursor_ != buffer_) {
-    out_->append(buffer_, static_cast<std::size_t>(cursor_ - buffer_));
-    cursor_ = buffer_;
+  std::size_t size = 0;
+  for_each_segment([&size](const char* /*data*/, std::size_t n) { size += n; });
+  if (size != 0) {
+    out_->reserve(out_->size() + size);
+    for_each_segment([this](const char* data, std::size_t n) { out_->append(data, n); });
   }
+  release_segments();
+  cursor_ = buffer_;
+}
+
+std::uint64_t JsonWriter::finish_hashed() {
+  std::uint64_t hash = kFnv1aOffset;
+  for_each_segment([&hash](const char* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      hash = (hash ^ static_cast<unsigned char>(data[i])) * kFnv1aPrime;
+    }
+  });
+  finish();
+  return hash;
 }
 
 void JsonWriter::splice(JsonWriter& part) {
@@ -65,17 +123,22 @@ void JsonWriter::splice(JsonWriter& part) {
     throw std::logic_error(
         "JsonWriter: splice needs a continuation that ended in this writer's non-empty array");
   }
-  append(part.buffer_, static_cast<std::size_t>(part.cursor_ - part.buffer_));
-  part.cursor_ = part.buffer_;
-}
-
-std::uint64_t JsonWriter::finish_hashed() {
-  std::uint64_t hash = kFnv1aOffset;
-  for (const char* p = buffer_; p != cursor_; ++p) {
-    hash = (hash ^ static_cast<unsigned char>(*p)) * kFnv1aPrime;
+  // The part's own splices (if it spliced parts of its own) stay in its
+  // order: all of them land at this writer's current offset.
+  const auto at = static_cast<std::size_t>(cursor_ - buffer_);
+  // Reserved first, so nothing below throws half-way through the handover.
+  segments_.reserve(segments_.size() + 2 * part.segments_.size() + 1);
+  spliced_.reserve(spliced_.size() + part.spliced_.size() + 1);
+  part.for_each_segment([this, at](const char* data, std::size_t n) {
+    segments_.push_back(Segment{.at = at, .data = data, .size = n});
+  });
+  spliced_.insert(spliced_.end(), part.spliced_.begin(), part.spliced_.end());
+  if (part.buffer_ != nullptr) {
+    spliced_.push_back(part.buffer_);
   }
-  finish();
-  return hash;
+  part.spliced_.clear();
+  part.segments_.clear();
+  part.buffer_ = part.cursor_ = part.end_ = nullptr;
 }
 
 void JsonWriter::grow(std::size_t n) {
@@ -95,18 +158,6 @@ void JsonWriter::append(const char* data, std::size_t n) {
   reserve(n);
   std::memcpy(cursor_, data, n);
   cursor_ += n;
-}
-
-void JsonWriter::newline_pad(std::size_t depth) {
-  if (indent_ == 0) {
-    return;
-  }
-  put('\n');
-  for (std::size_t n = indent_ * depth; n > 0;) {
-    const std::size_t chunk = std::min(n, kPad.size());
-    append(kPad.data(), chunk);
-    n -= chunk;
-  }
 }
 
 void JsonWriter::escaped(std::string_view text) {
@@ -130,96 +181,20 @@ void JsonWriter::escaped(std::string_view text) {
   detail::write_escaped(sink, text);
 }
 
-void JsonWriter::before_value() {
-  if (depth_ == 0) {
-    return;
-  }
-  Frame& frame = frames_[depth_ - 1];
-  if (frame.object) {
-    if (!key_pending_) {
-      throw std::logic_error("JsonWriter: an object member needs a key before its value");
-    }
-    key_pending_ = false;
-    return;
-  }
-  if (!frame.empty) {
-    put(',');
-  }
-  frame.empty = false;
-  newline_pad(depth_);
-}
-
-JsonWriter::Frame& JsonWriter::before_key(std::string_view key) {
-  if (depth_ == 0 || !frames_[depth_ - 1].object || key_pending_) {
-    throw std::logic_error("JsonWriter: key \"" + std::string(key) +
-                           "\" written outside an object member position");
-  }
-  Frame& frame = frames_[depth_ - 1];
-  if (!frame.empty) {
-    const std::string_view last = frame.last_owned ? frame.owned_key : frame.last_key;
-    if (!(last < key)) {
-      throw std::logic_error("JsonWriter: key \"" + std::string(key) + "\" written after \"" +
-                             std::string(last) +
-                             "\" (object keys must be strictly increasing)");
-    }
-    put(',');
-  }
-  frame.empty = false;
-  newline_pad(depth_);
-  key_pending_ = true;
-  return frame;
-}
-
-void JsonWriter::key_separator() {
-  if (indent_ > 0) {
-    append(": ", 2);
-  } else {
-    put(':');
-  }
-}
-
-void JsonWriter::key(JsonKey key) {
-  const std::string_view text = key.text();
-  Frame& frame = before_key(text);
-  frame.last_key = text;  // static storage: no copy
-  frame.last_owned = false;
-  reserve(text.size() + 2);
-  *cursor_++ = '"';
-  std::memcpy(cursor_, text.data(), text.size());
-  cursor_ += text.size();
-  *cursor_++ = '"';
-  key_separator();
-}
+// -- tokens ---------------------------------------------------------------------------
 
 void JsonWriter::runtime_key(std::string_view key) {
-  Frame& frame = before_key(key);
+  Frame& frame = key_frame(key);
+  const bool first = frame.empty;
+  frame.empty = false;
+  cursor_ = line_start(first, 0);
   frame.owned_key.assign(key);
   frame.last_owned = true;
   escaped(key);
-  key_separator();
-}
-
-void JsonWriter::open(bool object, char bracket) {
-  before_value();
-  if (depth_ == frames_.size()) {
-    frames_.emplace_back();
+  put(':');
+  if (indent_ > 0) {
+    put(' ');
   }
-  Frame& frame = frames_[depth_++];
-  frame.object = object;
-  frame.empty = true;
-  frame.last_owned = false;
-  put(bracket);
-}
-
-void JsonWriter::close(bool object, char bracket) {
-  if (depth_ == 0 || frames_[depth_ - 1].object != object || key_pending_) {
-    throw std::logic_error(std::string("JsonWriter: unbalanced '") + bracket + "'");
-  }
-  --depth_;
-  if (!frames_[depth_].empty) {
-    newline_pad(depth_);
-  }
-  put(bracket);
 }
 
 void JsonWriter::newline() {
@@ -229,39 +204,28 @@ void JsonWriter::newline() {
   put('\n');
 }
 
-void JsonWriter::begin_object() { open(true, '{'); }
-void JsonWriter::end_object() { close(true, '}'); }
-void JsonWriter::begin_array() { open(false, '['); }
-void JsonWriter::end_array() { close(false, ']'); }
-
 void JsonWriter::null() {
-  before_value();
-  append("null", 4);
+  char* const p = value_start(4);
+  std::memcpy(p, "null", 4);
+  cursor_ = p + 4;
 }
 
 void JsonWriter::boolean(bool value) {
-  before_value();
-  if (value) {
-    append("true", 4);
-  } else {
-    append("false", 5);
-  }
+  char* const p = value_start(5);
+  const std::string_view text = value ? "true" : "false";
+  std::memcpy(p, text.data(), text.size());
+  cursor_ = p + text.size();
 }
 
-void JsonWriter::number(double value) {
-  before_value();
-  reserve(detail::kNumberBufferSize + 2);
-  if (std::isfinite(value)) {
-    cursor_ += detail::format_number_to(cursor_, value);
-    return;
-  }
-  *cursor_++ = '"';
-  cursor_ += detail::format_number_to(cursor_, value);
-  *cursor_++ = '"';
+void JsonWriter::quoted_number(char* p, double value) {
+  *p++ = '"';
+  p += detail::format_number_to(p, value);
+  *p++ = '"';
+  cursor_ = p;
 }
 
 void JsonWriter::string(std::string_view value) {
-  before_value();
+  cursor_ = value_start(0);
   escaped(value);
 }
 

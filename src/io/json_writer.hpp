@@ -12,14 +12,20 @@
 ///
 /// The writer streams into a growing char buffer.  Object keys known at
 /// compile time (`JsonKey`) are copied as-is, with no escaping pass, and
-/// indentation is copied from one pad string.  Canonical output sorts
-/// object keys, so a streamed object must be written in sorted key order:
-/// in every build the writer checks that each key is greater than the one
-/// before it in the same object and throws `std::logic_error` otherwise
-/// (which also rejects duplicate keys).
+/// indentation is copied in fixed-size blocks from one pad string.
+/// Canonical output sorts object keys, so a streamed object must be
+/// written in sorted key order: in every build the writer checks that each
+/// key is greater than the one before it in the same object and throws
+/// `std::logic_error` otherwise (which also rejects duplicate keys).
+///
+/// The per-token calls (keys, numbers, brackets) are inline: each reserves
+/// everything its separator, indentation and token can write with one
+/// capacity check, then stores the bytes.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <span>
 #include <string>
@@ -28,6 +34,7 @@
 
 #include "core/parallel.hpp"
 #include "io/json.hpp"
+#include "io/json_detail.hpp"
 
 namespace greenfpga::io {
 
@@ -74,8 +81,9 @@ class JsonKey {
 /// writer has open, so one array's elements can be written in parallel:
 /// it starts inside the parent's open containers (same depth, indent and
 /// key-order state, the innermost array already non-empty), and
-/// `parent.splice(part)` moves its bytes into the parent's buffer in
-/// order.  The bytes equal those of writing every element on the parent.
+/// `parent.splice(part)` hands its bytes to the parent at the parent's
+/// current position.  The bytes equal those of writing every element on
+/// the parent.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string& out, int indent = 2);
@@ -91,14 +99,32 @@ class JsonWriter {
   JsonWriter& operator=(const JsonWriter&) = delete;
 
   // -- containers --------------------------------------------------------------
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
+  void begin_object() { open(true, '{'); }
+  void end_object() { close(true, '}'); }
+  void begin_array() { open(false, '['); }
+  void end_array() { close(false, ']'); }
 
   // -- object keys -------------------------------------------------------------
   /// The next member's key; the member's value is the next value written.
-  void key(JsonKey key);
+  /// Forced inline: GCC would keep it out of line, and only inlined is the
+  /// key's length a constant, its copy a few stores.
+  [[gnu::always_inline]] void key(JsonKey key) {
+    const std::string_view text = key.text();
+    Frame& frame = key_frame(text);
+    const bool first = frame.empty;
+    frame.empty = false;
+    frame.last_key = text;  // static storage: no copy
+    frame.last_owned = false;
+    const bool pretty = indent_ != 0;
+    char* p = line_start(first, text.size() + 4);  // the quotes, ':' and ' '
+    *p++ = '"';
+    std::memcpy(p, text.data(), text.size());
+    p += text.size();
+    p[0] = '"';
+    p[1] = ':';
+    p[2] = ' ';
+    cursor_ = p + (pretty ? 3 : 2);
+  }
   /// A key only known at run time (escaped on write).
   void runtime_key(std::string_view key);
 
@@ -107,7 +133,14 @@ class JsonWriter {
   void boolean(bool value);
   /// Shortest round-trip form; non-finite values as the quoted sentinels
   /// "inf" / "-inf" / "nan" (RFC 8259 has no literal for them).
-  void number(double value);
+  void number(double value) {
+    char* const p = value_start(detail::kNumberBufferSize + 2);
+    if (std::isfinite(value)) {
+      cursor_ = p + detail::format_number_to(p, value);
+    } else {
+      quoted_number(p, value);
+    }
+  }
   void string(std::string_view value);
   /// An array of numbers.
   void numbers(std::span<const double> values);
@@ -137,11 +170,12 @@ class JsonWriter {
   /// HTTP bodies carry.  Throws std::logic_error inside a container.
   void newline();
 
-  /// Append the bytes written since the last `finish()` to `out`.  The
-  /// writer stays usable.
+  /// Append the bytes written since the last `finish()` to `out`, each
+  /// spliced part's once, in document order.  The writer stays usable.
   void finish();
-  /// Append the bytes `part` (a continuation of this writer) wrote since
-  /// its last splice, and leave `part` empty.  Throws std::logic_error
+  /// Hand the bytes `part` (a continuation of this writer) wrote since its
+  /// last splice to this writer, at its current position, and leave `part`
+  /// empty.  Nothing is copied until `finish()`.  Throws std::logic_error
   /// unless `part` ended in the container this writer is in.
   void splice(JsonWriter& part);
   /// `finish()`, returning the FNV-1a 64 digest of the bytes it appended
@@ -157,28 +191,146 @@ class JsonWriter {
     std::string owned_key;      ///< copy of the previous runtime key
   };
 
-  /// Separator and indentation ahead of a value.
-  void before_value();
-  /// Separator, indentation and order check ahead of a key; returns the
-  /// enclosing object's frame.
-  Frame& before_key(std::string_view key);
-  void key_separator();
-  void open(bool object, char bracket);
-  void close(bool object, char bracket);
-  void newline_pad(std::size_t depth);
-  void escaped(std::string_view text);
+  /// Bytes spliced in from a continuation: they follow the first `at`
+  /// bytes of this writer's buffer (segments at one offset keep their
+  /// splice order).
+  struct Segment {
+    std::size_t at = 0;
+    const char* data = nullptr;
+    std::size_t size = 0;
+  };
+
+  /// Indentation is copied in blocks of this many bytes, so a block copy
+  /// may store up to kPadBlock - 1 bytes past the indentation's end: every
+  /// reserve ahead of a line break counts them in.
+  static constexpr std::size_t kPadBlock = 32;
+  /// A line break, then one block of spaces from offset 1.
+  static constexpr char kLinePad[kPadBlock + 2] = "\n                                ";
+  static_assert(kLinePad[kPadBlock] == ' ');
+
+  // -- the per-token fast path ----------------------------------------------------
+  //
+  // Each token reserves all it may store with one capacity check, then
+  // writes through a local pointer and stores `cursor_` once at the end
+  // (a char store may alias any member, so writing through `cursor_`
+  // itself would reload the writer's state after every byte).
 
   void reserve(std::size_t n) {
     if (static_cast<std::size_t>(end_ - cursor_) < n) {
       grow(n);
     }
   }
+  /// "\n" and `pad` spaces at `p`, block by block, where 1 + pad +
+  /// kPadBlock bytes are reserved; returns the end of the spaces.
+  static char* line_break(char* p, std::size_t pad) {
+    std::memcpy(p, kLinePad, kPadBlock);
+    for (std::size_t done = kPadBlock; done < pad + 1; done += kPadBlock) {
+      std::memcpy(p + done, kLinePad + 1, kPadBlock);
+    }
+    return p + pad + 1;
+  }
+  /// Reserve room for a ',', a line break at the current depth and `bytes`
+  /// more; write the ',' (unless `first`) and the line break (when pretty),
+  /// and return where the token goes.
+  char* line_start(bool first, std::size_t bytes) {
+    const std::size_t indent = indent_;
+    const std::size_t pad = indent * depth_;
+    reserve(1 + pad + kPadBlock + bytes);
+    char* p = cursor_;
+    *p = ',';
+    p += first ? 0 : 1;
+    return indent != 0 ? line_break(p, pad) : p;
+  }
+  /// The separator and indentation ahead of a value, with `bytes` more
+  /// reserved for the value itself; returns where the value goes.
+  char* value_start(std::size_t bytes) {
+    if (depth_ != 0) {
+      Frame& frame = frames_[depth_ - 1];
+      if (!frame.object) {
+        const bool first = frame.empty;
+        frame.empty = false;
+        return line_start(first, bytes);
+      }
+      if (!key_pending_) {
+        throw_value_without_key();
+      }
+      key_pending_ = false;
+    }
+    reserve(bytes);
+    return cursor_;
+  }
+  /// The enclosing object's frame, once `key` is checked to be in a member
+  /// position and after the object's previous key; the key's value is
+  /// pending from here on.
+  Frame& key_frame(std::string_view key) {
+    if (depth_ == 0 || !frames_[depth_ - 1].object || key_pending_) {
+      throw_misplaced_key(key);
+    }
+    Frame& frame = frames_[depth_ - 1];
+    if (!frame.empty) {
+      const std::string_view last = frame.last_owned ? frame.owned_key : frame.last_key;
+      // Sibling keys mostly differ in their first byte.
+      const bool ordered =
+          !last.empty() && !key.empty() && last.front() != key.front()
+              ? static_cast<unsigned char>(last.front()) < static_cast<unsigned char>(key.front())
+              : last < key;
+      if (!ordered) {
+        throw_misordered_key(key, last);
+      }
+    }
+    key_pending_ = true;
+    return frame;
+  }
+  void open(bool object, char bracket) {
+    char* const p = value_start(1);
+    if (depth_ == frames_.size()) {
+      frames_.emplace_back();
+    }
+    Frame& frame = frames_[depth_++];
+    frame.object = object;
+    frame.empty = true;
+    frame.last_owned = false;
+    *p = bracket;
+    cursor_ = p + 1;
+  }
+  void close(bool object, char bracket) {
+    if (depth_ == 0 || frames_[depth_ - 1].object != object || key_pending_) {
+      throw_unbalanced(bracket);
+    }
+    --depth_;
+    const bool empty = frames_[depth_].empty;
+    const std::size_t pad = indent_ * depth_;
+    const bool pretty = indent_ != 0;
+    reserve(1 + pad + kPadBlock);
+    char* p = cursor_;
+    if (!empty && pretty) {
+      p = line_break(p, pad);
+    }
+    *p = bracket;
+    cursor_ = p + 1;
+  }
+
+  // -- out of line -------------------------------------------------------------------
+
+  [[noreturn]] static void throw_value_without_key();
+  [[noreturn]] static void throw_misplaced_key(std::string_view key);
+  [[noreturn]] static void throw_misordered_key(std::string_view key, std::string_view last);
+  [[noreturn]] static void throw_unbalanced(char bracket);
+  /// A non-finite number's quoted sentinel at `p`, in the room `number`
+  /// reserved.
+  void quoted_number(char* p, double value);
+  void escaped(std::string_view text);
   void grow(std::size_t n);
   void put(char c) {
     reserve(1);
     *cursor_++ = c;
   }
   void append(const char* data, std::size_t n);
+  /// `emit(data, size)` for every byte range `finish()` appends, in order.
+  template <class Emit>
+  void for_each_segment(Emit&& emit) const;
+  /// Forget every spliced part, freeing the buffers they point into.
+  void release_segments();
 
   std::string* out_;  ///< null for a continuation
   std::size_t indent_ = 0;
@@ -187,7 +339,9 @@ class JsonWriter {
   char* end_ = nullptr;        ///< end of buffer_
   std::vector<Frame> frames_;  ///< [0, depth_) are the open containers
   std::size_t depth_ = 0;
-  bool key_pending_ = false;  ///< a key was written; its value comes next
+  bool key_pending_ = false;       ///< a key was written; its value comes next
+  std::vector<Segment> segments_;  ///< spliced bytes not yet appended, by offset
+  std::vector<char*> spliced_;     ///< malloc'd part buffers `segments_` point into
 };
 
 /// Write `count` elements into the array `out` is in, element `i` by

@@ -158,7 +158,7 @@ void require_homogeneous_schedule(const ScenarioSpec& spec) {
 }
 
 void validate_spec_distributions(const ScenarioSpec& spec) {
-  const std::vector<ParameterRange> known = table1_ranges();
+  const std::vector<ParameterRange>& known = table1_ranges();
   std::vector<std::string_view> seen;
   for (const core::ParamDistribution& distribution : spec.montecarlo.distributions) {
     distribution.validate();  // bounds/stddev/mode checks, names the parameter

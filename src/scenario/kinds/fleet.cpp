@@ -95,7 +95,7 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   uq.percentiles = mc.percentiles;
   uq.sample_totals_kg.assign(result.resolved_chips.size(),
                              std::vector<double>(samples, 0.0));
-  const std::vector<ParameterRange> known = table1_ranges();
+  const std::vector<ParameterRange>& known = table1_ranges();
   std::vector<std::size_t> applier_index;
   applier_index.reserve(mc.distributions.size());
   for (const core::ParamDistribution& distribution : mc.distributions) {

@@ -78,7 +78,7 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
     // Bind each montecarlo distribution to its Table 1 applier by name
     // (spec.validate() has already rejected unknown names), exactly like
     // the montecarlo kind.
-    const std::vector<ParameterRange> known = table1_ranges();
+    const std::vector<ParameterRange>& known = table1_ranges();
     for (const core::ParamDistribution& distribution : spec.montecarlo.distributions) {
       for (const ParameterRange& range : known) {
         if (range.name == distribution.parameter) {

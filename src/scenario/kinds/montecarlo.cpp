@@ -59,7 +59,7 @@ core::ParamDistribution distribution_from_json(const Json& json) {
   }
   // The named Table 1 range supplies the default support (and validates
   // the name): {"parameter": "E_des [GWh]"} alone is a complete entry.
-  const std::vector<ParameterRange> known = table1_ranges();
+  const std::vector<ParameterRange>& known = table1_ranges();
   const auto range = std::find_if(known.begin(), known.end(), [&](const ParameterRange& r) {
     return r.name == distribution.parameter;
   });
@@ -168,10 +168,9 @@ void validate(const ScenarioSpec& spec) {
 }
 
 /// Per-spec montecarlo context: the schedule plus each distribution's
-/// Table 1 applier, bound by index so the plan stays movable.
+/// Table 1 applier, bound by index.
 struct McPlan {
-  std::vector<ParameterRange> known;
-  std::vector<std::size_t> applier_index;  ///< into `known`, one per distribution
+  std::vector<std::size_t> applier_index;  ///< into table1_ranges(), one per distribution
   workload::Schedule schedule;
 };
 
@@ -180,11 +179,11 @@ McPlan plan_montecarlo(const ScenarioSpec& spec) {
   plan.schedule = spec.schedule.materialise(spec.domain);
   // Bind each distribution to its Table 1 applier by name (spec.validate()
   // has already rejected unknown names).
-  plan.known = table1_ranges();
+  const std::vector<ParameterRange>& known = table1_ranges();
   plan.applier_index.reserve(spec.montecarlo.distributions.size());
   for (const core::ParamDistribution& distribution : spec.montecarlo.distributions) {
-    for (std::size_t r = 0; r < plan.known.size(); ++r) {
-      if (plan.known[r].name == distribution.parameter) {
+    for (std::size_t r = 0; r < known.size(); ++r) {
+      if (known[r].name == distribution.parameter) {
         plan.applier_index.push_back(r);
         break;
       }
@@ -217,7 +216,7 @@ void evaluate_mc_sample(const ScenarioSpec& spec, const McPlan& plan,
   core::ModelSuite sampled = suite;
   for (std::size_t j = 0; j < mc.distributions.size(); ++j) {
     const double u = core::counter_uniform01(mc.seed, i, j);
-    plan.known[plan.applier_index[j]].apply(sampled, mc.distributions[j].sample(u));
+    table1_ranges()[plan.applier_index[j]].apply(sampled, mc.distributions[j].sample(u));
   }
   const core::LifecycleModel model(sampled);
   for (std::size_t p = 0; p < chips.size(); ++p) {

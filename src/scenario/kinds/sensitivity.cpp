@@ -62,7 +62,7 @@ void parse_params(const Json& json, ScenarioSpec& spec) {
                     4294967295LL));
   if (entry.contains("ranges")) {
     sensitivity.ranges.clear();
-    const std::vector<ParameterRange> known = table1_ranges();
+    const std::vector<ParameterRange>& known = table1_ranges();
     for (const Json& value : entry.at("ranges").as_array()) {
       const std::string& range_name = value.as_string();
       bool found = false;

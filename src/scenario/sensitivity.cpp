@@ -25,52 +25,55 @@ double ratio_for(const core::ModelSuite& suite, const device::DomainTestcase& te
 
 }  // namespace
 
-std::vector<ParameterRange> table1_ranges() {
-  std::vector<ParameterRange> ranges;
-  // C_materials: rho in [0, 1].
-  ranges.push_back({"rho (recycled materials)", 0.0, 1.0,
-                    [](core::ModelSuite& s, double v) {
-                      s.fab.recycled_material_fraction = v;
-                    }});
-  // C_EOL: delta in [0, 1].
-  ranges.push_back({"delta (EOL recycled)", 0.0, 1.0, [](core::ModelSuite& s, double v) {
-                      s.eol.recycled_fraction = v;
-                    }});
-  // C_recycle: 7.65 - 29.83 MTCO2E/ton.
-  ranges.push_back({"C_recycle [MTCO2E/ton]", 7.65, 29.83,
-                    [](core::ModelSuite& s, double v) {
-                      s.eol.recycle_credit_factor = v * mtco2e_per_ton;
-                    }});
-  // C_dis: 0.03 - 2.08 MTCO2E/ton.
-  ranges.push_back({"C_dis [MTCO2E/ton]", 0.03, 2.08,
-                    [](core::ModelSuite& s, double v) {
-                      s.eol.discard_factor = v * mtco2e_per_ton;
-                    }});
-  // T_app,FE: 1.5 - 2.5 months.
-  ranges.push_back({"T_FE [months]", 1.5, 2.5, [](core::ModelSuite& s, double v) {
-                      s.appdev.frontend_time = v * months;
-                    }});
-  // T_app,BE: 0.5 - 1.5 months.
-  ranges.push_back({"T_BE [months]", 0.5, 1.5, [](core::ModelSuite& s, double v) {
-                      s.appdev.backend_time = v * months;
-                    }});
-  // E_des: 2 - 7.3 GWh.
-  ranges.push_back({"E_des [GWh]", 2.0, 7.3, [](core::ModelSuite& s, double v) {
-                      s.design.annual_energy = v * gwh;
-                    }});
-  // C_src,des: 30 - 700 g CO2e/kWh.
-  ranges.push_back({"C_src_des [g/kWh]", 30.0, 700.0, [](core::ModelSuite& s, double v) {
-                      s.design.intensity = v * g_per_kwh;
-                    }});
-  // N_emp,des: 20K - 160K employees.
-  ranges.push_back({"N_emp_company", 20e3, 160e3, [](core::ModelSuite& s, double v) {
-                      s.design.company_employees = v;
-                    }});
-  // T_proj: 1 - 3 years.
-  ranges.push_back({"T_proj [years]", 1.0, 3.0, [](core::ModelSuite& s, double v) {
-                      s.design.project_duration = v * years;
-                    }});
-  return ranges;
+const std::vector<ParameterRange>& table1_ranges() {
+  static const std::vector<ParameterRange> table = [] {
+    std::vector<ParameterRange> ranges;
+    // C_materials: rho in [0, 1].
+    ranges.push_back({"rho (recycled materials)", 0.0, 1.0,
+                      [](core::ModelSuite& s, double v) {
+                        s.fab.recycled_material_fraction = v;
+                      }});
+    // C_EOL: delta in [0, 1].
+    ranges.push_back({"delta (EOL recycled)", 0.0, 1.0, [](core::ModelSuite& s, double v) {
+                        s.eol.recycled_fraction = v;
+                      }});
+    // C_recycle: 7.65 - 29.83 MTCO2E/ton.
+    ranges.push_back({"C_recycle [MTCO2E/ton]", 7.65, 29.83,
+                      [](core::ModelSuite& s, double v) {
+                        s.eol.recycle_credit_factor = v * mtco2e_per_ton;
+                      }});
+    // C_dis: 0.03 - 2.08 MTCO2E/ton.
+    ranges.push_back({"C_dis [MTCO2E/ton]", 0.03, 2.08,
+                      [](core::ModelSuite& s, double v) {
+                        s.eol.discard_factor = v * mtco2e_per_ton;
+                      }});
+    // T_app,FE: 1.5 - 2.5 months.
+    ranges.push_back({"T_FE [months]", 1.5, 2.5, [](core::ModelSuite& s, double v) {
+                        s.appdev.frontend_time = v * months;
+                      }});
+    // T_app,BE: 0.5 - 1.5 months.
+    ranges.push_back({"T_BE [months]", 0.5, 1.5, [](core::ModelSuite& s, double v) {
+                        s.appdev.backend_time = v * months;
+                      }});
+    // E_des: 2 - 7.3 GWh.
+    ranges.push_back({"E_des [GWh]", 2.0, 7.3, [](core::ModelSuite& s, double v) {
+                        s.design.annual_energy = v * gwh;
+                      }});
+    // C_src,des: 30 - 700 g CO2e/kWh.
+    ranges.push_back({"C_src_des [g/kWh]", 30.0, 700.0, [](core::ModelSuite& s, double v) {
+                        s.design.intensity = v * g_per_kwh;
+                      }});
+    // N_emp,des: 20K - 160K employees.
+    ranges.push_back({"N_emp_company", 20e3, 160e3, [](core::ModelSuite& s, double v) {
+                        s.design.company_employees = v;
+                      }});
+    // T_proj: 1 - 3 years.
+    ranges.push_back({"T_proj [years]", 1.0, 3.0, [](core::ModelSuite& s, double v) {
+                        s.design.project_duration = v * years;
+                      }});
+    return ranges;
+  }();
+  return table;
 }
 
 double TornadoEntry::swing() const { return std::fabs(ratio_at_high - ratio_at_low); }

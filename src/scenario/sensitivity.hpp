@@ -31,8 +31,8 @@ struct ParameterRange {
   std::function<void(core::ModelSuite&, double)> apply;
 };
 
-/// The paper's Table 1, as sweepable ranges.
-[[nodiscard]] std::vector<ParameterRange> table1_ranges();
+/// The paper's Table 1, as sweepable ranges (built once, on first use).
+[[nodiscard]] const std::vector<ParameterRange>& table1_ranges();
 
 /// One-at-a-time sensitivity result for one parameter.
 struct TornadoEntry {

@@ -9,6 +9,7 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -493,21 +494,22 @@ Json spec_to_json(const ScenarioSpec& spec) {
 
 ScenarioSpec spec_from_json(const Json& json) {
   check_spec_keys(json);
-  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::compare);
-  spec.name = json.string_or("name", spec.name);
+  // Read ahead of the kind, so a bad name is still the first error.
+  std::optional<std::string> name;
+  if (json.contains("name")) {
+    name = json.at("name").as_string();
+  }
   const std::string kind = json.string_or("kind", "compare");
   const KindModule* module = find_kind_module(kind);
   if (module == nullptr) {
     throw core::ConfigError("unknown scenario kind \"" + kind +
                             "\" (valid: " + kind_name_list() + ")");
   }
-  spec.kind = module->kind;
-  // Re-seed now that the kind is known: kind-conditional defaults (the
-  // fleet section) depend on it.
-  for (const KindModule* each : all_kind_modules()) {
-    if (each->seed_defaults != nullptr) {
-      each->seed_defaults(spec);
-    }
+  // Seeded once the kind is known: kind-conditional defaults (the fleet
+  // section) depend on it.
+  ScenarioSpec spec = ScenarioSpec::make(module->kind);
+  if (name) {
+    spec.name = std::move(*name);
   }
   spec.domain = domain_from_token(json.string_or("domain", "dnn"));
   if (json.contains("platforms")) {

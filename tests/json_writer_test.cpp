@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -433,6 +435,141 @@ TEST(JsonWriter, EmptyStringsAndKeys) {
             R"({"":""})");
 }
 
+TEST(JsonWriter, NestingDeeperThanOnePadBlockMatchesTheDomDump) {
+  // Indentation is copied in 32-byte blocks: 150 levels reach 300 spaces
+  // at indent 2 and 600 at indent 4, many blocks per line.
+  constexpr int kDepth = 150;
+  Json value = Json::object({{"leaf", 7.0}});
+  for (int i = 0; i < kDepth; ++i) {
+    value = i % 2 == 0 ? Json::array({value, 1.5}) : Json::object({{"k", value}});
+  }
+  for (const int indent : {2, 4}) {
+    std::string expected;
+    const auto pad = [&](int depth) {
+      return "\n" + std::string(static_cast<std::size_t>(indent * depth), ' ');
+    };
+    // The same document, built by hand from the outside in.
+    std::string tail;
+    for (int level = 0; level < kDepth; ++level) {
+      const int i = kDepth - 1 - level;  // the wrapper written at this level
+      if (i % 2 == 0) {
+        expected += "[" + pad(level + 1);
+        tail = "," + pad(level + 1) + "1.5" + pad(level) + "]" + tail;
+      } else {
+        expected += "{" + pad(level + 1) + "\"k\": ";
+        tail = pad(level) + "}" + tail;
+      }
+    }
+    expected += "{" + pad(kDepth + 1) + "\"leaf\": 7" + pad(kDepth) + "}" + tail;
+    EXPECT_TRUE(value.dump(indent) == expected) << "indent " << indent;
+    const std::string streamed = written(indent, [&](JsonWriter& out) { out.json(value); });
+    EXPECT_TRUE(streamed == expected) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, KeysAroundThePadBlockLengthAndEscapedRuntimeKeys) {
+  const std::string k31 = "b" + std::string(30, 'x');
+  const std::string k32 = "c" + std::string(31, 'x');
+  const std::string k33 = "d" + std::string(32, 'x');
+  const Json dom = Json::object({{"a", 1.0},
+                                 {k31, 2.0},
+                                 {k32, 3.0},
+                                 {k33, Json::object({{"e\"q\\\n", 4.0}})}});
+  for (const int indent : {0, 2}) {
+    const std::string streamed = written(indent, [](JsonWriter& out) {
+      out.begin_object();
+      out.number("a", 1.0);
+      out.number("bxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx", 2.0);
+      out.number("cxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx", 3.0);
+      out.key("dxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
+      out.begin_object();
+      out.runtime_key("e\"q\\\n");
+      out.number(4.0);
+      out.end_object();
+      out.end_object();
+    });
+    EXPECT_EQ(streamed, dom.dump(indent)) << "indent " << indent;
+  }
+  EXPECT_EQ(dom.dump(0), "{\"a\":1,\"" + k31 + "\":2,\"" + k32 + "\":3,\"" + k33 +
+                             "\":{\"e\\\"q\\\\\\n\":4}}");
+}
+
+/// The message a misordered key throws.
+std::string misordered_key_message(const std::function<void(JsonWriter&)>& write) {
+  std::string text;
+  JsonWriter out(text, 2);
+  out.begin_object();
+  try {
+    write(out);
+  } catch (const std::logic_error& error) {
+    return error.what();
+  }
+  return "no throw";
+}
+
+TEST(JsonWriter, MisorderedKeysThrowWhetherOrNotTheirFirstBytesTie) {
+  EXPECT_EQ(misordered_key_message([](JsonWriter& out) {
+              out.number("ac", 1.0);
+              out.key("ab");  // ties on 'a'
+            }),
+            "JsonWriter: key \"ab\" written after \"ac\" (object keys must be strictly "
+            "increasing)");
+  EXPECT_EQ(misordered_key_message([](JsonWriter& out) {
+              out.number("b", 1.0);
+              out.key("ab");  // 'a' < 'b'
+            }),
+            "JsonWriter: key \"ab\" written after \"b\" (object keys must be strictly "
+            "increasing)");
+  EXPECT_EQ(misordered_key_message([](JsonWriter& out) {
+              out.runtime_key("ac");
+              out.null();
+              out.runtime_key(std::string("ab"));
+            }),
+            "JsonWriter: key \"ab\" written after \"ac\" (object keys must be strictly "
+            "increasing)");
+  // A prefix sorts first; a key after its own prefix is in order.
+  EXPECT_EQ(misordered_key_message([](JsonWriter& out) {
+              out.number("ab", 1.0);
+              out.key("a");
+            }),
+            "JsonWriter: key \"a\" written after \"ab\" (object keys must be strictly "
+            "increasing)");
+  EXPECT_EQ(misordered_key_message([](JsonWriter& out) {
+              out.number("a", 1.0);
+              out.number("ab", 2.0);
+            }),
+            "no throw");
+}
+
+TEST(JsonWriter, TheLongestNumberFormIsIdenticalFromAFreshSlotAndFromTheMemo) {
+  // sign, 17 significant digits, point, "e-308": 24 bytes, the longest
+  // canonical form and the whole of a memo slot's text.
+  constexpr double kValue = -2.2250738585072014e-308;
+  const std::string expected = "-2.2250738585072014e-308";
+  ASSERT_EQ(expected.size(), io::detail::kMaxNumberBytes);
+  // Evict the value's slot first, so the first write formats it afresh.
+  const std::size_t slot =
+      io::detail::number_memo_slot(std::bit_cast<std::uint64_t>(kValue));
+  double other = 1.0;
+  while (io::detail::number_memo_slot(std::bit_cast<std::uint64_t>(other)) != slot) {
+    other = std::nextafter(other, 2.0);
+  }
+  EXPECT_EQ(io::format_number(other), io::format_number(other));
+  EXPECT_TRUE(io::detail::memoised_number(kValue).empty());
+  const auto write = [&] {
+    return written(0, [&](JsonWriter& out) {
+      out.begin_array();
+      out.number(kValue);
+      out.number(kValue);
+      out.end_array();
+    });
+  };
+  const std::string twice = "[" + expected + "," + expected + "]";
+  EXPECT_EQ(write(), twice);  // formatted, then replayed from the memo
+  EXPECT_EQ(io::detail::memoised_number(kValue), expected);
+  EXPECT_EQ(write(), twice);
+}
+
 // -- chunked writing: continuations spliced in order ----------------------------------
 
 TEST(JsonWriterChunks, ALargeGridWritesTheSameBytesAtEveryThreadCount) {
@@ -540,6 +677,66 @@ TEST(JsonWriterChunks, PoolThreadsFormatThroughTheirOwnNumberMemos) {
       [&](int& /*state*/, std::size_t i) { pooled[i] = document(i); }, core::kInlineWork);
   for (std::size_t i = 0; i < kItems; ++i) {
     ASSERT_EQ(pooled[i], serial[i]) << "item " << i;
+  }
+}
+
+/// Elements [from, to) of a small mixed array: numbers and objects.
+void write_items(JsonWriter& out, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    if (i % 3 == 0) {
+      out.begin_object();
+      out.number("i", i);
+      out.string("name", "item " + std::to_string(i));
+      out.end_object();
+    } else {
+      out.number(i + 0.5);
+    }
+  }
+}
+
+TEST(JsonWriterChunks, SplicesLandWhereTheyWereMadeAndAreHashedInOrder) {
+  for (const int indent : {0, 2}) {
+    std::string serial;
+    {
+      JsonWriter out(serial, indent);
+      out.begin_object();
+      out.key("items");
+      out.begin_array();
+      write_items(out, 0, 12);
+      out.end_array();
+      out.number("z", 1.0);
+      out.end_object();
+      out.finish();
+    }
+    std::string spliced = "kept:";
+    JsonWriter out(spliced, indent);
+    out.begin_object();
+    out.key("items");
+    out.begin_array();
+    write_items(out, 0, 2);
+    JsonWriter part(JsonWriter::continuation, out);
+    write_items(part, 2, 5);
+    // A continuation of the continuation, spliced into it first: its bytes
+    // travel with the part's.
+    JsonWriter nested(JsonWriter::continuation, part);
+    write_items(nested, 5, 7);
+    part.splice(nested);
+    write_items(part, 7, 8);
+    out.splice(part);
+    write_items(out, 8, 10);  // the parent writes on after the splice
+    JsonWriter later(JsonWriter::continuation, out);
+    write_items(later, 10, 12);
+    out.splice(later);
+    out.end_array();
+    out.number("z", 1.0);
+    out.end_object();
+    EXPECT_EQ(spliced, "kept:");  // nothing is copied before finish
+    const std::uint64_t digest = out.finish_hashed();
+    EXPECT_EQ(spliced, "kept:" + serial) << "indent " << indent;
+    EXPECT_EQ(digest, io::fnv1a64(serial)) << "indent " << indent;
+    // The writer stays usable, and spliced parts are not appended twice.
+    out.finish();
+    EXPECT_EQ(spliced, "kept:" + serial);
   }
 }
 
