@@ -4,9 +4,10 @@
 /// Every evaluating command builds a `scenario::ScenarioSpec` and runs it
 /// through `scenario::Engine`; the spec path (`greenfpga run`) accepts the
 /// same shape from a JSON file, so anything the CLI can do is also
-/// expressible declaratively without recompiling.  Rendering is not done
-/// here: results lower into `report::ResultFrame`s and the `--format`
-/// renderers in `report::result_render` present them.
+/// expressible declaratively without recompiling; the kind commands are
+/// preset specs whose flags alias spec keys ("the kind commands" below).
+/// Rendering is not done here: results lower into `report::ResultFrame`s
+/// and the `--format` renderers in `report::result_render` present them.
 
 #include "cli/commands.hpp"
 
@@ -18,8 +19,10 @@
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <ranges>
 #include <regex>
-#include <sstream>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "bench/artifact.hpp"
@@ -29,12 +32,10 @@
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "dse/frontier_spec.hpp"
 #include "report/figure_writer.hpp"
 #include "report/markdown_report.hpp"
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
-#include "scenario/fleet.hpp"
 #include "scenario/kind_registry.hpp"
 #include "scenario/result_io.hpp"
 #include "serve/handlers.hpp"
@@ -102,39 +103,17 @@ int emit_frames(const CommandContext& context,
       out, err);
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream stream(text);
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
-
-/// Default axis shape for one `--axes` entry of `greenfpga frontier`;
-/// custom ranges go through `greenfpga run` with a frontier spec.
-std::optional<dse::FrontierAxisSpec> frontier_axis_preset(const std::string& name) {
-  const std::optional<dse::FrontierVariable> variable =
-      dse::parse_frontier_variable(name);
-  if (!variable) {
+/// Strict bounded integer flag parse (trailing garbage and overflow
+/// rejected), mirroring the global --threads rules.
+std::optional<long> parse_flag_int(const std::string& value, long lo, long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
+      parsed < lo || parsed > hi) {
     return std::nullopt;
   }
-  switch (*variable) {
-    case dse::FrontierVariable::app_count:
-      return dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1.0, 10.0,
-                                           10);
-    case dse::FrontierVariable::lifetime_years:
-      return dse::FrontierAxisSpec::linear(dse::FrontierVariable::lifetime_years, 0.5,
-                                           8.0, 10);
-    case dse::FrontierVariable::volume:
-      return dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e4, 1e7, 10);
-    case dse::FrontierVariable::node:
-      return dse::FrontierAxisSpec::node_list({});
-  }
-  return std::nullopt;
+  return parsed;
 }
 
 /// Write a result's canonical JSON file: the `--format json` bytes.
@@ -142,26 +121,283 @@ void write_result_file(const std::string& path, const scenario::ScenarioResult& 
   io::write_json_text(path, scenario::result_document(result));
 }
 
-/// Shared tail of `run` and `mc`: evaluate the spec, render per --format,
-/// write the optional legacy machine-readable exports.
-int run_and_emit(const CommandContext& context, const scenario::ScenarioSpec& spec,
-                 const std::optional<std::string>& json_out,
-                 const std::optional<std::string>& csv_out, std::ostream& out,
-                 std::ostream& err) {
+// -- the kind commands ------------------------------------------------------------
+//
+// `sweep`, `nodes`, `mc`, `fleet` and `frontier` are one function over the
+// table below: `ScenarioSpec::make(kind, domain)` rendered to its
+// canonical JSON, each flag's value written at the spec key it aliases,
+// then decoded by `spec_from_json`, the decoder of `run` and `serve`.  No
+// kind flag is parsed or range-checked here.
+
+/// A named JSON value that a preset-list flag writes in place of the name.
+struct Preset {
+  std::string_view name;
+  std::string_view json;
+};
+
+/// A command's flag: an alias for one spec key (a dotted path into the
+/// spec JSON), or, with no key, `--json` / `--csv` naming an output file.
+/// A `list` value is split at commas into JSON strings, or into the named
+/// `presets`' JSON; any other value is one JSON scalar (`7`, `1e2`,
+/// `true`), or a JSON string when it does not parse as one.
+struct KindFlag {
+  std::string_view flag;
+  std::string_view key = {};
+  bool list = false;
+  std::span<const Preset> presets = {};
+  std::string_view fallback = {};  ///< written when the flag is not given
+};
+
+/// A kind subcommand: `<name> <domain> <positionals...> [flags...]`.
+struct KindCommand {
+  std::string_view name;
+  scenario::ScenarioKind kind;
+  std::string (*spec_name)(const scenario::ScenarioSpec& spec);
+  std::span<const KindFlag> positionals = {};  ///< after the domain, in order
+  std::span<const KindFlag> flags = {};
+};
+
+constexpr Preset kSweepAxes[] = {
+    {"apps", R"({"count":12,"from":1,"to":12,"variable":"app_count"})"},
+    {"lifetime", R"({"count":24,"from":0.2,"to":2.5,"variable":"lifetime_years"})"},
+    {"volume", R"({"count":25,"from":1e3,"scale":"log","to":1e7,"variable":"volume"})"},
+};
+
+/// Custom ranges go through `greenfpga run` with a frontier spec.
+constexpr Preset kFrontierAxes[] = {
+    {"apps", R"({"count":10,"from":1,"to":10,"variable":"app_count"})"},
+    {"lifetime", R"({"count":10,"from":0.5,"to":8,"variable":"lifetime_years"})"},
+    {"volume", R"({"count":10,"from":1e4,"scale":"log","to":1e7,"variable":"volume"})"},
+    {"node", R"({"nodes":[],"variable":"node"})"},
+};
+
+constexpr KindFlag kSweepPositionals[] = {
+    {.flag = "variable", .key = "axes", .list = true, .presets = kSweepAxes}};
+constexpr KindFlag kOutputFlags[] = {{.flag = "--json"}, {.flag = "--csv"}};
+constexpr KindFlag kMcFlags[] = {{.flag = "--samples", .key = "montecarlo.samples"},
+                                 {.flag = "--seed", .key = "montecarlo.seed"},
+                                 {.flag = "--json"},
+                                 {.flag = "--csv"}};
+constexpr KindFlag kFleetFlags[] = {
+    {.flag = "--platforms", .key = "platforms", .list = true},
+    {.flag = "--horizon", .key = "fleet.horizon_years"},
+    {.flag = "--utilization", .key = "fleet.utilization"},
+    {.flag = "--samples", .key = "fleet.mc_samples"},
+    {.flag = "--seed", .key = "montecarlo.seed"},
+    {.flag = "--json"},
+    {.flag = "--csv"}};
+constexpr KindFlag kFrontierFlags[] = {
+    {.flag = "--platforms", .key = "platforms", .list = true, .fallback = "asic,fpga,gpu,cpu"},
+    {.flag = "--axes", .key = "frontier.axes", .list = true, .presets = kFrontierAxes},
+    {.flag = "--objective", .key = "frontier.objective"},
+    {.flag = "--samples", .key = "frontier.confidence_samples"},
+    {.flag = "--seed", .key = "frontier.seed"},
+    {.flag = "--json"}};
+
+std::string joined_platforms(const scenario::ScenarioSpec& spec, std::string_view separator) {
+  std::string joined;
+  for (const scenario::PlatformRef& platform : spec.platforms) {
+    joined += (joined.empty() ? "" : std::string(separator)) + platform.name;
+  }
+  return joined;
+}
+
+constexpr KindCommand kKindCommands[] = {
+    {"sweep", scenario::ScenarioKind::sweep,
+     [](const scenario::ScenarioSpec& spec) {
+       return to_string(spec.domain) + " sweep over " + spec.axes.front().label();
+     },
+     kSweepPositionals},
+    {"nodes", scenario::ScenarioKind::node_dse,
+     [](const scenario::ScenarioSpec& spec) {
+       return "node ranking for the " + to_string(spec.domain) +
+              " FPGA (paper schedule: 5 apps x 2 y x 1M)";
+     }},
+    {"mc", scenario::ScenarioKind::montecarlo,
+     [](const scenario::ScenarioSpec& spec) {
+       return to_string(spec.domain) + " Monte-Carlo uncertainty";
+     },
+     {}, kMcFlags},
+    {"fleet", scenario::ScenarioKind::fleet,
+     [](const scenario::ScenarioSpec& spec) {
+       const std::string joined = joined_platforms(spec, " + ");
+       return to_string(spec.domain) + " datacenter fleet" +
+              (joined.empty() ? std::string() : ": " + joined);
+     },
+     {}, kFleetFlags},
+    {"frontier", scenario::ScenarioKind::frontier,
+     [](const scenario::ScenarioSpec& spec) {
+       return to_string(spec.domain) + " platform frontier: " +
+              joined_platforms(spec, " vs ");
+     },
+     {}, kFrontierFlags},
+};
+
+/// A flag as given, and the JSON it writes at its key.
+struct FlagWrite {
+  const KindFlag* flag = nullptr;
+  std::string text;
+  io::Json value;
+};
+
+struct Arguments {
+  std::vector<FlagWrite> writes;  ///< in order, the last one given per key
+  std::optional<std::string> json_out;
+  std::optional<std::string> csv_out;
+};
+
+/// Record `flag` given as `text`, replacing an earlier write of its key.
+/// False (after the message) for a list item that names no preset.
+bool add_write(std::string_view command, const KindFlag& flag, const std::string& text,
+               std::vector<FlagWrite>& writes, std::ostream& err) {
+  io::Json value = io::Json::array();
+  if (!flag.list) {
+    try {
+      value = io::parse_json(text);
+    } catch (const io::JsonError&) {
+    }
+    if (value.is_array() || value.is_object()) {  // also: the text did not parse
+      value = text;
+    }
+  }
+  for (const auto part : std::views::split(flag.list ? std::string_view(text) : "", ',')) {
+    const std::string item(part.begin(), part.end());
+    const auto preset = std::ranges::find(flag.presets, item, &Preset::name);
+    if (flag.presets.empty() && !item.empty()) {
+      value.push_back(item);
+    } else if (preset != flag.presets.end()) {
+      value.push_back(io::parse_json(preset->json));
+    } else if (!item.empty()) {
+      err << command << ": unknown " << flag.flag << " '" << item << "' (";
+      for (const Preset& each : flag.presets) {
+        err << (&each == flag.presets.data() ? "" : ", ") << each.name;
+      }
+      err << ")\n";
+      return false;
+    }
+  }
+  std::erase_if(writes, [&flag](const FlagWrite& write) { return write.flag->key == flag.key; });
+  writes.push_back({&flag, text, std::move(value)});
+  return true;
+}
+
+/// Read `args[first..]` as `flags`.  False (after the message) on an
+/// argument the command does not take.
+bool parse_arguments(std::string_view command, std::span<const KindFlag> flags,
+                     const std::vector<std::string>& args, std::size_t first,
+                     Arguments& parsed, std::ostream& err) {
+  for (std::size_t i = first; i < args.size(); ++i) {
+    const auto flag = std::ranges::find(flags, args[i], &KindFlag::flag);
+    if (flag == flags.end() || i + 1 == args.size()) {
+      err << command << ": unknown argument '" << args[i] << "'\n";
+      return false;
+    }
+    const std::string& value = args[++i];
+    if (flag->key.empty()) {
+      (flag->flag == "--json" ? parsed.json_out : parsed.csv_out) = value;
+    } else if (!add_write(command, *flag, value, parsed.writes, err)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `document` with `writes` set at their dotted keys (every section on a
+/// key's path exists in a canonical spec), decoded.
+scenario::ScenarioSpec decode(io::Json document, std::span<const FlagWrite> writes) {
+  for (const FlagWrite& write : writes) {
+    io::Json* node = &document;
+    std::string_view key = write.flag->key;
+    for (std::size_t dot = key.find('.'); dot != key.npos; dot = key.find('.')) {
+      node = &(*node)[std::string(key.substr(0, dot))];
+      key.remove_prefix(dot + 1);
+    }
+    (*node)[std::string(key)] = write.value;
+  }
+  return scenario::spec_from_json(document);
+}
+
+/// Evaluate the spec, render it per --format, and write the `--json`
+/// result and `--csv` per-sample files.  `--csv` needs a spec whose kind
+/// module draws per-sample totals; `csv_hint` ends the refusal.
+int run_and_emit(const CommandContext& context, std::string_view command,
+                 const scenario::ScenarioSpec& spec, const Arguments& files,
+                 std::string_view csv_hint, std::ostream& out, std::ostream& err) {
+  const scenario::KindModule& module = scenario::kind_module(spec.kind);
+  if (files.csv_out && (module.sample_csv == nullptr || !module.sample_csv(spec))) {
+    err << command << ": --csv exports Monte-Carlo samples; spec '" << spec.name
+        << "' has kind " << to_string(spec.kind) << csv_hint << "\n";
+    return 2;
+  }
   const scenario::ScenarioResult result = make_engine(context).run(spec);
   const int code = emit_result(context, result, out, err);
   if (code != 0) {
     return code;
   }
-  if (json_out) {
-    write_result_file(*json_out, result);
-    out << "wrote " << *json_out << "\n";
+  if (files.json_out) {
+    write_result_file(*files.json_out, result);
+    out << "wrote " << *files.json_out << "\n";
   }
-  if (csv_out) {
-    report::frame_to_csv(scenario::mc_samples_frame(result)).write_file(*csv_out);
-    out << "wrote " << *csv_out << "\n";
+  if (files.csv_out) {
+    report::frame_to_csv(scenario::mc_samples_frame(result)).write_file(*files.csv_out);
+    out << "wrote " << *files.csv_out << "\n";
   }
   return 0;
+}
+
+int run_kind(const CommandContext& context, const KindCommand& command,
+             const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
+  const std::size_t first_flag = 1 + command.positionals.size();
+  if (args.size() < first_flag) {
+    err << command.name << ": expected <dnn|imgproc|crypto>";
+    for (const KindFlag& positional : command.positionals) {
+      err << " <" << positional.flag << ">";
+    }
+    err << "\n";
+    return 2;
+  }
+  const std::optional<device::Domain> domain = parse_domain(args[0]);
+  if (!domain) {
+    err << command.name << ": unknown domain '" << args[0] << "'\n";
+    return 2;
+  }
+  Arguments parsed;
+  for (const KindFlag& flag : command.flags) {
+    if (!flag.fallback.empty()) {
+      (void)add_write(command.name, flag, std::string(flag.fallback), parsed.writes, err);
+    }
+  }
+  for (std::size_t i = 1; i < first_flag; ++i) {
+    if (!add_write(command.name, command.positionals[i - 1], args[i], parsed.writes, err)) {
+      return 2;
+    }
+  }
+  if (!parse_arguments(command.name, command.flags, args, first_flag, parsed, err)) {
+    return 2;
+  }
+  scenario::ScenarioSpec made = scenario::ScenarioSpec::make(command.kind, *domain);
+  made.name = std::string(command.name) + " " + args[0];  // until spec_name can run
+  const io::Json preset = scenario::spec_to_json(made);
+  std::optional<scenario::ScenarioSpec> spec;
+  try {
+    spec = decode(preset, parsed.writes);
+  } catch (const std::exception&) {
+    // Replay the writes one at a time to name the first one refused.
+    for (std::size_t n = 1; n <= parsed.writes.size(); ++n) {
+      try {
+        (void)decode(preset, std::span(parsed.writes).first(n));
+      } catch (const std::exception& error) {
+        const FlagWrite& write = parsed.writes[n - 1];
+        err << command.name << ": invalid " << write.flag->flag << " '" << write.text
+            << "': " << error.what() << "\n";
+        return 2;
+      }
+    }
+    throw;
+  }
+  spec->name = command.spec_name(*spec);
+  return run_and_emit(context, command.name, *spec, parsed, "; pass --samples N (> 0)",
+                      out, err);
 }
 
 }  // namespace
@@ -252,50 +488,14 @@ int run_spec(const CommandContext& context, const std::vector<std::string>& args
     err << "run: missing spec file\n";
     return 2;
   }
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--json" && i + 1 < args.size()) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--csv" && i + 1 < args.size()) {
-      csv_out = args[i + 1];
-      ++i;
-    } else {
-      err << "run: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
+  Arguments files;
+  if (!parse_arguments("run", kOutputFlags, args, 1, files, err)) {
+    return 2;
   }
   // load_spec reports parse/validation errors with the spec path and the
   // offending key, so a bad file fails with an actionable message.
-  const scenario::ScenarioSpec spec = scenario::load_spec(args[0]);
-  // The kind's module says whether this spec produces per-sample totals
-  // (montecarlo always; fleet only with mc_samples > 0).
-  const scenario::KindModule& module = scenario::kind_module(spec.kind);
-  if (csv_out && (module.sample_csv == nullptr || !module.sample_csv(spec))) {
-    err << "run: --csv exports Monte-Carlo samples; spec '" << spec.name
-        << "' has kind " << to_string(spec.kind) << "\n";
-    return 2;
-  }
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
+  return run_and_emit(context, "run", scenario::load_spec(args[0]), files, "", out, err);
 }
-
-namespace {
-
-/// Strict bounded integer flag parse (trailing garbage and overflow
-/// rejected), mirroring the global --threads rules.
-std::optional<long> parse_flag_int(const std::string& value, long lo, long hi) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
-      parsed < lo || parsed > hi) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-}  // namespace
 
 int run_serve(const CommandContext& context, const std::vector<std::string>& args,
               std::ostream& out, std::ostream& err) {
@@ -645,246 +845,6 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
   return 0;
 }
 
-int run_frontier(const CommandContext& context, const std::vector<std::string>& args,
-                 std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "frontier: expected <dnn|imgproc|crypto> [--platforms a,b,...] [--axes x,y]"
-           " [--objective total|embodied|operational] [--samples N] [--seed S]"
-           " [--json <out.json>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "frontier: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::frontier, *domain);
-  std::vector<std::string> platforms{"asic", "fpga", "gpu", "cpu"};
-  std::optional<std::string> json_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--platforms" && has_value) {
-      platforms = split_csv(args[i + 1]);
-      if (platforms.size() < 2) {
-        err << "frontier: --platforms needs at least two comma-separated names\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--axes" && has_value) {
-      spec.frontier.axes.clear();
-      for (const std::string& name : split_csv(args[i + 1])) {
-        const auto axis = frontier_axis_preset(name);
-        if (!axis) {
-          err << "frontier: unknown axis '" << name
-              << "' (apps, lifetime, volume, node)\n";
-          return 2;
-        }
-        spec.frontier.axes.push_back(*axis);
-      }
-      ++i;
-    } else if (args[i] == "--objective" && has_value) {
-      const auto objective = dse::parse_frontier_objective(args[i + 1]);
-      if (!objective) {
-        err << "frontier: unknown --objective '" << args[i + 1]
-            << "' (total, embodied, operational)\n";
-        return 2;
-      }
-      spec.frontier.objective = *objective;
-      ++i;
-    } else if (args[i] == "--samples" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["samples"] = io::parse_json(args[i + 1]);
-        spec.frontier.confidence_samples =
-            static_cast<int>(core::int_field_or(value, "samples", 0, 0, 1'000'000));
-      } catch (const std::exception& error) {
-        err << "frontier: invalid --samples '" << args[i + 1] << "': " << error.what()
-            << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["seed"] = io::parse_json(args[i + 1]);
-        spec.frontier.seed =
-            static_cast<unsigned>(core::int_field_or(value, "seed", 0, 0, 4294967295LL));
-      } catch (const std::exception& error) {
-        err << "frontier: invalid --seed '" << args[i + 1] << "': " << error.what()
-            << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else {
-      err << "frontier: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  spec.platforms.clear();
-  std::string joined;
-  for (const std::string& name : platforms) {
-    spec.platforms.push_back(scenario::PlatformRef{.name = name, .chip = std::nullopt});
-    joined += (joined.empty() ? "" : " vs ") + name;
-  }
-  spec.name = to_string(*domain) + " platform frontier: " + joined;
-  return run_and_emit(context, spec, json_out, std::nullopt, out, err);
-}
-
-int run_mc(const CommandContext& context, const std::vector<std::string>& args,
-          std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "mc: expected <domain> [--samples N] [--seed S] [--csv <out.csv>] "
-           "[--json <out.json>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "mc: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::montecarlo, *domain);
-  spec.name = to_string(*domain) + " Monte-Carlo uncertainty";
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--samples" && has_value) {
-      // Same strict range-guarded read as the JSON path: int_field_or
-      // rejects junk instead of silently truncating.
-      io::Json value = io::Json::object();
-      try {
-        value["samples"] = io::parse_json(args[i + 1]);
-        spec.montecarlo.samples = static_cast<int>(
-            core::int_field_or(value, "samples", 0, 1, 10'000'000));
-      } catch (const std::exception& error) {
-        err << "mc: invalid --samples '" << args[i + 1] << "': " << error.what() << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["seed"] = io::parse_json(args[i + 1]);
-        spec.montecarlo.seed = static_cast<unsigned>(
-            core::int_field_or(value, "seed", 0, 0, 4294967295LL));
-      } catch (const std::exception& error) {
-        err << "mc: invalid --seed '" << args[i + 1] << "': " << error.what() << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--csv" && has_value) {
-      csv_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else {
-      err << "mc: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
-}
-
-int run_fleet(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "fleet: expected <dnn|imgproc|crypto> [--platforms a,b,...] [--horizon Y]"
-           " [--utilization U] [--samples N] [--seed S] [--json <out.json>]"
-           " [--csv <out.csv>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "fleet: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::fleet, *domain);
-  scenario::FleetSpec& fleet = *spec.fleet;
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  const auto parse_flag_double = [](const std::string& value) -> std::optional<double> {
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
-      return std::nullopt;
-    }
-    return parsed;
-  };
-  std::vector<std::string> platforms;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--platforms" && has_value) {
-      platforms = split_csv(args[i + 1]);
-      if (platforms.size() < 2) {
-        err << "fleet: --platforms needs at least two comma-separated names\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--horizon" && has_value) {
-      const auto horizon = parse_flag_double(args[i + 1]);
-      if (!horizon || !(*horizon > 0.0)) {
-        err << "fleet: invalid --horizon '" << args[i + 1] << "' (years > 0)\n";
-        return 2;
-      }
-      fleet.horizon_years = *horizon;
-      ++i;
-    } else if (args[i] == "--utilization" && has_value) {
-      const auto utilization = parse_flag_double(args[i + 1]);
-      if (!utilization || !(*utilization > 0.0) || !(*utilization <= 1.0)) {
-        err << "fleet: invalid --utilization '" << args[i + 1] << "' (0 < U <= 1)\n";
-        return 2;
-      }
-      fleet.utilization = *utilization;
-      ++i;
-    } else if (args[i] == "--samples" && has_value) {
-      const auto samples = parse_flag_int(args[i + 1], 0, 10'000'000);
-      if (!samples) {
-        err << "fleet: invalid --samples '" << args[i + 1] << "' (0..10000000)\n";
-        return 2;
-      }
-      fleet.mc_samples = static_cast<int>(*samples);
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      const auto seed = parse_flag_int(args[i + 1], 0, 4294967295LL);
-      if (!seed) {
-        err << "fleet: invalid --seed '" << args[i + 1] << "' (0..4294967295)\n";
-        return 2;
-      }
-      spec.montecarlo.seed = static_cast<unsigned>(*seed);
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--csv" && has_value) {
-      csv_out = args[i + 1];
-      ++i;
-    } else {
-      err << "fleet: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  if (csv_out && fleet.mc_samples <= 0) {
-    err << "fleet: --csv exports Monte-Carlo samples; pass --samples N (> 0)\n";
-    return 2;
-  }
-  std::string joined;
-  for (const std::string& name : platforms) {
-    spec.platforms.push_back(scenario::PlatformRef{.name = name, .chip = std::nullopt});
-    joined += (joined.empty() ? "" : " + ") + name;
-  }
-  spec.name = to_string(*domain) + " datacenter fleet" +
-              (joined.empty() ? std::string() : ": " + joined);
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
-}
-
 int run_compare(const CommandContext& context, const std::vector<std::string>& args,
                std::ostream& out, std::ostream& err) {
   if (args.empty()) {
@@ -975,34 +935,6 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
   return 0;
 }
 
-int run_sweep(const CommandContext& context, const std::vector<std::string>& args,
-             std::ostream& out, std::ostream& err) {
-  if (args.size() != 2) {
-    err << "sweep: expected <domain> <variable>\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "sweep: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, *domain);
-  if (args[1] == "apps") {
-    spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 12, 12)};
-  } else if (args[1] == "lifetime") {
-    spec.axes = {
-        scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 2.5, 24)};
-  } else if (args[1] == "volume") {
-    spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 25)};
-  } else {
-    err << "sweep: unknown variable '" << args[1] << "'\n";
-    return 2;
-  }
-  spec.name = to_string(*domain) + " sweep over " + spec.axes.front().label();
-  return emit_result(context, make_engine(context).run(spec), out, err);
-}
-
 int run_industry(const CommandContext& context, const std::vector<std::string>& args,
                  std::ostream& out, std::ostream& err) {
   if (!args.empty()) {
@@ -1046,24 +978,6 @@ int run_industry(const CommandContext& context, const std::vector<std::string>& 
         }
       },
       out, err);
-}
-
-int run_nodes(const CommandContext& context, const std::vector<std::string>& args,
-             std::ostream& out, std::ostream& err) {
-  if (args.size() != 1) {
-    err << "nodes: expected <domain>\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "nodes: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::node_dse, *domain);
-  spec.name = "node ranking for the " + to_string(*domain) +
-              " FPGA (paper schedule: 5 apps x 2 y x 1M)";
-  return emit_result(context, make_engine(context).run(spec), out, err);
 }
 
 int run_figures(const CommandContext& context, const std::vector<std::string>& args,
@@ -1380,26 +1294,16 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out, std::ostre
     if (command == "bench") {
       return run_bench(context, rest, out, err);
     }
-    if (command == "frontier") {
-      return run_frontier(context, rest, out, err);
-    }
-    if (command == "mc") {
-      return run_mc(context, rest, out, err);
-    }
-    if (command == "fleet") {
-      return run_fleet(context, rest, out, err);
+    for (const KindCommand& kind_command : kKindCommands) {
+      if (command == kind_command.name) {
+        return run_kind(context, kind_command, rest, out, err);
+      }
     }
     if (command == "compare") {
       return run_compare(context, rest, out, err);
     }
-    if (command == "sweep") {
-      return run_sweep(context, rest, out, err);
-    }
     if (command == "industry") {
       return run_industry(context, rest, out, err);
-    }
-    if (command == "nodes") {
-      return run_nodes(context, rest, out, err);
     }
     if (command == "figures") {
       return run_figures(context, rest, out, err);

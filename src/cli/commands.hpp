@@ -18,6 +18,10 @@
 /// the global flags into a context, routes to the command, and maps
 /// uncaught exceptions to exit code 1 with a message on `err`.
 ///
+/// The kind commands (`sweep`, `nodes`, `mc`, `fleet`, `frontier`) are
+/// rows of one table in commands.cpp that `dispatch` runs: a preset spec
+/// whose flags alias spec keys, decoded by `scenario::spec_from_json`.
+///
 /// Commands parse arguments and assemble data; *rendering* lives in
 /// `report::` (`render_result` / `render_frames` over the frame IR), so
 /// no scenario kind is formatted here.
@@ -74,43 +78,13 @@ int run_serve(const CommandContext& context, const std::vector<std::string>& arg
 int run_bench(const CommandContext& context, const std::vector<std::string>& args,
               std::ostream& out, std::ostream& err);
 
-/// `greenfpga frontier <dnn|imgproc|crypto> [--platforms a,b,...]
-/// [--axes x,y] [--objective total|embodied|operational] [--samples N]
-/// [--seed S] [--json <out.json>]` -- platform win-region DSE over a
-/// deployment grid: per-cell winners, win fractions, breakeven boundary
-/// polylines, optional Monte-Carlo win confidence.
-int run_frontier(const CommandContext& context, const std::vector<std::string>& args,
-                 std::ostream& out, std::ostream& err);
-
-/// `greenfpga mc <dnn|imgproc|crypto> [--samples N] [--seed S]
-/// [--csv <out.csv>] [--json <out.json>]` -- Monte-Carlo uncertainty
-/// quantification over the Table 1 distributions for a built-in testcase.
-int run_mc(const CommandContext& context, const std::vector<std::string>& args,
-           std::ostream& out, std::ostream& err);
-
-/// `greenfpga fleet <dnn|imgproc|crypto> [--platforms a,b,...] [--horizon Y]
-/// [--utilization U] [--samples N] [--seed S] [--json <out.json>]
-/// [--csv <out.csv>]` -- mixed-platform datacenter fleet sized to a
-/// 24-hour traffic trace across regional grid profiles, with FPGA
-/// reconfiguration amortisation and optional Monte-Carlo bands.
-int run_fleet(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err);
-
 /// `greenfpga compare <scenario.json> [--json <out.json>] [--markdown <out.md>]`.
 int run_compare(const CommandContext& context, const std::vector<std::string>& args,
                 std::ostream& out, std::ostream& err);
 
-/// `greenfpga sweep <dnn|imgproc|crypto> <apps|lifetime|volume>`.
-int run_sweep(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err);
-
 /// `greenfpga industry`.
 int run_industry(const CommandContext& context, const std::vector<std::string>& args,
                  std::ostream& out, std::ostream& err);
-
-/// `greenfpga nodes <dnn|imgproc|crypto>` -- carbon-aware node ranking.
-int run_nodes(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err);
 
 /// `greenfpga figures` -- run every paper experiment and print the
 /// headline crossovers next to the paper's reported values.

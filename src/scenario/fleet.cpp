@@ -10,6 +10,7 @@
 #include "act/grid_profile.hpp"
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
+#include "scenario/kinds/common.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -17,6 +18,8 @@ namespace greenfpga::scenario {
 namespace {
 
 using io::Json;
+using kinds::int_field_ctx;
+using kinds::number_field_or;
 
 constexpr int kHours = 24;
 
@@ -251,9 +254,9 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
       FleetRegionSpec region;
       region.name = entry.string_or("name", region.name);
       region.profile = entry.string_or("profile", region.profile);
-      region.weight = entry.number_or("weight", region.weight);
-      region.intensity_scale =
-          entry.number_or("intensity_scale", region.intensity_scale);
+      region.weight = number_field_or(entry, "fleet.regions", "weight", region.weight);
+      region.intensity_scale = number_field_or(entry, "fleet.regions", "intensity_scale",
+                                               region.intensity_scale);
       base.regions.push_back(std::move(region));
     }
   }
@@ -263,7 +266,8 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
       core::check_known_keys(entry, "fleet service", {"name", "peak_load", "trace"});
       FleetServiceSpec service;
       service.name = entry.string_or("name", service.name);
-      service.peak_load = entry.number_or("peak_load", service.peak_load);
+      service.peak_load =
+          number_field_or(entry, "fleet.services", "peak_load", service.peak_load);
       if (entry.contains("trace")) {
         for (const Json& multiplier : entry.at("trace").as_array()) {
           service.trace.push_back(multiplier.as_number());
@@ -272,12 +276,12 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
       base.services.push_back(std::move(service));
     }
   }
-  base.horizon_years = json.number_or("horizon_years", base.horizon_years);
-  base.utilization = json.number_or("utilization", base.utilization);
-  base.reconfig_overhead_hours =
-      json.number_or("reconfig_overhead_hours", base.reconfig_overhead_hours);
+  base.horizon_years = number_field_or(json, "fleet", "horizon_years", base.horizon_years);
+  base.utilization = number_field_or(json, "fleet", "utilization", base.utilization);
+  base.reconfig_overhead_hours = number_field_or(json, "fleet", "reconfig_overhead_hours",
+                                                 base.reconfig_overhead_hours);
   base.mc_samples = static_cast<int>(
-      core::int_field_or(json, "mc_samples", base.mc_samples, 0, 10'000'000));
+      int_field_ctx(json, "fleet", "mc_samples", base.mc_samples, 0, 10'000'000));
   return base;
 }
 

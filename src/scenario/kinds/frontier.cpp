@@ -46,6 +46,12 @@ void parse_params(const Json& json, ScenarioSpec& spec) {
 
 void validate(const ScenarioSpec& spec) {
   require_homogeneous_schedule(spec);
+  // No platforms means the default ASIC/FPGA pair.
+  if (spec.platforms.size() == 1) {
+    throw std::invalid_argument("ScenarioSpec '" + spec.name +
+                                "': a frontier needs at least two platforms, got " +
+                                spec.platforms.front().name);
+  }
   try {
     spec.frontier.validate();
   } catch (const std::invalid_argument& error) {

@@ -330,6 +330,59 @@ TEST(Cli, RunParseErrorsNameThePathAndKey) {
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find(path), std::string::npos) << result.err;
   EXPECT_NE(result.err.find("schedule.volume"), std::string::npos) << result.err;
+
+  const std::string fleet_path = ::testing::TempDir() + "/greenfpga_cli_bad_fleet.json";
+  {
+    std::ofstream file(fleet_path);
+    file << R"({"kind": "fleet", "fleet": {"horizon_years": "x"}})";
+  }
+  const CliRun fleet = run_cli({"run", fleet_path});
+  EXPECT_EQ(fleet.exit_code, 1);
+  EXPECT_NE(fleet.err.find(fleet_path), std::string::npos) << fleet.err;
+  EXPECT_NE(fleet.err.find("fleet.horizon_years"), std::string::npos) << fleet.err;
+}
+
+TEST(Cli, KindCommandIsARunOfTheSpecItEchoes) {
+  // Each kind command decodes its preset spec with the flags written in,
+  // exactly as `run` decodes a file, so running the spec it echoes gives
+  // the same bytes.
+  const std::vector<std::vector<std::string>> invocations{
+      {"sweep", "dnn", "apps"},
+      {"sweep", "crypto", "volume"},
+      {"nodes", "imgproc"},
+      {"mc", "dnn", "--samples", "64", "--seed", "7"},
+      {"fleet", "dnn", "--horizon", "4", "--utilization", "0.8", "--samples", "16",
+       "--seed", "7"},
+      {"fleet", "imgproc", "--platforms", "fpga"},
+      {"frontier", "dnn", "--samples", "4"},
+      {"frontier", "crypto", "--axes", "lifetime,node", "--objective", "embodied",
+       "--platforms", "fpga,chiplet_fpga,cpu"},
+  };
+  for (const std::vector<std::string>& invocation : invocations) {
+    const std::string label = invocation[0] + " " + invocation[1];
+    std::vector<std::string> args{"--format", "json"};
+    args.insert(args.end(), invocation.begin(), invocation.end());
+    const CliRun command = run_cli(args);
+    EXPECT_EQ(command.exit_code, 0) << label << ": " << command.err;
+    if (command.exit_code != 0) {
+      continue;
+    }
+    const std::string path = ::testing::TempDir() + "/greenfpga_cli_echo.json";
+    io::write_json_file(path, io::parse_json(command.out).at("spec"));
+    const CliRun run = run_cli({"--format", "json", "run", path});
+    ASSERT_EQ(run.exit_code, 0) << label << ": " << run.err;
+    EXPECT_EQ(command.out, run.out) << label;
+  }
+  // What `run` would refuse, the command refuses as a usage error.
+  for (const std::vector<std::string>& rejected :
+       {std::vector<std::string>{"fleet", "dnn", "--horizon", "inf"},
+        std::vector<std::string>{"fleet", "dnn", "--horizon", "0x10"},
+        std::vector<std::string>{"frontier", "dnn", "--axes", "apps"}}) {
+    const CliRun result = run_cli(rejected);
+    EXPECT_EQ(result.exit_code, 2) << rejected[2] << " " << rejected[3];
+    EXPECT_NE(result.err.find(rejected[2] + " '" + rejected[3] + "'"), std::string::npos)
+        << result.err;
+  }
 }
 
 TEST(Cli, FormatFlagIsValidatedNamingTheValue) {

@@ -232,6 +232,17 @@ TEST(FrontierSearch, ValidationRejectsBadProblems) {
   EXPECT_THROW((void)FrontierSearch(std::move(misaligned)), std::invalid_argument);
 }
 
+TEST(FrontierKind, OnePlatformIsRefusedWhenTheSpecIsDecoded) {
+  // Two or more platforms, or none: the default ASIC/FPGA pair.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::frontier, device::Domain::dnn);
+  spec.platforms = {scenario::PlatformRef{.name = "asic"}};
+  EXPECT_THROW((void)scenario::spec_from_json(scenario::spec_to_json(spec)),
+               std::invalid_argument);
+  spec.platforms.clear();
+  EXPECT_NO_THROW((void)scenario::spec_from_json(scenario::spec_to_json(spec)));
+}
+
 // -- confidence pass ----------------------------------------------------------
 
 FrontierProblem confidence_problem(int threads) {

@@ -173,6 +173,11 @@ ScenarioSpec random_spec(ScenarioKind kind, std::mt19937& rng) {
   }
 
   if (kind == ScenarioKind::frontier) {
+    // Two or more platforms, or none (the default pair): pair a lone draw.
+    if (spec.platforms.size() == 1) {
+      spec.platforms.push_back(
+          PlatformRef{.name = spec.platforms.front().name == "asic" ? "fpga" : "asic"});
+    }
     // Always the two paper deployment axes, plus coin-flipped lifetime
     // and node axes: 2-4 distinct variables, every generator shape.
     std::vector<dse::FrontierVariable> chosen{dse::FrontierVariable::app_count,
