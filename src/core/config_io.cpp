@@ -47,6 +47,62 @@ std::int64_t int_field_or(const io::Json& json, std::string_view key,
 
 namespace {
 
+std::string field_path(const std::string& context, std::string_view key) {
+  return context.empty() ? std::string(key) : context + "." + std::string(key);
+}
+
+/// `read()`, with a JSON type error rethrown naming the field's path.
+template <typename Read>
+auto read_field(const std::string& context, std::string_view key, Read read) {
+  try {
+    return read();
+  } catch (const io::JsonError& error) {
+    throw ConfigError(field_path(context, key) + ": " + error.what());
+  }
+}
+
+}  // namespace
+
+double number_field(const io::Json& json, const std::string& context,
+                    std::string_view key) {
+  return read_field(context, key, [&] { return json.at(key).as_number(); });
+}
+
+double number_field_or(const io::Json& json, const std::string& context,
+                       std::string_view key, double fallback) {
+  return json.contains(key) ? number_field(json, context, key) : fallback;
+}
+
+std::vector<double> numbers_field(const io::Json& json, const std::string& context,
+                                  std::string_view key) {
+  return read_field(context, key, [&] {
+    std::vector<double> values;
+    for (const io::Json& value : json.at(key).as_array()) {
+      values.push_back(value.as_number());
+    }
+    return values;
+  });
+}
+
+std::string string_field_or(const io::Json& json, const std::string& context,
+                            std::string_view key, std::string_view fallback) {
+  return json.contains(key)
+             ? read_field(context, key, [&] { return json.at(key).as_string(); })
+             : std::string(fallback);
+}
+
+std::int64_t int_field_ctx(const io::Json& json, const std::string& context,
+                           std::string_view key, std::int64_t fallback, std::int64_t lo,
+                           std::int64_t hi) {
+  try {
+    return int_field_or(json, key, fallback, lo, hi);
+  } catch (const ConfigError& error) {
+    throw ConfigError(field_path(context, key) + ": " + error.what());
+  }
+}
+
+namespace {
+
 using io::Json;
 using namespace units::unit;
 
@@ -233,8 +289,8 @@ device::ChipSpec chip_from_json(const Json& json) {
              {"name", "kind", "node", "die_area_mm2", "peak_power_w", "capacity_gates",
               "service_life_years", "chiplet_count", "chiplet_package"});
   device::ChipSpec chip;
-  chip.name = json.string_or("name", "chip");
-  const std::string kind = json.string_or("kind", "asic");
+  chip.name = string_field_or(json, "chip", "name", "chip");
+  const std::string kind = string_field_or(json, "chip", "kind", "asic");
   if (kind == "asic") {
     chip.kind = device::ChipKind::asic;
   } else if (kind == "fpga") {
@@ -247,7 +303,7 @@ device::ChipSpec chip_from_json(const Json& json) {
     throw ConfigError("chip.kind must be \"asic\", \"fpga\", \"gpu\" or \"cpu\", got \"" +
                       kind + "\"");
   }
-  const std::string node_text = json.string_or("node", "10nm");
+  const std::string node_text = string_field_or(json, "chip", "node", "10nm");
   const auto node = tech::parse_node(node_text);
   if (!node) {
     throw ConfigError("unknown process node \"" + node_text + "\"");
@@ -274,7 +330,8 @@ device::ChipSpec chip_from_json(const Json& json) {
       years;
   chip.chiplet_count =
       static_cast<int>(int_field_or(json, "chiplet_count", chip.chiplet_count, 1, 64));
-  chip.chiplet_package = json.string_or("chiplet_package", chip.chiplet_package);
+  chip.chiplet_package =
+      string_field_or(json, "chip", "chiplet_package", chip.chiplet_package);
   chip.validate();
   return chip;
 }
@@ -283,8 +340,8 @@ workload::Application application_from_json(const Json& json) {
   check_keys(json, "application",
              {"name", "domain", "lifetime_years", "volume", "size_gates"});
   workload::Application app;
-  app.name = json.string_or("name", "app");
-  const std::string domain = json.string_or("domain", "DNN");
+  app.name = string_field_or(json, "application", "name", "app");
+  const std::string domain = string_field_or(json, "application", "domain", "DNN");
   if (domain == "DNN" || domain == "dnn") {
     app.domain = device::Domain::dnn;
   } else if (domain == "ImgProc" || domain == "imgproc") {
@@ -313,7 +370,7 @@ workload::Schedule schedule_from_json(const Json& json) {
 ScenarioConfig scenario_from_json(const Json& json) {
   check_keys(json, "scenario", {"name", "suite", "asic", "fpga", "schedule"});
   ScenarioConfig config;
-  config.name = json.string_or("name", "scenario");
+  config.name = string_field_or(json, "scenario", "name", "scenario");
   config.suite = json.contains("suite") ? suite_from_json(json.at("suite"), paper_suite())
                                         : paper_suite();
   if (!json.contains("asic") || !json.contains("fpga") || !json.contains("schedule")) {
@@ -486,7 +543,7 @@ PlatformCfp platform_cfp_from_json(const Json& json) {
   check_keys(json, "platform result",
              {"kind", "chips_manufactured", "total", "per_application"});
   PlatformCfp platform;
-  const std::string kind = json.string_or("kind", "ASIC");
+  const std::string kind = string_field_or(json, "platform result", "kind", "ASIC");
   if (kind == "ASIC") {
     platform.kind = device::ChipKind::asic;
   } else if (kind == "FPGA") {
@@ -506,7 +563,7 @@ PlatformCfp platform_cfp_from_json(const Json& json) {
     for (const Json& entry : json.at("per_application").as_array()) {
       check_keys(entry, "per_application", {"application", "chips_per_unit", "cfp"});
       ApplicationCfp app;
-      app.application = entry.string_or("application", "");
+      app.application = string_field_or(entry, "per_application", "application", "");
       // Any count `device::fpgas_required` can return reads back.
       app.chips_per_unit = static_cast<int>(int_field_or(
           entry, "chips_per_unit", 1, 0, std::numeric_limits<int>::max()));

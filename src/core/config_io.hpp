@@ -27,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/lifecycle_model.hpp"
 #include "core/paper_config.hpp"
@@ -63,6 +64,26 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] std::int64_t int_field_or(const io::Json& json, std::string_view key,
                                         std::int64_t fallback, std::int64_t lo,
                                         std::int64_t hi);
+
+/// Named-field reads for the spec decoders: a type-mismatched value raises
+/// io::JsonError without saying *which* field was bad, so these rethrow it
+/// as ConfigError naming the dotted path `context.key` (just `key` when
+/// `context` is empty), which `greenfpga run` surfaces with the spec path.
+[[nodiscard]] double number_field(const io::Json& json, const std::string& context,
+                                  std::string_view key);
+[[nodiscard]] double number_field_or(const io::Json& json, const std::string& context,
+                                     std::string_view key, double fallback);
+/// A number array, every element read as a number.
+[[nodiscard]] std::vector<double> numbers_field(const io::Json& json,
+                                                const std::string& context,
+                                                std::string_view key);
+[[nodiscard]] std::string string_field_or(const io::Json& json,
+                                          const std::string& context,
+                                          std::string_view key, std::string_view fallback);
+/// int_field_or with the same path-prefixed errors.
+[[nodiscard]] std::int64_t int_field_ctx(const io::Json& json, const std::string& context,
+                                         std::string_view key, std::int64_t fallback,
+                                         std::int64_t lo, std::int64_t hi);
 
 // -- readers (each starts from defaults and applies present fields) ----------
 [[nodiscard]] ModelSuite suite_from_json(const io::Json& json, ModelSuite defaults = {});

@@ -3,11 +3,11 @@
 
 #include "dse/frontier_spec.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "core/config_io.hpp"
+#include "core/spacing.hpp"
 #include "workload/application.hpp"
 
 namespace greenfpga::dse {
@@ -15,52 +15,6 @@ namespace greenfpga::dse {
 namespace {
 
 using io::Json;
-
-/// Local linspace/logspace mirroring scenario/sweep.cpp bit-for-bit (the
-/// scenario layer sits above dse, so the helpers cannot be shared without
-/// inverting the dependency).
-std::vector<double> linspace(double lo, double hi, int count) {
-  if (count < 2) {
-    throw std::invalid_argument("linspace: need at least 2 points");
-  }
-  std::vector<double> out(static_cast<std::size_t>(count));
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (int i = 0; i < count; ++i) {
-    out[static_cast<std::size_t>(i)] = lo + step * static_cast<double>(i);
-  }
-  out.back() = hi;  // avoid accumulated rounding on the endpoint
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, int count) {
-  if (lo <= 0.0 || hi <= 0.0) {
-    throw std::invalid_argument("logspace: bounds must be positive");
-  }
-  std::vector<double> out = linspace(std::log10(lo), std::log10(hi), count);
-  for (double& v : out) {
-    v = std::pow(10.0, v);
-  }
-  out.back() = hi;
-  return out;
-}
-
-double number_field(const Json& json, const std::string& context, std::string_view key) {
-  try {
-    return json.at(key).as_number();
-  } catch (const io::JsonError& error) {
-    throw core::ConfigError(context + "." + std::string(key) + ": " + error.what());
-  }
-}
-
-std::int64_t int_field_ctx(const Json& json, const std::string& context,
-                           std::string_view key, std::int64_t fallback, std::int64_t lo,
-                           std::int64_t hi) {
-  try {
-    return core::int_field_or(json, key, fallback, lo, hi);
-  } catch (const core::ConfigError& error) {
-    throw core::ConfigError(context + "." + std::string(key) + ": " + error.what());
-  }
-}
 
 void write_axis(io::JsonWriter& out, const FrontierAxisSpec& axis) {
   out.begin_object();
@@ -88,7 +42,8 @@ FrontierAxisSpec frontier_axis_from_json(const Json& json, const std::string& co
   core::check_known_keys(json, context,
                          {"variable", "scale", "from", "to", "count", "values", "nodes"});
   FrontierAxisSpec axis;
-  const std::string variable = json.string_or("variable", "app_count");
+  const std::string variable =
+      core::string_field_or(json, context, "variable", "app_count");
   const auto parsed_variable = parse_frontier_variable(variable);
   if (!parsed_variable) {
     throw core::ConfigError(context + ": unknown axis variable \"" + variable +
@@ -118,28 +73,24 @@ FrontierAxisSpec frontier_axis_from_json(const Json& json, const std::string& co
     throw core::ConfigError(context + ": \"nodes\" needs \"variable\": \"node\"");
   }
   const std::string scale =
-      json.string_or("scale", json.contains("values") ? "list" : "linear");
+      core::string_field_or(json, context, "scale",
+                            json.contains("values") ? "list" : "linear");
   if (scale == "list") {
     axis.scale = FrontierAxisScale::list;
     if (!json.contains("values")) {
       throw core::ConfigError(context + ": list axis needs a \"values\" array");
     }
-    for (const Json& v : json.at("values").as_array()) {
-      try {
-        axis.explicit_values.push_back(v.as_number());
-      } catch (const io::JsonError& error) {
-        throw core::ConfigError(context + ".values: " + std::string(error.what()));
-      }
-    }
+    axis.explicit_values = core::numbers_field(json, context, "values");
   } else if (scale == "linear" || scale == "log") {
     axis.scale = scale == "linear" ? FrontierAxisScale::linear : FrontierAxisScale::log;
     if (!json.contains("from") || !json.contains("to") || !json.contains("count")) {
       throw core::ConfigError(context + ": " + scale +
                               " axis needs \"from\", \"to\" and \"count\"");
     }
-    axis.from = number_field(json, context, "from");
-    axis.to = number_field(json, context, "to");
-    axis.count = static_cast<int>(int_field_ctx(json, context, "count", 0, 2, 1'000'000));
+    axis.from = core::number_field(json, context, "from");
+    axis.to = core::number_field(json, context, "to");
+    axis.count =
+        static_cast<int>(core::int_field_ctx(json, context, "count", 0, 2, 1'000'000));
   } else {
     throw core::ConfigError(context + ": unknown axis scale \"" + scale + "\"");
   }
@@ -230,9 +181,9 @@ std::vector<double> FrontierAxisSpec::values() const {
       }
       return explicit_values;
     case FrontierAxisScale::linear:
-      return linspace(from, to, count);
+      return core::linspace(from, to, count);
     case FrontierAxisScale::log:
-      return logspace(from, to, count);
+      return core::logspace(from, to, count);
   }
   throw std::logic_error("FrontierAxisSpec: unknown scale");
 }
@@ -356,17 +307,18 @@ FrontierSpec frontier_spec_from_json(const io::Json& json, const std::string& co
       spec.axes.push_back(frontier_axis_from_json(entry, context + ".axes"));
     }
   }
-  const std::string objective = json.string_or("objective", to_string(spec.objective));
+  const std::string objective =
+      core::string_field_or(json, context, "objective", to_string(spec.objective));
   const auto parsed = parse_frontier_objective(objective);
   if (!parsed) {
     throw core::ConfigError(context + ": unknown objective \"" + objective +
                             "\" (total, embodied, operational)");
   }
   spec.objective = *parsed;
-  spec.confidence_samples = static_cast<int>(int_field_ctx(
+  spec.confidence_samples = static_cast<int>(core::int_field_ctx(
       json, context, "confidence_samples", spec.confidence_samples, 0, 1'000'000));
   spec.seed = static_cast<unsigned>(
-      int_field_ctx(json, context, "seed", spec.seed, 0, 4294967295LL));
+      core::int_field_ctx(json, context, "seed", spec.seed, 0, 4294967295LL));
   return spec;
 }
 

@@ -1,5 +1,5 @@
 /// \file engine.cpp
-/// Spec dispatch through the kind registry, the batch task pool, and
+/// Spec dispatch through the kind registry, the content-keyed batch, and
 /// the ASIC-vs-FPGA result views.  Kind evaluation itself lives in the
 /// modules under scenario/kinds/.
 
@@ -244,15 +244,6 @@ ContentKey content_key(const ScenarioResult& resolved) {
   return key;
 }
 
-/// Compact canonical bytes of a suite: run_batch's dedup identity.
-std::string suite_key(const core::ModelSuite& suite) {
-  std::string text;
-  io::JsonWriter out(text, 0);
-  core::write_json(out, suite);
-  out.finish();
-  return text;
-}
-
 }  // namespace
 
 std::string Engine::cache_key(const ScenarioSpec& spec) const {
@@ -396,109 +387,18 @@ std::vector<ScenarioResult> Engine::run_batch(const std::vector<ScenarioSpec>& s
 }
 
 std::vector<ScenarioResult> Engine::run_batch_prepared(
-    std::vector<PreparedRun> prepared_runs) const {
-  struct SpecJob {
-    PreparedRun prepared;
-    KindBatchPlan plan;        ///< empty run_job = single whole-spec task
-    std::size_t suite_id = 0;  ///< into `suites` (uses_suite_model plans only)
-  };
-  struct Task {
-    std::size_t spec = 0;
-    std::size_t index = 0;  ///< plan task index; unused for whole-spec
-  };
-
-  // Move every prepared run into its (pre-sized, never reallocated) job
-  // slot BEFORE planning: a plan may capture pointers to its suite and
-  // rely on the result slot staying put.
-  std::vector<SpecJob> jobs(prepared_runs.size());
-  for (std::size_t s = 0; s < prepared_runs.size(); ++s) {
-    jobs[s].prepared = std::move(prepared_runs[s]);
-  }
-
-  // Serial planning phase: ask each spec's module to flatten its work
-  // into tasks, and deduplicate effective suites so workers can share one
-  // memoised LifecycleModel across every spec using the same suite.
-  std::vector<core::ModelSuite> suites;
-  std::vector<std::string> suite_keys;  // canonical JSON, parallel to `suites`
-  std::vector<Task> tasks;
-  // Estimated evaluations for the pool's inline cutoff: a planned task
-  // evaluates every platform once; a whole spec is counted as worth a
-  // helper of its own.
-  std::size_t work = 0;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    SpecJob& job = jobs[s];
-    const KindModule& module = kind_module(job.prepared.result.spec.kind);
-    if (module.plan_jobs != nullptr) {
-      job.plan = module.plan_jobs(job.prepared.suite, job.prepared.result);
-    }
-    if (!job.plan.run_job) {
-      // No task plan: the kind runs whole-spec on one worker (single
-      // evaluations or internally small); a serial engine keeps the pool
-      // flat.
-      tasks.push_back(Task{.spec = s, .index = 0});
-      work += core::kInlineWork;
-      continue;
-    }
-    if (job.plan.uses_suite_model) {
-      const std::string key = suite_key(job.prepared.suite);
-      std::size_t id = 0;
-      while (id < suite_keys.size() && suite_keys[id] != key) {
-        ++id;
-      }
-      if (id == suite_keys.size()) {
-        suites.push_back(job.prepared.suite);
-        suite_keys.push_back(key);
-      }
-      job.suite_id = id;
-    }
-    for (std::size_t i = 0; i < job.plan.task_count; ++i) {
-      tasks.push_back(Task{.spec = s, .index = i});
-    }
-    work += job.plan.task_count * job.prepared.result.resolved_chips.size();
-  }
-
-  // One pool over the flattened task list.  Worker state: one lazily
-  // built LifecycleModel per distinct suite (the embodied-carbon memo is
-  // per model, so specs sharing a suite share fab/package/EOL results),
-  // and the scratch its tasks reuse.
-  using WorkerModels = std::vector<std::optional<core::LifecycleModel>>;
-  struct WorkerState {
-    WorkerModels models;
-    BatchWorker worker;
-  };
+    std::vector<PreparedRun> prepared) const {
+  // One pool task per spec, each through its kind's own `execute` at the
+  // engine's thread count: a spec's nested parallel call takes whatever
+  // helpers are idle, so a lone large spec still gets the whole pool and
+  // small specs share it.
+  std::vector<ScenarioResult> results(prepared.size());
   parallel_for_state(
-      tasks.size(), threads_,
-      [&suites] { return WorkerState{.models = WorkerModels(suites.size()), .worker = {}}; },
-      [&](WorkerState& state, std::size_t t) {
-        const Task& task = tasks[t];
-        SpecJob& job = jobs[task.spec];
-        ScenarioResult& result = job.prepared.result;
-        if (!job.plan.run_job) {
-          const Engine serial(EngineOptions{.threads = 1, .registry = registry_});
-          result = serial.run(result.spec);
-          return;
-        }
-        state.worker.model = nullptr;
-        if (job.plan.uses_suite_model) {
-          std::optional<core::LifecycleModel>& slot = state.models[job.suite_id];
-          if (!slot) {
-            slot.emplace(suites[job.suite_id]);
-          }
-          state.worker.model = &*slot;
-        }
-        job.plan.run_job(state.worker, task.index, result);
+      prepared.size(), threads_, [] { return 0; },
+      [&](int& /*state*/, std::size_t s) {
+        results[s] = run_prepared(std::move(prepared[s]));
       },
-      tasks.empty() ? 1 : (work + tasks.size() - 1) / tasks.size());
-
-  // Serial post phase: deterministic reductions.
-  std::vector<ScenarioResult> results;
-  results.reserve(jobs.size());
-  for (SpecJob& job : jobs) {
-    if (job.plan.assemble) {
-      job.plan.assemble(job.prepared.result);
-    }
-    results.push_back(std::move(job.prepared.result));
-  }
+      core::kInlineWork);
   return results;
 }
 

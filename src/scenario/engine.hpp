@@ -199,20 +199,17 @@ class Engine {
 
   /// Evaluate many specs as one batch, returning results in spec order.
   ///
-  /// The batch flattens every spec's independent work items -- one task
-  /// per scenario point (compare/sweep/grid), one per Monte-Carlo sample
-  /// (montecarlo), one per remaining spec (timeline, breakeven, node_dse,
-  /// sensitivity) -- onto a single worker pool, so spec-level and
-  /// point-level work share the same `threads()` workers instead of
-  /// serialising spec-by-spec.  Each worker keeps one `LifecycleModel`
-  /// per distinct effective model suite, so the embodied-carbon
-  /// memoisation is shared across every spec evaluating the same
-  /// platform set under the same suite.
+  /// Every spec is prepared (validated, resolved) up front; the specs to
+  /// evaluate then run side by side, one pool task each, and each task is
+  /// the spec's own kind `execute` at `threads()` -- the same call `run`
+  /// makes.  A nested parallel call from a pool task takes whatever
+  /// helpers are idle, so a lone large spec still gets the whole pool and
+  /// small specs share it.  Each spec builds its own models, as a solo run
+  /// does: specs do not share an embodied-carbon memo.
   ///
   /// Results are bit-identical to running each spec individually at any
-  /// thread count: every task computes from its spec's inputs alone and
-  /// writes a pre-sized slot (pinned by tests/golden_results_test.cpp).
-  /// A failing spec fails the whole batch with that spec's error.
+  /// thread count (pinned by tests/golden_results_test.cpp).  A failing
+  /// spec fails the whole batch with that spec's error.
   ///
   /// With a configured `EngineOptions::cache`, each *distinct* cache key
   /// is looked up once (one hit or miss counted per distinct key) and the

@@ -10,7 +10,6 @@
 #include "act/grid_profile.hpp"
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
-#include "scenario/kinds/common.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -18,8 +17,9 @@ namespace greenfpga::scenario {
 namespace {
 
 using io::Json;
-using kinds::int_field_ctx;
-using kinds::number_field_or;
+using core::int_field_ctx;
+using core::number_field_or;
+using core::string_field_or;
 
 constexpr int kHours = 24;
 
@@ -252,8 +252,8 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
       core::check_known_keys(entry, "fleet region",
                              {"name", "profile", "weight", "intensity_scale"});
       FleetRegionSpec region;
-      region.name = entry.string_or("name", region.name);
-      region.profile = entry.string_or("profile", region.profile);
+      region.name = string_field_or(entry, "fleet.regions", "name", region.name);
+      region.profile = string_field_or(entry, "fleet.regions", "profile", region.profile);
       region.weight = number_field_or(entry, "fleet.regions", "weight", region.weight);
       region.intensity_scale = number_field_or(entry, "fleet.regions", "intensity_scale",
                                                region.intensity_scale);
@@ -265,13 +265,11 @@ FleetSpec fleet_spec_from_json(const Json& json, FleetSpec base) {
     for (const Json& entry : json.at("services").as_array()) {
       core::check_known_keys(entry, "fleet service", {"name", "peak_load", "trace"});
       FleetServiceSpec service;
-      service.name = entry.string_or("name", service.name);
+      service.name = string_field_or(entry, "fleet.services", "name", service.name);
       service.peak_load =
           number_field_or(entry, "fleet.services", "peak_load", service.peak_load);
       if (entry.contains("trace")) {
-        for (const Json& multiplier : entry.at("trace").as_array()) {
-          service.trace.push_back(multiplier.as_number());
-        }
+        service.trace = core::numbers_field(entry, "fleet.services", "trace");
       }
       base.services.push_back(std::move(service));
     }

@@ -5,18 +5,18 @@
 /// The scenario-kind registry: one `KindModule` vtable per `ScenarioKind`.
 ///
 /// Every per-kind behaviour the system needs -- spec parameter bytes,
-/// validation, engine execution, batch job planning, result bytes, frame
-/// lowering, and text rendering -- lives in that kind's module under
-/// `src/scenario/kinds/`, and the generic layers (spec.cpp, engine.cpp,
-/// result_io.cpp, report/result_render.cpp, the CLI) derive their
-/// behaviour by iterating or indexing the registry.  Adding a scenario
-/// kind means adding one enum value, one module file, and one registry
-/// entry -- no switch ladder grows (a CI lint rejects `case ScenarioKind`
-/// outside `src/scenario/kinds/`).  See ARCHITECTURE.md, "Scenario kind
+/// validation, engine execution, result bytes, frame lowering, and text
+/// rendering -- lives in that kind's module under `src/scenario/kinds/`,
+/// and the generic layers (spec.cpp, engine.cpp, result_io.cpp,
+/// report/result_render.cpp, the CLI) derive their behaviour by iterating
+/// or indexing the registry.  `execute` is the only way a kind is
+/// evaluated: `Engine::run` and `Engine::run_batch` both call it.  Adding
+/// a scenario kind means adding one enum value, one module file, and one
+/// registry entry -- no switch ladder grows (a CI lint rejects `case
+/// ScenarioKind` outside `src/scenario/kinds/`).  See ARCHITECTURE.md, "Scenario kind
 /// registry", for the step-by-step recipe.
 
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -32,35 +32,6 @@ namespace greenfpga::scenario {
 /// Execution context handed to a module's `execute` hook.
 struct KindRunContext {
   int threads = 1;  ///< the engine's worker budget for internal pools
-};
-
-/// Per-worker state `Engine::run_batch` hands every task a worker runs.
-struct BatchWorker {
-  /// The worker's memoised model for the task's suite when the plan
-  /// `uses_suite_model`, else null.
-  core::LifecycleModel* model = nullptr;
-  /// A schedule kept built across the point tasks this worker runs.
-  ScheduleBuffer schedule;
-};
-
-/// A kind's contribution to `Engine::run_batch`: how its work flattens
-/// onto the shared pool.  A module that returns task-level plans lets the
-/// batch interleave its tasks with every other spec's; a null `plan_jobs`
-/// hook makes the kind a single whole-spec task instead.
-struct KindBatchPlan {
-  std::size_t task_count = 0;
-  /// True when jobs want the per-suite memoised `LifecycleModel` (point
-  /// evaluations); the batch then passes a worker-local model shared by
-  /// every spec with the same effective suite.  False passes nullptr.
-  bool uses_suite_model = false;
-  /// Run task `index` into `result` (a pre-sized slot; bit-identical for
-  /// any worker count).  Must not capture references into the planning
-  /// call's locals beyond the suite/result the engine keeps alive.
-  std::function<void(BatchWorker& worker, std::size_t index, ScenarioResult& result)>
-      run_job;
-  /// Serial post-phase after every task completed (deterministic
-  /// reductions); may be null.
-  std::function<void(ScenarioResult& result)> assemble;
 };
 
 /// One scenario kind's complete behaviour.  Hooks may be null where the
@@ -105,10 +76,6 @@ struct KindModule {
   /// `suite`.  Required.
   void (*execute)(const KindRunContext& context, const core::ModelSuite& suite,
                   ScenarioResult& result) = nullptr;
-  /// Plan batch tasks (see KindBatchPlan).  `suite` and `result` outlive
-  /// the plan.  Optional: null runs the spec as one whole task.
-  KindBatchPlan (*plan_jobs)(const core::ModelSuite& suite,
-                             ScenarioResult& result) = nullptr;
 
   // -- result-io layer -------------------------------------------------------
   /// Top-level result keys this module owns (exactly one owner per key).

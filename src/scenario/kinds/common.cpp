@@ -5,10 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "core/config_io.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -93,20 +91,6 @@ void points_execute(const KindRunContext& context, const core::ModelSuite& suite
                        worker.schedule, i, result.points[i]);
       },
       result.resolved_chips.size());
-}
-
-KindBatchPlan points_plan_jobs(const core::ModelSuite& /*suite*/,
-                               ScenarioResult& result) {
-  KindBatchPlan plan;
-  auto points = std::make_shared<const PointPlan>(plan_points(result.spec));
-  plan.task_count = points->total;
-  plan.uses_suite_model = true;
-  result.points.resize(points->total);
-  plan.run_job = [points](BatchWorker& worker, std::size_t index, ScenarioResult& result) {
-    evaluate_point(result.spec, *points, result.resolved_chips, *worker.model,
-                   worker.schedule, index, result.points[index]);
-  };
-  return plan;
 }
 
 void reduce_montecarlo(MonteCarloUq& uq) {
@@ -269,29 +253,6 @@ ResultFrame uncertainty_frame(const ScenarioResult& result) {
                        " % of samples");
   }
   return frame;
-}
-
-double number_field(const Json& json, const std::string& context, std::string_view key) {
-  try {
-    return json.at(key).as_number();
-  } catch (const io::JsonError& error) {
-    throw core::ConfigError(context + "." + std::string(key) + ": " + error.what());
-  }
-}
-
-double number_field_or(const Json& json, const std::string& context, std::string_view key,
-                       double fallback) {
-  return json.contains(key) ? number_field(json, context, key) : fallback;
-}
-
-std::int64_t int_field_ctx(const Json& json, const std::string& context,
-                           std::string_view key, std::int64_t fallback, std::int64_t lo,
-                           std::int64_t hi) {
-  try {
-    return core::int_field_or(json, key, fallback, lo, hi);
-  } catch (const core::ConfigError& error) {
-    throw core::ConfigError(context + "." + std::string(key) + ": " + error.what());
-  }
 }
 
 }  // namespace greenfpga::scenario::kinds

@@ -10,9 +10,7 @@
 /// this directory are its only intended consumers.
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,11 +59,6 @@ void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
 void points_execute(const KindRunContext& context, const core::ModelSuite& suite,
                     ScenarioResult& result);
 
-/// The point kinds' `plan_jobs` hook: one batch task per point, sharing
-/// the per-suite memoised model and the worker's schedule buffer.
-[[nodiscard]] KindBatchPlan points_plan_jobs(const core::ModelSuite& suite,
-                                             ScenarioResult& result);
-
 // -- Monte-Carlo reduction (montecarlo / fleet) ------------------------------------
 
 /// Serial reduction over the filled sample matrix (deterministic order).
@@ -108,23 +101,6 @@ void validate_spec_distributions(const ScenarioSpec& spec);
 /// The uncertainty summary frame over `result.uncertainty` (montecarlo
 /// kind, and fleet with Monte-Carlo samples).
 [[nodiscard]] report::ResultFrame uncertainty_frame(const ScenarioResult& result);
-
-// -- spec-parse helpers ------------------------------------------------------------
-
-/// Named-field numeric reads: a type-mismatched value raises io::JsonError
-/// without saying *which* field was bad, so wrap the access and rethrow as
-/// ConfigError naming the enclosing context and key (surfaced verbatim by
-/// `greenfpga run` together with the spec path).
-[[nodiscard]] double number_field(const io::Json& json, const std::string& context,
-                                  std::string_view key);
-[[nodiscard]] double number_field_or(const io::Json& json, const std::string& context,
-                                     std::string_view key, double fallback);
-
-/// int_field_or with the same context-prefixed errors as number_field, so
-/// integer fields (samples, seed, count) report their section too.
-[[nodiscard]] std::int64_t int_field_ctx(const io::Json& json, const std::string& context,
-                                         std::string_view key, std::int64_t fallback,
-                                         std::int64_t lo, std::int64_t hi);
 
 }  // namespace greenfpga::scenario::kinds
 

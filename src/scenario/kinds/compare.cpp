@@ -97,7 +97,6 @@ const KindModule& compare_module() {
       .name = "compare",
       .summary = "one evaluation point, all platforms head-to-head",
       .execute = execute,
-      .plan_jobs = points_plan_jobs,
       .result_keys = kResultKeys,
       .write_result = write_result,
       .result_from_json = result_from_json,

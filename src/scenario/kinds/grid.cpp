@@ -73,7 +73,6 @@ const KindModule& grid_module() {
       .summary = "2-D grid over two axes (paper Fig. 8 heat-maps)",
       .expected_axes = 2,
       .execute = execute,
-      .plan_jobs = points_plan_jobs,
       .to_frames = to_frames,
       .render_text = render_text,
   };

@@ -3,7 +3,6 @@
 /// distribution-sampled Table 1 parameters.
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +18,8 @@ namespace greenfpga::scenario::kinds {
 namespace {
 
 using io::Json;
+using core::int_field_ctx;
+using core::number_field_or;
 
 constexpr std::string_view kAliases[] = {"monte_carlo", "mc"};
 constexpr std::string_view kSpecKeys[] = {"montecarlo"};
@@ -53,7 +54,7 @@ core::ParamDistribution distribution_from_json(const Json& json) {
   core::check_known_keys(json, "distribution",
                          {"parameter", "kind", "low", "high", "mean", "stddev", "mode"});
   core::ParamDistribution distribution;
-  distribution.parameter = json.string_or("parameter", "");
+  distribution.parameter = core::string_field_or(json, "distribution", "parameter", "");
   if (distribution.parameter.empty()) {
     throw core::ConfigError("distribution entries need a \"parameter\" name");
   }
@@ -67,7 +68,8 @@ core::ParamDistribution distribution_from_json(const Json& json) {
     throw core::ConfigError("unknown distribution parameter \"" +
                             distribution.parameter + "\" (see table1_ranges)");
   }
-  const std::string kind = json.string_or("kind", "uniform");
+  const std::string context = "distribution \"" + distribution.parameter + "\"";
+  const std::string kind = core::string_field_or(json, context, "kind", "uniform");
   const auto parsed_kind = core::parse_distribution_kind(kind);
   if (!parsed_kind) {
     throw core::ConfigError("distribution \"" + distribution.parameter +
@@ -75,7 +77,6 @@ core::ParamDistribution distribution_from_json(const Json& json) {
                             "\" (uniform, normal, triangular)");
   }
   distribution.kind = *parsed_kind;
-  const std::string context = "distribution \"" + distribution.parameter + "\"";
   // Kind-irrelevant fields are rejected, not ignored: a normal entry with
   // "kind" forgotten would otherwise silently sample uniform over the
   // full range and drop the author's mean/stddev.
@@ -139,14 +140,7 @@ void parse_params(const Json& json, ScenarioSpec& spec) {
     }
   }
   if (entry.contains("percentiles")) {
-    montecarlo.percentiles.clear();
-    for (const Json& value : entry.at("percentiles").as_array()) {
-      try {
-        montecarlo.percentiles.push_back(value.as_number());
-      } catch (const io::JsonError& error) {
-        throw core::ConfigError("montecarlo.percentiles: " + std::string(error.what()));
-      }
-    }
+    montecarlo.percentiles = core::numbers_field(entry, "montecarlo", "percentiles");
   }
 }
 
@@ -192,16 +186,6 @@ McPlan plan_montecarlo(const ScenarioSpec& spec) {
   return plan;
 }
 
-MonteCarloUq make_mc_skeleton(const ScenarioSpec& spec, std::size_t platforms) {
-  MonteCarloUq uq;
-  uq.samples = spec.montecarlo.samples;
-  uq.percentiles = spec.montecarlo.percentiles;
-  uq.sample_totals_kg.assign(
-      platforms,
-      std::vector<double>(static_cast<std::size_t>(spec.montecarlo.samples), 0.0));
-  return uq;
-}
-
 /// Evaluate Monte-Carlo sample `i` into column i of `uq.sample_totals_kg`.
 /// Sample i draws its parameter values from the counter stream
 /// (seed, i, dimension) -- fully determined by the sample index, never by
@@ -229,7 +213,12 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
              ScenarioResult& result) {
   const ScenarioSpec& spec = result.spec;
   const McPlan plan = plan_montecarlo(spec);
-  MonteCarloUq uq = make_mc_skeleton(spec, result.resolved_chips.size());
+  MonteCarloUq uq;
+  uq.samples = spec.montecarlo.samples;
+  uq.percentiles = spec.montecarlo.percentiles;
+  uq.sample_totals_kg.assign(
+      result.resolved_chips.size(),
+      std::vector<double>(static_cast<std::size_t>(spec.montecarlo.samples), 0.0));
 
   // Shard samples across the pool: every sample writes to pre-sized slot
   // i, so results are bit-identical for any thread count.
@@ -244,23 +233,6 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   // Serial reduction on the caller's thread (deterministic order).
   reduce_montecarlo(uq);
   result.uncertainty = std::move(uq);
-}
-
-KindBatchPlan plan_jobs(const core::ModelSuite& suite, ScenarioResult& result) {
-  const ScenarioSpec& spec = result.spec;
-  KindBatchPlan plan;
-  plan.task_count = static_cast<std::size_t>(spec.montecarlo.samples);
-  plan.uses_suite_model = false;  // every sample re-parameterises the suite
-  result.uncertainty = make_mc_skeleton(spec, result.resolved_chips.size());
-  auto mc = std::make_shared<const McPlan>(plan_montecarlo(spec));
-  const core::ModelSuite* effective = &suite;  // outlives the plan (engine-owned)
-  plan.run_job = [mc, effective](BatchWorker& /*worker*/, std::size_t index,
-                                 ScenarioResult& out) {
-    evaluate_mc_sample(out.spec, *mc, *effective, out.resolved_chips, index,
-                       *out.uncertainty);
-  };
-  plan.assemble = [](ScenarioResult& out) { reduce_montecarlo(*out.uncertainty); };
-  return plan;
 }
 
 void write_stats(io::JsonWriter& out, io::JsonKey key, const std::vector<UqStat>& stats) {
@@ -368,7 +340,6 @@ const KindModule& montecarlo_module() {
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,
-      .plan_jobs = plan_jobs,
       .result_keys = kResultKeys,
       .write_result = write_result,
       .result_from_json = result_from_json,

@@ -14,6 +14,7 @@ namespace greenfpga::scenario::kinds {
 namespace {
 
 using io::Json;
+using core::int_field_ctx;
 using report::Cell;
 using report::Column;
 using report::ResultFrame;

@@ -38,7 +38,6 @@ const KindModule& sweep_module() {
       .summary = "1-D sweep over one axis (paper Figs. 4-6)",
       .expected_axes = 1,
       .execute = execute,
-      .plan_jobs = points_plan_jobs,
       .to_frames = to_frames,
   };
   return module;

@@ -15,7 +15,6 @@
 
 #include "core/config_io.hpp"
 #include "scenario/kind_registry.hpp"
-#include "scenario/kinds/common.hpp"
 #include "scenario/sweep.hpp"
 #include "units/units.hpp"
 
@@ -24,9 +23,10 @@ namespace greenfpga::scenario {
 namespace {
 
 using io::Json;
-using kinds::int_field_ctx;
-using kinds::number_field;
-using kinds::number_field_or;
+using core::int_field_ctx;
+using core::number_field;
+using core::number_field_or;
+using core::string_field_or;
 
 /// Unknown-key guard, shared with the core config readers.
 void check_keys(const Json& json, const std::string& context,
@@ -271,25 +271,20 @@ namespace {
 AxisSpec axis_from_json(const Json& json) {
   check_keys(json, "axis", {"variable", "scale", "from", "to", "count", "values"});
   AxisSpec axis;
-  const std::string variable = json.string_or("variable", "app_count");
+  const std::string variable = string_field_or(json, "axis", "variable", "app_count");
   const auto parsed_variable = parse_sweep_variable(variable);
   if (!parsed_variable) {
     throw core::ConfigError("unknown axis variable \"" + variable + "\"");
   }
   axis.variable = *parsed_variable;
-  const std::string scale = json.string_or("scale", json.contains("values") ? "list" : "linear");
+  const std::string scale = string_field_or(json, "axis", "scale",
+                                           json.contains("values") ? "list" : "linear");
   if (scale == "list") {
     axis.scale = AxisScale::list;
     if (!json.contains("values")) {
       throw core::ConfigError("list axis needs a \"values\" array");
     }
-    for (const Json& v : json.at("values").as_array()) {
-      try {
-        axis.explicit_values.push_back(v.as_number());
-      } catch (const io::JsonError& error) {
-        throw core::ConfigError("axis.values: " + std::string(error.what()));
-      }
-    }
+    axis.explicit_values = core::numbers_field(json, "axis", "values");
   } else if (scale == "linear" || scale == "log") {
     axis.scale = scale == "linear" ? AxisScale::linear : AxisScale::log;
     if (!json.contains("from") || !json.contains("to") || !json.contains("count")) {
@@ -311,7 +306,7 @@ PlatformRef platform_from_json(const Json& json) {
     return platform;
   }
   check_keys(json, "platform", {"name", "chip"});
-  platform.name = json.string_or("name", "");
+  platform.name = string_field_or(json, "platform", "name", "");
   if (platform.name.empty()) {
     throw core::ConfigError("platform entries need a \"name\"");
   }
@@ -499,7 +494,7 @@ ScenarioSpec spec_from_json(const Json& json) {
   if (json.contains("name")) {
     name = json.at("name").as_string();
   }
-  const std::string kind = json.string_or("kind", "compare");
+  const std::string kind = string_field_or(json, "", "kind", "compare");
   const KindModule* module = find_kind_module(kind);
   if (module == nullptr) {
     throw core::ConfigError("unknown scenario kind \"" + kind +
@@ -511,7 +506,7 @@ ScenarioSpec spec_from_json(const Json& json) {
   if (name) {
     spec.name = std::move(*name);
   }
-  spec.domain = domain_from_token(json.string_or("domain", "dnn"));
+  spec.domain = domain_from_token(string_field_or(json, "", "domain", "dnn"));
   if (json.contains("platforms")) {
     for (const Json& entry : json.at("platforms").as_array()) {
       spec.platforms.push_back(platform_from_json(entry));
@@ -531,10 +526,11 @@ ScenarioSpec spec_from_json(const Json& json) {
     }
   }
   if (json.contains("grid_profile")) {
-    check_keys(json.at("grid_profile"), "grid_profile", {"profile", "policy"});
+    const Json& entry = json.at("grid_profile");
+    check_keys(entry, "grid_profile", {"profile", "policy"});
     GridProfileSpec profile;
-    profile.profile = json.at("grid_profile").string_or("profile", profile.profile);
-    profile.policy = json.at("grid_profile").string_or("policy", profile.policy);
+    profile.profile = string_field_or(entry, "grid_profile", "profile", profile.profile);
+    profile.policy = string_field_or(entry, "grid_profile", "policy", profile.policy);
     spec.grid_profile = std::move(profile);
   }
   for (const KindModule* each : all_kind_modules()) {

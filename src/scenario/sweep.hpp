@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/comparator.hpp"
+#include "core/spacing.hpp"
 #include "device/catalog.hpp"
 
 namespace greenfpga::scenario {
@@ -63,10 +64,9 @@ struct SweepSeries {
 [[nodiscard]] std::optional<double> first_crossover(const std::vector<Crossover>& crossovers,
                                                     CrossoverKind kind);
 
-/// `count` linearly spaced values over [lo, hi] (count >= 2).
-[[nodiscard]] std::vector<double> linspace(double lo, double hi, int count);
-/// `count` log-spaced values over [lo, hi] (lo, hi > 0, count >= 2).
-[[nodiscard]] std::vector<double> logspace(double lo, double hi, int count);
+/// Axis spacing (core/spacing.hpp), named here for the sweep callers.
+using core::linspace;
+using core::logspace;
 
 }  // namespace greenfpga::scenario
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "cli/commands.hpp"
 #include "core/config_io.hpp"
@@ -340,6 +341,29 @@ TEST(Cli, RunParseErrorsNameThePathAndKey) {
   EXPECT_EQ(fleet.exit_code, 1);
   EXPECT_NE(fleet.err.find(fleet_path), std::string::npos) << fleet.err;
   EXPECT_NE(fleet.err.find("fleet.horizon_years"), std::string::npos) << fleet.err;
+
+  // String-typed keys and number-array entries name their dotted path too.
+  const std::vector<std::pair<std::string, std::string>> rows{
+      {R"({"kind": "compare", "domain": 7})", "domain: "},
+      {R"({"kind": "frontier", "frontier": {"objective": 5}})", "frontier.objective: "},
+      {R"({"kind": "fleet", "fleet": {"regions": [{"name": 3}]}})",
+       "fleet.regions.name: "},
+      {R"({"kind": "fleet", "fleet": {"regions": [{"profile": 3}]}})",
+       "fleet.regions.profile: "},
+      {R"({"kind": "fleet", "fleet": {"services": [{"trace": ["x"]}]}})",
+       "fleet.services.trace: "},
+  };
+  const std::string row_path = ::testing::TempDir() + "/greenfpga_cli_bad_row.json";
+  for (const auto& [text, key] : rows) {
+    {
+      std::ofstream file(row_path);
+      file << text;
+    }
+    const CliRun row = run_cli({"run", row_path});
+    EXPECT_EQ(row.exit_code, 1) << text;
+    EXPECT_NE(row.err.find(row_path), std::string::npos) << row.err;
+    EXPECT_NE(row.err.find(key), std::string::npos) << text << ": " << row.err;
+  }
 }
 
 TEST(Cli, KindCommandIsARunOfTheSpecItEchoes) {

@@ -544,6 +544,28 @@ TEST(EngineDeterminism, AppCountGridBytesMatchAtAnyWidthAndInABatch) {
   }
 }
 
+TEST(EngineDeterminism, BatchOfLargeSpecsMatchesSoloRunsThroughNestedPools) {
+  // Every spec here is above the pool's inline cutoff, so the batch's pool
+  // task for it makes a nested parallel call that posts helpers of its
+  // own while the other specs hold the pool.
+  ScenarioSpec dnn_grid = grid_spec(50, 50);
+  ScenarioSpec crypto_grid = grid_spec(50, 50);
+  crypto_grid.domain = device::Domain::crypto;
+  ScenarioSpec mc = ScenarioSpec::make(ScenarioKind::montecarlo, device::Domain::dnn);
+  mc.montecarlo.samples = 512;
+  const std::vector<ScenarioSpec> specs{
+      dnn_grid, crypto_grid,
+      ScenarioSpec::make(ScenarioKind::frontier, device::Domain::imgproc), mc};
+  const std::vector<ScenarioResult> batch =
+      Engine(EngineOptions{.threads = 4}).run_batch(specs);
+  ASSERT_EQ(batch.size(), specs.size());
+  const Engine serial(EngineOptions{.threads = 1});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(result_document(batch[i]), result_document(serial.run(specs[i])))
+        << "spec " << i << " (" << to_string(specs[i].kind) << ")";
+  }
+}
+
 TEST(EngineOutputs, SkippingPerApplicationRowsKeepsTotalsBitIdentical) {
   // Rows are built only when kept; the totals add up in the same order
   // either way.  Compare keeps rows regardless, so its check is that the
