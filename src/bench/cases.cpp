@@ -8,7 +8,9 @@
 /// baselines measure single-worker cost, which is what scheduling and
 /// model changes move, and stays meaningful on single-core CI runners.
 
+#include <cmath>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
 #include "io/json_arena.hpp"
+#include "io/json_detail.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/kind_registry.hpp"
 #include "scenario/result_cache.hpp"
@@ -360,13 +363,10 @@ std::vector<BenchCase> builtin_cases() {
       .group = "json",
       .name = "result_write_grid50_chunked",
       .description = "scenario::result_document of the same 50x50 grid result at 2 "
-                     "threads -- the serve render call: the points array in two chunks, "
-                     "the second on a pool helper's continuation writer, spliced at "
-                     "finish.  A single-request loop of this call pays fresh page "
-                     "faults for the helper's chunk buffer: when the chunk was copied "
-                     "into the caller's buffer at splice it cost ~550 minor faults per "
-                     "document (getrusage; 0 at 1 thread), handed over and copied once "
-                     "at finish it costs ~0-3",
+                     "threads -- the serve render call, plus the one gather of its "
+                     "buffers into a string: the points array in two chunks, the second "
+                     "on a pool helper's continuation writer, whose buffers the caller's "
+                     "writer takes over at the splice",
       .setup = [] {
         auto result = std::make_shared<const scenario::ScenarioResult>(
             single_thread_engine().run(grid_spec()));
@@ -377,6 +377,39 @@ std::vector<BenchCase> builtin_cases() {
                                   const std::string text =
                                       scenario::result_document(*result, 2);
                                   g_sink = text.size();
+                                },
+                            .iterations = 1,
+                            .bytes_per_op = bytes};
+      }});
+
+  cases.push_back(BenchCase{
+      .group = "json",
+      .name = "format_number_misses",
+      .description = "io::detail::format_number_to over 65536 distinct seeded doubles "
+                     "shaped like result numbers (16-17 significant digits, 1e-4 .. "
+                     "1e8), 32x the per-thread memo's slots, so nearly every call "
+                     "misses the memo and runs the shortest-digits kernel; divide by "
+                     "65536 for the cost of one miss",
+      .setup = [] {
+        auto values = std::make_shared<std::vector<double>>();
+        std::mt19937_64 rng(25);
+        std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+        for (int i = 0; i < 65536; ++i) {
+          values->push_back(mantissa(rng) * std::pow(10.0, i % 12 - 4));
+        }
+        double bytes = 0.0;
+        char buffer[io::detail::kNumberBufferSize];
+        for (const double value : *values) {
+          bytes += static_cast<double>(io::detail::format_number_to(buffer, value));
+        }
+        return PreparedCase{.op =
+                                [values] {
+                                  char text[io::detail::kNumberBufferSize];
+                                  std::size_t total = 0;
+                                  for (const double value : *values) {
+                                    total += io::detail::format_number_to(text, value);
+                                  }
+                                  g_sink = total;
                                 },
                             .iterations = 1,
                             .bytes_per_op = bytes};

@@ -6,6 +6,7 @@
 #include <functional>
 #include <initializer_list>
 #include <limits>
+#include <type_traits>
 
 #include "units/units.hpp"
 
@@ -61,6 +62,22 @@ auto read_field(const std::string& context, std::string_view key, Read read) {
   }
 }
 
+/// An array field, every element read by `element`, with a JSON type
+/// error naming the field's path.
+template <typename Element>
+std::vector<std::decay_t<Element>> array_field(const io::Json& json,
+                                               const std::string& context,
+                                               std::string_view key,
+                                               Element (io::Json::*element)() const) {
+  return read_field(context, key, [&] {
+    std::vector<std::decay_t<Element>> values;
+    for (const io::Json& value : json.at(key).as_array()) {
+      values.push_back((value.*element)());
+    }
+    return values;
+  });
+}
+
 }  // namespace
 
 double number_field(const io::Json& json, const std::string& context,
@@ -75,13 +92,12 @@ double number_field_or(const io::Json& json, const std::string& context,
 
 std::vector<double> numbers_field(const io::Json& json, const std::string& context,
                                   std::string_view key) {
-  return read_field(context, key, [&] {
-    std::vector<double> values;
-    for (const io::Json& value : json.at(key).as_array()) {
-      values.push_back(value.as_number());
-    }
-    return values;
-  });
+  return array_field(json, context, key, &io::Json::as_number);
+}
+
+std::vector<std::string> strings_field(const io::Json& json, const std::string& context,
+                                       std::string_view key) {
+  return array_field(json, context, key, &io::Json::as_string);
 }
 
 std::string string_field_or(const io::Json& json, const std::string& context,
@@ -112,12 +128,12 @@ void check_keys(const Json& json, const std::string& context,
   check_known_keys(json, context, allowed);
 }
 
-units::CarbonIntensity intensity_from(const Json& json, const std::string& key,
-                                      units::CarbonIntensity fallback) {
+units::CarbonIntensity intensity_from(const Json& json, const std::string& context,
+                                      std::string_view key, units::CarbonIntensity fallback) {
   if (!json.contains(key)) {
     return fallback;
   }
-  return json.at(key).as_number() * g_per_kwh;
+  return number_field(json, context, key) * g_per_kwh;
 }
 
 DesignParameters design_from_json(const Json& json, DesignParameters p) {
@@ -125,15 +141,16 @@ DesignParameters design_from_json(const Json& json, DesignParameters p) {
              {"annual_energy_gwh", "intensity_g_per_kwh", "company_employees",
               "product_team_size", "average_product_gates", "project_duration_years",
               "fpga_regularity_factor"});
-  p.annual_energy = json.number_or("annual_energy_gwh", p.annual_energy.in(gwh)) * gwh;
-  p.intensity = intensity_from(json, "intensity_g_per_kwh", p.intensity);
-  p.company_employees = json.number_or("company_employees", p.company_employees);
-  p.product_team_size = json.number_or("product_team_size", p.product_team_size);
-  p.average_product_gates = json.number_or("average_product_gates", p.average_product_gates);
-  p.project_duration =
-      json.number_or("project_duration_years", p.project_duration.in(years)) * years;
-  p.fpga_regularity_factor =
-      json.number_or("fpga_regularity_factor", p.fpga_regularity_factor);
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.design", key, fallback);
+  };
+  p.annual_energy = number("annual_energy_gwh", p.annual_energy.in(gwh)) * gwh;
+  p.intensity = intensity_from(json, "suite.design", "intensity_g_per_kwh", p.intensity);
+  p.company_employees = number("company_employees", p.company_employees);
+  p.product_team_size = number("product_team_size", p.product_team_size);
+  p.average_product_gates = number("average_product_gates", p.average_product_gates);
+  p.project_duration = number("project_duration_years", p.project_duration.in(years)) * years;
+  p.fpga_regularity_factor = number("fpga_regularity_factor", p.fpga_regularity_factor);
   return p;
 }
 
@@ -143,15 +160,18 @@ AppDevParameters appdev_from_json(const Json& json, AppDevParameters p) {
               "dev_systems", "dev_intensity_g_per_kwh", "accounting",
               "asic_software_dev_months", "gpu_software_dev_months",
               "cpu_software_dev_months"});
-  p.frontend_time = json.number_or("frontend_months", p.frontend_time.in(months)) * months;
-  p.backend_time = json.number_or("backend_months", p.backend_time.in(months)) * months;
-  p.config_time = json.number_or("config_minutes", p.config_time.in(minutes)) * minutes;
-  p.dev_system_power =
-      json.number_or("dev_system_power_w", p.dev_system_power.in(w)) * w;
-  p.dev_systems = json.number_or("dev_systems", p.dev_systems);
-  p.dev_intensity = intensity_from(json, "dev_intensity_g_per_kwh", p.dev_intensity);
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.appdev", key, fallback);
+  };
+  p.frontend_time = number("frontend_months", p.frontend_time.in(months)) * months;
+  p.backend_time = number("backend_months", p.backend_time.in(months)) * months;
+  p.config_time = number("config_minutes", p.config_time.in(minutes)) * minutes;
+  p.dev_system_power = number("dev_system_power_w", p.dev_system_power.in(w)) * w;
+  p.dev_systems = number("dev_systems", p.dev_systems);
+  p.dev_intensity =
+      intensity_from(json, "suite.appdev", "dev_intensity_g_per_kwh", p.dev_intensity);
   if (json.contains("accounting")) {
-    const std::string& mode = json.at("accounting").as_string();
+    const std::string mode = string_field_or(json, "suite.appdev", "accounting", "");
     if (mode == "one_time") {
       p.accounting = AppDevAccounting::one_time;
     } else if (mode == "per_year") {
@@ -162,12 +182,11 @@ AppDevParameters appdev_from_json(const Json& json, AppDevParameters p) {
     }
   }
   p.asic_software_dev_time =
-      json.number_or("asic_software_dev_months", p.asic_software_dev_time.in(months)) *
-      months;
+      number("asic_software_dev_months", p.asic_software_dev_time.in(months)) * months;
   p.gpu_software_dev_time =
-      json.number_or("gpu_software_dev_months", p.gpu_software_dev_time.in(months)) * months;
+      number("gpu_software_dev_months", p.gpu_software_dev_time.in(months)) * months;
   p.cpu_software_dev_time =
-      json.number_or("cpu_software_dev_months", p.cpu_software_dev_time.in(months)) * months;
+      number("cpu_software_dev_months", p.cpu_software_dev_time.in(months)) * months;
   return p;
 }
 
@@ -175,12 +194,15 @@ act::FabParameters fab_from_json(const Json& json, act::FabParameters p) {
   check_keys(json, "fab parameters",
              {"energy_intensity_g_per_kwh", "recycled_material_fraction", "yield_model",
               "clustering_alpha", "line_yield", "defect_density_per_cm2"});
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.fab", key, fallback);
+  };
   p.fab_energy_intensity =
-      intensity_from(json, "energy_intensity_g_per_kwh", p.fab_energy_intensity);
+      intensity_from(json, "suite.fab", "energy_intensity_g_per_kwh", p.fab_energy_intensity);
   p.recycled_material_fraction =
-      json.number_or("recycled_material_fraction", p.recycled_material_fraction);
+      number("recycled_material_fraction", p.recycled_material_fraction);
   if (json.contains("yield_model")) {
-    const std::string& model = json.at("yield_model").as_string();
+    const std::string model = string_field_or(json, "suite.fab", "yield_model", "");
     if (model == "poisson") {
       p.yield.model = tech::YieldModel::poisson;
     } else if (model == "murphy") {
@@ -193,11 +215,11 @@ act::FabParameters fab_from_json(const Json& json, act::FabParameters p) {
       throw ConfigError("unknown yield model \"" + model + "\"");
     }
   }
-  p.yield.clustering_alpha = json.number_or("clustering_alpha", p.yield.clustering_alpha);
-  p.yield.line_yield = json.number_or("line_yield", p.yield.line_yield);
+  p.yield.clustering_alpha = number("clustering_alpha", p.yield.clustering_alpha);
+  p.yield.line_yield = number("line_yield", p.yield.line_yield);
   if (json.contains("defect_density_per_cm2")) {
     p.defect_density_override =
-        tech::DefectDensity{json.at("defect_density_per_cm2").as_number() / 100.0};
+        tech::DefectDensity{number_field(json, "suite.fab", "defect_density_per_cm2") / 100.0};
   }
   return p;
 }
@@ -206,9 +228,13 @@ act::OperationalParameters operation_from_json(const Json& json,
                                                act::OperationalParameters p) {
   check_keys(json, "operation parameters",
              {"use_intensity_g_per_kwh", "duty_cycle", "pue"});
-  p.use_intensity = intensity_from(json, "use_intensity_g_per_kwh", p.use_intensity);
-  p.duty_cycle = json.number_or("duty_cycle", p.duty_cycle);
-  p.power_usage_effectiveness = json.number_or("pue", p.power_usage_effectiveness);
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.operation", key, fallback);
+  };
+  p.use_intensity =
+      intensity_from(json, "suite.operation", "use_intensity_g_per_kwh", p.use_intensity);
+  p.duty_cycle = number("duty_cycle", p.duty_cycle);
+  p.power_usage_effectiveness = number("pue", p.power_usage_effectiveness);
   return p;
 }
 
@@ -216,8 +242,11 @@ pkg::PackageParameters package_from_json(const Json& json, pkg::PackageParameter
   check_keys(json, "package parameters",
              {"type", "assembly_overhead_kg", "substrate_kg_per_cm2", "footprint_ratio",
               "interposer_node", "interposer_area_ratio", "bonding_per_die_kg"});
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.package", key, fallback);
+  };
   if (json.contains("type")) {
-    const std::string& type = json.at("type").as_string();
+    const std::string type = string_field_or(json, "suite.package", "type", "");
     if (type == "monolithic") {
       p.type = pkg::PackageType::monolithic;
     } else if (type == "rdl_fanout") {
@@ -233,36 +262,36 @@ pkg::PackageParameters package_from_json(const Json& json, pkg::PackageParameter
     }
   }
   p.assembly_overhead =
-      units::CarbonMass{json.number_or("assembly_overhead_kg",
-                                       p.assembly_overhead.canonical())};
-  p.substrate_per_area = json.number_or("substrate_kg_per_cm2",
-                                        p.substrate_per_area.in(kg_per_cm2)) *
-                         kg_per_cm2;
-  p.footprint_ratio = json.number_or("footprint_ratio", p.footprint_ratio);
+      units::CarbonMass{number("assembly_overhead_kg", p.assembly_overhead.canonical())};
+  p.substrate_per_area =
+      number("substrate_kg_per_cm2", p.substrate_per_area.in(kg_per_cm2)) * kg_per_cm2;
+  p.footprint_ratio = number("footprint_ratio", p.footprint_ratio);
   if (json.contains("interposer_node")) {
-    const auto node = tech::parse_node(json.at("interposer_node").as_string());
+    const std::string name = string_field_or(json, "suite.package", "interposer_node", "");
+    const auto node = tech::parse_node(name);
     if (!node) {
-      throw ConfigError("unknown interposer node \"" +
-                        json.at("interposer_node").as_string() + "\"");
+      throw ConfigError("unknown interposer node \"" + name + "\"");
     }
     p.interposer_node = *node;
   }
-  p.interposer_area_ratio = json.number_or("interposer_area_ratio", p.interposer_area_ratio);
+  p.interposer_area_ratio = number("interposer_area_ratio", p.interposer_area_ratio);
   p.bonding_per_die =
-      units::CarbonMass{json.number_or("bonding_per_die_kg", p.bonding_per_die.canonical())};
+      units::CarbonMass{number("bonding_per_die_kg", p.bonding_per_die.canonical())};
   return p;
 }
 
 eol::EolParameters eol_from_json(const Json& json, eol::EolParameters p) {
   check_keys(json, "eol parameters",
              {"recycled_fraction", "discard_mtco2e_per_ton", "recycle_mtco2e_per_ton"});
-  p.recycled_fraction = json.number_or("recycled_fraction", p.recycled_fraction);
-  p.discard_factor = json.number_or("discard_mtco2e_per_ton",
-                                    p.discard_factor.in(mtco2e_per_ton)) *
-                     mtco2e_per_ton;
-  p.recycle_credit_factor = json.number_or("recycle_mtco2e_per_ton",
-                                           p.recycle_credit_factor.in(mtco2e_per_ton)) *
-                            mtco2e_per_ton;
+  const auto number = [&json](std::string_view key, double fallback) {
+    return number_field_or(json, "suite.eol", key, fallback);
+  };
+  p.recycled_fraction = number("recycled_fraction", p.recycled_fraction);
+  p.discard_factor =
+      number("discard_mtco2e_per_ton", p.discard_factor.in(mtco2e_per_ton)) * mtco2e_per_ton;
+  p.recycle_credit_factor =
+      number("recycle_mtco2e_per_ton", p.recycle_credit_factor.in(mtco2e_per_ton)) *
+      mtco2e_per_ton;
   return p;
 }
 
@@ -312,10 +341,10 @@ device::ChipSpec chip_from_json(const Json& json) {
   if (!json.contains("die_area_mm2") || !json.contains("peak_power_w")) {
     throw ConfigError("chip \"" + chip.name + "\" needs die_area_mm2 and peak_power_w");
   }
-  chip.die_area = json.at("die_area_mm2").as_number() * mm2;
-  chip.peak_power = json.at("peak_power_w").as_number() * w;
+  chip.die_area = number_field(json, "chip", "die_area_mm2") * mm2;
+  chip.peak_power = number_field(json, "chip", "peak_power_w") * w;
   if (json.contains("capacity_gates")) {
-    chip.capacity_gates = json.at("capacity_gates").as_number();
+    chip.capacity_gates = number_field(json, "chip", "capacity_gates");
   } else {
     // Default capacity: silicon gates (ASIC) or silicon gates over the
     // fabric overhead (FPGA).
@@ -324,9 +353,9 @@ device::ChipSpec chip_from_json(const Json& json) {
         chip.is_fpga() ? silicon / device::kFpgaFabricOverhead : silicon;
   }
   chip.service_life =
-      json.number_or("service_life_years",
-                     chip.is_fpga() ? 15.0
-                                    : (chip.is_gpu() ? 7.0 : (chip.is_cpu() ? 5.0 : 8.0))) *
+      number_field_or(json, "chip", "service_life_years",
+                      chip.is_fpga() ? 15.0
+                                     : (chip.is_gpu() ? 7.0 : (chip.is_cpu() ? 5.0 : 8.0))) *
       years;
   chip.chiplet_count =
       static_cast<int>(int_field_or(json, "chiplet_count", chip.chiplet_count, 1, 64));
@@ -351,9 +380,9 @@ workload::Application application_from_json(const Json& json) {
   } else {
     throw ConfigError("unknown domain \"" + domain + "\"");
   }
-  app.lifetime = json.number_or("lifetime_years", 2.0) * years;
-  app.volume = json.number_or("volume", 1e6);
-  app.size_gates = json.number_or("size_gates", 0.0);
+  app.lifetime = number_field_or(json, "application", "lifetime_years", 2.0) * years;
+  app.volume = number_field_or(json, "application", "volume", 1e6);
+  app.size_gates = number_field_or(json, "application", "size_gates", 0.0);
   app.validate();
   return app;
 }

@@ -77,6 +77,10 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] std::vector<double> numbers_field(const io::Json& json,
                                                 const std::string& context,
                                                 std::string_view key);
+/// A string array, every element read as a string.
+[[nodiscard]] std::vector<std::string> strings_field(const io::Json& json,
+                                                     const std::string& context,
+                                                     std::string_view key);
 [[nodiscard]] std::string string_field_or(const io::Json& json,
                                           const std::string& context,
                                           std::string_view key, std::string_view fallback);

@@ -58,11 +58,10 @@ FrontierAxisSpec frontier_axis_from_json(const Json& json, const std::string& co
       }
     }
     if (json.contains("nodes")) {
-      for (const Json& entry : json.at("nodes").as_array()) {
-        const auto node = tech::parse_node(entry.as_string());
+      for (const std::string& name : core::strings_field(json, context, "nodes")) {
+        const auto node = tech::parse_node(name);
         if (!node) {
-          throw core::ConfigError(context + ": unknown process node \"" +
-                                  entry.as_string() + "\"");
+          throw core::ConfigError(context + ": unknown process node \"" + name + "\"");
         }
         axis.nodes.push_back(*node);
       }

@@ -5,10 +5,7 @@
 #include "io/json.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -183,152 +180,6 @@ void Json::push_back(Json element) {
     value_ = Array{};
   }
   as_array().push_back(std::move(element));
-}
-
-// ---------------------------------------------------------------------------
-// Number formatting
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-namespace {
-
-/// The canonical formatter proper; `format_number_to` memoises it.
-std::size_t format_number_uncached(char* buffer, double n) {
-  if (!std::isfinite(n)) {
-    // The canonical non-finite text tokens (quoted by the JSON writer,
-    // bare in CSV); parse back via Json::as_number_total.
-    if (std::isnan(n)) {
-      std::memcpy(buffer, "nan", 3);
-      return 3;
-    }
-    if (n > 0.0) {
-      std::memcpy(buffer, "inf", 3);
-      return 3;
-    }
-    std::memcpy(buffer, "-inf", 4);
-    return 4;
-  }
-  if (n == std::floor(n) && std::fabs(n) < 1e15) {
-    // Integral values print without a fraction for readability.
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + kNumberBufferSize, n, std::chars_format::fixed);
-    return static_cast<std::size_t>(end - buffer);
-  }
-  // The historical format is printf %g at the smallest precision in
-  // [6, 17] that round-trips.  Reproduce it from one to_chars call:
-  // shortest-round-trip scientific form gives the correctly rounded
-  // digit string D and decimal exponent X, and for len(D) >= 6 the %g
-  // probe loop's winner is exactly %.len(D)g -- whose presentation
-  // (fixed vs scientific by the exponent rule, trailing zeros stripped)
-  // is made from the to_chars text in place below, byte-for-byte.
-  // len(D) < 6 means %.6g was the first probe and always round-trips, so
-  // one snprintf settles it (its 6 significant digits of the exact
-  // expansion are NOT the shortest digits -- e.g. 5e-324 prints as
-  // 4.94066e-324).
-  const char* const end =
-      std::to_chars(buffer, buffer + kNumberBufferSize, n, std::chars_format::scientific)
-          .ptr;
-  // `d` is the first digit of "d[.ddd]e[+-]XX[X]"; the exponent is the
-  // last 2-3 digits, so 'e' is found from the end.
-  char* const d = buffer + (n < 0.0 ? 1 : 0);
-  const char* e = end - 4;
-  if (*e != 'e') --e;
-  // Digit count: the leading digit plus the fraction after the point.
-  const int len = e == d + 1 ? 1 : static_cast<int>(e - d) - 1;
-  if (len < 6) {
-    return static_cast<std::size_t>(
-        std::snprintf(buffer, kNumberBufferSize, "%.6g", n));
-  }
-  int exp10 = 0;
-  for (const char* x = e + 2; x < end; ++x) exp10 = exp10 * 10 + (*x - '0');
-  if (e[1] == '-') exp10 = -exp10;
-  if (exp10 < -4 || exp10 >= len) {
-    // Scientific presentation: to_chars already wrote %e's d.ddde±XX
-    // (exponent at least two digits).
-    return static_cast<std::size_t>(end - buffer);
-  }
-  if (exp10 < 0) {
-    // 0.00ddd: close the digits up over the point, then shift them right
-    // past "0." and the leading zeros.
-    const int zeros = -exp10 - 1;
-    std::memmove(d + 1, d + 2, static_cast<std::size_t>(len - 1));
-    std::memmove(d + 2 + zeros, d, static_cast<std::size_t>(len));
-    d[0] = '0';
-    d[1] = '.';
-    std::memset(d + 2, '0', static_cast<std::size_t>(zeros));
-    return static_cast<std::size_t>(d + 2 + zeros + len - buffer);
-  }
-  // Fixed presentation (X < len(D)): move the point right past the
-  // integer digits, dropping it when every digit is an integer digit.
-  const int int_digits = exp10 + 1;
-  for (int i = 1; i < int_digits; ++i) d[i] = d[i + 1];
-  if (int_digits == len) {
-    return static_cast<std::size_t>(d + len - buffer);
-  }
-  d[int_digits] = '.';
-  return static_cast<std::size_t>(d + len + 1 - buffer);
-}
-
-/// One memo slot: a tag naming the double it holds, and that double's
-/// canonical bytes (the bytes past its length are stale).
-///
-/// The tag is the low kTagBits bits of the double's `number_memo_hash`
-/// with the form's length above them.  The hash is a bijection and the
-/// slot index is its top bits, so within one slot the low bits alone name the
-/// double, and the top bits are free to carry the length: a lookup is one
-/// xor and a mask test, with no scan for the end of the bytes.  An empty
-/// slot's tag is 0, whose length reads 0: a miss.
-struct NumberMemoSlot {
-  std::uint64_t tag = 0;
-  char text[kMaxNumberBytes] = {};
-};
-static_assert(sizeof(NumberMemoSlot) == 32);
-
-constexpr int kTagBits = 64 - kNumberMemoBits;
-constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagBits) - 1;
-static_assert(kMaxNumberBytes < (std::size_t{1} << kNumberMemoBits));
-
-/// Per-thread, so pool workers writing chunks never share a slot.
-thread_local NumberMemoSlot number_memo[kNumberMemoSlots];
-
-/// The slot's text length, or 0 when it does not hold the double whose
-/// hash is `hash`.
-[[nodiscard]] std::size_t memo_hit(const NumberMemoSlot& slot, std::uint64_t hash) {
-  const std::uint64_t diff = slot.tag ^ (hash & kTagMask);
-  return (diff & kTagMask) == 0 ? static_cast<std::size_t>(diff >> kTagBits) : 0;
-}
-
-}  // namespace
-
-std::size_t format_number_to(char* buffer, double n) {
-  const std::uint64_t hash = number_memo_hash(std::bit_cast<std::uint64_t>(n));
-  NumberMemoSlot& slot = number_memo[hash >> kTagBits];
-  if (const std::size_t size = memo_hit(slot, hash)) {
-    // One fixed-size copy of the whole text field: the bytes past the
-    // length land where `buffer` is scratch.
-    std::memcpy(buffer, slot.text, kMaxNumberBytes);
-    return size;
-  }
-  const std::size_t size = format_number_uncached(buffer, n);
-  if (size <= kMaxNumberBytes) {
-    slot.tag = (hash & kTagMask) | (static_cast<std::uint64_t>(size) << kTagBits);
-    std::memcpy(slot.text, buffer, size);
-  }
-  return size;
-}
-
-std::string_view memoised_number(double n) {
-  const std::uint64_t hash = number_memo_hash(std::bit_cast<std::uint64_t>(n));
-  const NumberMemoSlot& slot = number_memo[hash >> kTagBits];
-  return {slot.text, memo_hit(slot, hash)};
-}
-
-}  // namespace detail
-
-std::string format_number(double n) {
-  char buffer[detail::kNumberBufferSize];
-  return std::string(buffer, detail::format_number_to(buffer, n));
 }
 
 // ---------------------------------------------------------------------------

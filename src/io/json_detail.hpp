@@ -9,11 +9,10 @@
 /// can never drift apart on the wire format:
 ///
 ///   * `format_number_to` -- the shortest-round-trip number formatter
-///     (printf %g presentation reconstructed from std::to_chars shortest
-///     digits; byte-identical to the historical snprintf probe loop, at
-///     roughly one to_chars call per number instead of up to twelve
-///     snprintf+from_chars probes, and at a table lookup for a number the
-///     thread formatted recently);
+///     (one in-tree shortest-digits kernel that writes printf's %g
+///     presentation directly, byte-identical to the historical snprintf
+///     probe loop, and a table lookup for a number the thread formatted
+///     recently);
 ///   * `write_escaped` -- JSON string escaping into any Sink, shared by
 ///     `JsonWriter` and the parser's hash-while-parse (`HashSink`);
 ///   * `ParserCore<Builder>` -- the recursive-descent RFC 8259 parser,
@@ -50,8 +49,15 @@ static_assert(kMaxNumberBytes <= kNumberBufferSize);
 /// Write the canonical shortest-round-trip form of `n` into `buffer`
 /// (bare non-finite sentinels "inf"/"-inf"/"nan"); returns the length.
 /// `buffer` must hold kNumberBufferSize bytes; bytes past the length are
-/// scratch.  Defined in json.cpp; `io::format_number` is a std::string
-/// wrapper.
+/// scratch (the formatter may write them).  Defined in number_format.cpp;
+/// `io::format_number` is a std::string wrapper.
+///
+/// The form is the probe loop's at every double.  Before the kernel, 92
+/// doubles (46 powers of two and their negatives, e.g. 2^-24) printed 16
+/// shortest digits that %.16g does not; they now print 17
+/// ("5.9604644775390625e-08").  Canonical spec text is the content key,
+/// so a spec or stored result holding one of them has a new cache and
+/// store key, and its old entry misses once.
 ///
 /// Results are memoised per thread in a direct-mapped table of
 /// kNumberMemoSlots slots keyed by the double's bit pattern (so 0 and -0

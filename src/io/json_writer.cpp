@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "io/hash.hpp"
 
@@ -29,8 +30,12 @@ namespace {
 JsonWriter::JsonWriter(std::string& out, int indent)
     : out_(&out), indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0) {}
 
+JsonWriter::JsonWriter(int indent)
+    : out_(nullptr), indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0) {}
+
 JsonWriter::JsonWriter(Continuation, const JsonWriter& parent)
     : out_(nullptr),
+      continuation_(true),
       indent_(parent.indent_),
       frames_(parent.frames_.begin(),
               parent.frames_.begin() + static_cast<std::ptrdiff_t>(parent.depth_)),
@@ -41,10 +46,7 @@ JsonWriter::JsonWriter(Continuation, const JsonWriter& parent)
   frames_.back().empty = false;  // the parent writes the elements before ours
 }
 
-JsonWriter::~JsonWriter() {
-  release_segments();
-  std::free(buffer_);
-}
+JsonWriter::~JsonWriter() { std::free(buffer_); }
 
 // -- errors -----------------------------------------------------------------------------
 
@@ -68,83 +70,87 @@ void JsonWriter::throw_unbalanced(char bracket) {
 
 // -- output ---------------------------------------------------------------------------
 
-template <class Emit>
-void JsonWriter::for_each_segment(Emit&& emit) const {
-  std::size_t from = 0;
-  for (const Segment& segment : segments_) {
-    if (segment.at != from) {
-      emit(buffer_ + from, segment.at - from);
-      from = segment.at;
-    }
-    emit(segment.data, segment.size);
-  }
+void JsonWriter::seal() {
   const auto used = static_cast<std::size_t>(cursor_ - buffer_);
-  if (used != from) {
-    emit(buffer_ + from, used - from);
+  if (used == 0) {
+    return;
   }
+  // Shrinking in place cannot fail in practice; if it does, the slack stays.
+  void* const shrunk = std::realloc(buffer_, used);
+  char* const data = shrunk != nullptr ? static_cast<char*>(shrunk) : buffer_;
+  buffer_ = cursor_ = end_ = nullptr;
+  finished_.adopt(data, used);
 }
 
-void JsonWriter::release_segments() {
-  for (char* part : spliced_) {
-    std::free(part);
+ByteSegments JsonWriter::take() {
+  seal();
+  return std::exchange(finished_, ByteSegments{});
+}
+
+ByteSegments JsonWriter::finish_segments() {
+  if (continuation_) {
+    throw std::logic_error("JsonWriter: a continuation has no output; splice it");
   }
-  spliced_.clear();
-  segments_.clear();
+  return take();
+}
+
+std::string& JsonWriter::output() const {
+  if (out_ == nullptr) {
+    throw std::logic_error(continuation_
+                               ? "JsonWriter: a continuation has no output; splice it"
+                               : "JsonWriter: no output string; take finish_segments()");
+  }
+  return *out_;
 }
 
 void JsonWriter::finish() {
-  if (out_ == nullptr) {
-    throw std::logic_error("JsonWriter: a continuation has no output; splice it");
-  }
-  std::size_t size = 0;
-  for_each_segment([&size](const char* /*data*/, std::size_t n) { size += n; });
-  if (size != 0) {
-    out_->reserve(out_->size() + size);
-    for_each_segment([this](const char* data, std::size_t n) { out_->append(data, n); });
-  }
-  release_segments();
-  cursor_ = buffer_;
+  std::string& out = output();
+  take().append_to(out);
 }
 
 std::uint64_t JsonWriter::finish_hashed() {
+  std::string& out = output();
+  const ByteSegments bytes = take();
   std::uint64_t hash = kFnv1aOffset;
-  for_each_segment([&hash](const char* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      hash = (hash ^ static_cast<unsigned char>(data[i])) * kFnv1aPrime;
+  for (std::size_t i = 0; i < bytes.segment_count(); ++i) {
+    for (const char c : bytes.segment(i)) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * kFnv1aPrime;
     }
-  });
-  finish();
+  }
+  bytes.append_to(out);
   return hash;
 }
 
 void JsonWriter::splice(JsonWriter& part) {
-  if (part.out_ != nullptr || part.depth_ != depth_ || part.key_pending_ || key_pending_ ||
+  if (!part.continuation_ || part.depth_ != depth_ || part.key_pending_ || key_pending_ ||
       depth_ == 0 || frames_[depth_ - 1].object || frames_[depth_ - 1].empty) {
     throw std::logic_error(
         "JsonWriter: splice needs a continuation that ended in this writer's non-empty array");
   }
-  // The part's own splices (if it spliced parts of its own) stay in its
-  // order: all of them land at this writer's current offset.
-  const auto at = static_cast<std::size_t>(cursor_ - buffer_);
-  // Reserved first, so nothing below throws half-way through the handover.
-  segments_.reserve(segments_.size() + 2 * part.segments_.size() + 1);
-  spliced_.reserve(spliced_.size() + part.spliced_.size() + 1);
-  part.for_each_segment([this, at](const char* data, std::size_t n) {
-    segments_.push_back(Segment{.at = at, .data = data, .size = n});
-  });
-  spliced_.insert(spliced_.end(), part.spliced_.begin(), part.spliced_.end());
-  if (part.buffer_ != nullptr) {
-    spliced_.push_back(part.buffer_);
-  }
-  part.spliced_.clear();
-  part.segments_.clear();
-  part.buffer_ = part.cursor_ = part.end_ = nullptr;
+  // This writer's bytes so far end where the part's begin; the bytes it
+  // writes next go to a fresh buffer after them.
+  seal();
+  finished_.append(part.take());
 }
 
 void JsonWriter::grow(std::size_t n) {
   const auto used = static_cast<std::size_t>(cursor_ - buffer_);
   const auto capacity = static_cast<std::size_t>(end_ - buffer_);
-  const std::size_t grown = std::max({used + n, 2 * capacity, std::size_t{4096}});
+  if (capacity >= kBlockBytes && used != 0) {
+    // A full block: finish it and go on in a fresh one.  No byte is moved.
+    seal();
+    const std::size_t size = std::max(kBlockBytes, n);
+    buffer_ = static_cast<char*>(std::malloc(size));
+    if (buffer_ == nullptr) {
+      throw std::bad_alloc();
+    }
+    cursor_ = buffer_;
+    end_ = buffer_ + size;
+    return;
+  }
+  // Up to a block, by doubling: a small document stays one buffer.
+  const std::size_t grown =
+      std::max({used + n, std::min(2 * capacity, kBlockBytes), std::size_t{4096}});
   void* const moved = std::realloc(buffer_, grown);
   if (moved == nullptr) {
     throw std::bad_alloc();

@@ -10,7 +10,7 @@
 /// compact format rules (separators, indentation, number and string
 /// encoding) live here and nowhere else.
 ///
-/// The writer streams into a growing char buffer.  Object keys known at
+/// The writer streams into char buffers of its own.  Object keys known at
 /// compile time (`JsonKey`) are copied as-is, with no escaping pass, and
 /// indentation is copied in fixed-size blocks from one pad string.
 /// Canonical output sorts object keys, so a streamed object must be
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "io/byte_segments.hpp"
 #include "io/json.hpp"
 #include "io/json_detail.hpp"
 
@@ -70,23 +71,32 @@ class JsonKey {
 ///   out.end_object();
 ///   out.finish();  // appends the written bytes to `text`
 ///
-/// The writer works in a char buffer of its own that grows by `realloc`
-/// (large blocks are remapped, not copied and re-faulted the way a
-/// doubling std::string is -- on a multi-MB result that growth cost more
-/// than writing the bytes).  Only `finish()` appends the buffered bytes to
-/// `out`; a writer destroyed without it (say, by an exception) leaves
-/// `out` unchanged.  `indent` <= 0 writes the compact single-line form.
+/// The writer works in char buffers of its own: one that grows by
+/// `realloc` up to kBlockBytes, then a chain of blocks of that size, so
+/// a multi-MB document is never moved or regrown, and its blocks come
+/// from malloc's heap, reused from document to document (a doubling
+/// std::string was copied and re-faulted; a buffer regrown past malloc's
+/// mmap threshold is mapped fresh, and faulted, per document).
+/// `finish_segments()` hands the finished buffers over as they are
+/// (`ByteSegments`, each shrunk to fit), and `finish()` appends them to
+/// `out`; a writer destroyed without either (say, by an exception)
+/// leaves `out` unchanged.  `indent` <= 0 writes the compact single-line
+/// form.
 ///
 /// A *continuation* writer writes the next stretch of a document another
 /// writer has open, so one array's elements can be written in parallel:
 /// it starts inside the parent's open containers (same depth, indent and
 /// key-order state, the innermost array already non-empty), and
-/// `parent.splice(part)` hands its bytes to the parent at the parent's
-/// current position.  The bytes equal those of writing every element on
+/// `parent.splice(part)` hands its buffers to the parent at the parent's
+/// current position, after the parent's own buffer so far, which is
+/// finished there too.  The bytes equal those of writing every element on
 /// the parent.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string& out, int indent = 2);
+  /// A writer with no output string, whose bytes are taken by
+  /// `finish_segments()` (`finish()` on it throws std::logic_error).
+  explicit JsonWriter(int indent);
   /// Tag selecting the continuation constructor.
   struct Continuation {};
   static constexpr Continuation continuation{};
@@ -170,16 +180,20 @@ class JsonWriter {
   /// HTTP bodies carry.  Throws std::logic_error inside a container.
   void newline();
 
-  /// Append the bytes written since the last `finish()` to `out`, each
-  /// spliced part's once, in document order.  The writer stays usable.
+  /// Hand over the bytes written since the last finish, spliced parts'
+  /// included, as the buffers they were written in, in document order and
+  /// each shrunk to fit.  Nothing is copied.  The writer stays usable.
+  /// Throws std::logic_error on a continuation.
+  [[nodiscard]] ByteSegments finish_segments();
+  /// Append `finish_segments()` to `out`.
   void finish();
-  /// Hand the bytes `part` (a continuation of this writer) wrote since its
-  /// last splice to this writer, at its current position, and leave `part`
-  /// empty.  Nothing is copied until `finish()`.  Throws std::logic_error
-  /// unless `part` ended in the container this writer is in.
+  /// Hand the buffers `part` (a continuation of this writer) wrote since
+  /// its last splice to this writer, at its current position, and leave
+  /// `part` empty.  Nothing is copied.  Throws std::logic_error unless
+  /// `part` ended in the container this writer is in.
   void splice(JsonWriter& part);
   /// `finish()`, returning the FNV-1a 64 digest of the bytes it appended
-  /// (`io::fnv1a64` of them), folded as they are handed over.
+  /// (`io::fnv1a64` of them).
   [[nodiscard]] std::uint64_t finish_hashed();
 
  private:
@@ -191,14 +205,9 @@ class JsonWriter {
     std::string owned_key;      ///< copy of the previous runtime key
   };
 
-  /// Bytes spliced in from a continuation: they follow the first `at`
-  /// bytes of this writer's buffer (segments at one offset keep their
-  /// splice order).
-  struct Segment {
-    std::size_t at = 0;
-    const char* data = nullptr;
-    std::size_t size = 0;
-  };
+  /// The size of a full buffer: below glibc's smallest mmap threshold
+  /// (128 KiB), so blocks are heap memory.
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
 
   /// Indentation is copied in blocks of this many bytes, so a block copy
   /// may store up to kPadBlock - 1 bytes past the indentation's end: every
@@ -320,28 +329,32 @@ class JsonWriter {
   /// reserved.
   void quoted_number(char* p, double value);
   void escaped(std::string_view text);
+  /// Room for `n` more bytes: a bigger buffer below kBlockBytes, else
+  /// the full one sealed and a fresh block.
   void grow(std::size_t n);
   void put(char c) {
     reserve(1);
     *cursor_++ = c;
   }
   void append(const char* data, std::size_t n);
-  /// `emit(data, size)` for every byte range `finish()` appends, in order.
-  template <class Emit>
-  void for_each_segment(Emit&& emit) const;
-  /// Forget every spliced part, freeing the buffers they point into.
-  void release_segments();
+  /// Shrink the buffer to its bytes and move it to `finished_` (a writer
+  /// with no bytes in its buffer keeps it).
+  void seal();
+  /// `seal()`, then hand over `finished_`.
+  [[nodiscard]] ByteSegments take();
+  /// `*out_`; throws std::logic_error when there is none.
+  [[nodiscard]] std::string& output() const;
 
-  std::string* out_;  ///< null for a continuation
+  std::string* out_;  ///< null for a continuation or a segments-only writer
+  bool continuation_ = false;
   std::size_t indent_ = 0;
-  char* buffer_ = nullptr;     ///< malloc'd; bytes not yet appended to out_
+  ByteSegments finished_;      ///< the bytes before buffer_'s, not yet handed over
+  char* buffer_ = nullptr;     ///< malloc'd; the bytes after finished_'s
   char* cursor_ = nullptr;     ///< next byte to write
   char* end_ = nullptr;        ///< end of buffer_
   std::vector<Frame> frames_;  ///< [0, depth_) are the open containers
   std::size_t depth_ = 0;
-  bool key_pending_ = false;       ///< a key was written; its value comes next
-  std::vector<Segment> segments_;  ///< spliced bytes not yet appended, by offset
-  std::vector<char*> spliced_;     ///< malloc'd part buffers `segments_` point into
+  bool key_pending_ = false;  ///< a key was written; its value comes next
 };
 
 /// Write `count` elements into the array `out` is in, element `i` by

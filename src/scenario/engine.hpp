@@ -36,6 +36,7 @@
 #include "core/comparator.hpp"
 #include "device/platform_registry.hpp"
 #include "dse/frontier.hpp"
+#include "io/byte_segments.hpp"
 #include "scenario/breakeven.hpp"
 #include "scenario/heatmap.hpp"
 #include "scenario/node_dse.hpp"
@@ -184,7 +185,7 @@ class Engine {
     std::uint64_t fingerprint = 0;
     /// On a hit, the entry's canonical `result_document` bytes when they
     /// were attached (`ResultCache::attach_bytes`); else nullptr.
-    std::shared_ptr<const std::string> bytes;
+    std::shared_ptr<const io::ByteSegments> bytes;
   };
   [[nodiscard]] CachedRun run_cached(const ScenarioSpec& spec) const;
 

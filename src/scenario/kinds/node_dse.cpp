@@ -51,10 +51,10 @@ void parse_params(const Json& json, ScenarioSpec& spec) {
     dse.chip = core::chip_from_json(entry.at("chip"));
   }
   if (entry.contains("nodes")) {
-    for (const Json& value : entry.at("nodes").as_array()) {
-      const auto node = tech::parse_node(value.as_string());
+    for (const std::string& name : core::strings_field(entry, "dse", "nodes")) {
+      const auto node = tech::parse_node(name);
       if (!node) {
-        throw core::ConfigError("unknown process node \"" + value.as_string() + "\"");
+        throw core::ConfigError("unknown process node \"" + name + "\"");
       }
       dse.nodes.push_back(*node);
     }

@@ -31,7 +31,7 @@ ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
 }
 
 std::shared_ptr<const ScenarioResult> ResultCache::lookup(
-    const std::string& key, std::shared_ptr<const std::string>* bytes) {
+    const std::string& key, std::shared_ptr<const io::ByteSegments>* bytes) {
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -77,7 +77,7 @@ void ResultCache::insert(const std::string& key,
 }
 
 void ResultCache::attach_bytes(const std::string& key,
-                               std::shared_ptr<const std::string> bytes) {
+                               std::shared_ptr<const io::ByteSegments> bytes) {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(std::string_view(key));

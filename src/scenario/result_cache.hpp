@@ -33,8 +33,10 @@
 /// An entry can also hold its result's canonical `result_document`
 /// bytes, attached once by whoever first renders them (the serve
 /// `/v1/run` handler), so a repeat request streams them back without
-/// rendering again.  Entries inserted by `run_batch` or promoted from
-/// disk start without bytes; evicting an entry frees its bytes with it.
+/// rendering again.  They are the writer's own buffers
+/// (`result_segments`), kept uncopied and shrunk to fit.  Entries
+/// inserted by `run_batch` or promoted from disk start without bytes;
+/// evicting an entry frees its bytes with it.
 /// Bytes never reach the store, whose format is the result alone.
 
 #include <cstdint>
@@ -45,6 +47,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "io/byte_segments.hpp"
 
 namespace greenfpga::scenario {
 
@@ -83,7 +87,7 @@ class ResultCache {
   /// A non-null `bytes` receives the entry's attached canonical bytes
   /// (nullptr on a miss or when none are attached yet).
   [[nodiscard]] std::shared_ptr<const ScenarioResult> lookup(
-      const std::string& key, std::shared_ptr<const std::string>* bytes = nullptr);
+      const std::string& key, std::shared_ptr<const io::ByteSegments>* bytes = nullptr);
 
   /// Insert (or refresh) `key -> result`, evicting the least recently
   /// used entry of the key's shard when over capacity.  `result` must not
@@ -94,7 +98,7 @@ class ResultCache {
   /// Attach the canonical bytes of `key`'s result to its live entry,
   /// unless bytes are already attached or the entry is gone.  Counts no
   /// hit or miss, keeps the LRU position, and writes nothing to the store.
-  void attach_bytes(const std::string& key, std::shared_ptr<const std::string> bytes);
+  void attach_bytes(const std::string& key, std::shared_ptr<const io::ByteSegments> bytes);
 
   /// Drop every in-memory entry (counters are preserved: they are
   /// lifetime totals).  Disk entries are untouched.
@@ -106,7 +110,7 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::shared_ptr<const ScenarioResult> result;
-    std::shared_ptr<const std::string> bytes;  ///< null until attached
+    std::shared_ptr<const io::ByteSegments> bytes;  ///< null until attached
   };
 
   struct Shard {

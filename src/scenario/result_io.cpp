@@ -103,15 +103,15 @@ std::string result_bytes(const ScenarioResult& result, int indent) {
   return text;
 }
 
-std::string result_document(const ScenarioResult& result, int threads) {
-  std::string text;
-  io::JsonWriter out(text);
+io::ByteSegments result_segments(const ScenarioResult& result, int threads) {
+  io::JsonWriter out(2);
   write_result(result, out, threads);
-  // Through the writer: appending the newline afterwards would regrow
-  // (and copy) a string sized exactly to the bytes.
   out.newline();
-  out.finish();
-  return text;
+  return out.finish_segments();
+}
+
+std::string result_document(const ScenarioResult& result, int threads) {
+  return result_segments(result, threads).str();
 }
 
 Json result_to_json(const ScenarioResult& result) {

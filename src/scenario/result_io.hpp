@@ -53,6 +53,10 @@ void write_result(const ScenarioResult& result, io::JsonWriter& out, int threads
 /// `threads` as for `write_result`.
 [[nodiscard]] std::string result_document(const ScenarioResult& result, int threads = 1);
 
+/// `result_document`'s bytes as the writer's own buffers, uncopied (the
+/// form a `ResultCache` entry keeps).
+[[nodiscard]] io::ByteSegments result_segments(const ScenarioResult& result, int threads = 1);
+
 /// The canonical result as a DOM: `io::parse_json` of the compact bytes.
 /// For callers that inspect or edit the value; anything that only needs
 /// the text uses `result_bytes` / `write_result`.

@@ -67,7 +67,7 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
   HttpResponse response;
   response.status = 200;
   response.set_header("Content-Type", "application/json");
-  std::shared_ptr<const std::string> bytes = run.bytes;
+  std::shared_ptr<const io::ByteSegments> bytes = run.bytes;
   if (bytes != nullptr) {
     // The cache entry holds its rendered bytes: stream them back without
     // writing anything.
@@ -76,12 +76,13 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
     // A miss, or a hit on an entry not rendered yet (inserted by a batch
     // or promoted from disk): the kind modules write the canonical bytes
     // directly, a large section on the engine's workers, and the live
-    // entry keeps them for the next hit.
-    bytes = std::make_shared<const std::string>(
-        scenario::result_document(*run.result, context.engine().threads()));
+    // entry keeps the writer's buffers as they are for the next hit.
+    bytes = std::make_shared<const io::ByteSegments>(
+        scenario::result_segments(*run.result, context.engine().threads()));
     context.cache().attach_bytes(run.key, bytes);
   }
-  response.body = *bytes;
+  // The one copy of the bytes a response makes, on a miss as on a hit.
+  bytes->append_to(response.body);
   response.set_header("X-Cache", run.hit ? "hit" : "miss");
   // The fingerprint was folded while the key was dumped; same text as
   // content_digest(run.key), no re-hash of the key bytes.

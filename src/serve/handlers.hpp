@@ -28,12 +28,13 @@
 /// `/v1/run` with `io::parse_json_hashed`, which computes the canonical
 /// FNV-1a digest during the parse, and `/v1/batch` with `io::parse_json`.
 /// On the response side a miss has the kind modules write the canonical
-/// bytes directly (`scenario::result_document`, no result DOM), and the
-/// handler attaches those bytes to the result's entry in the one
-/// `scenario::ResultCache`.  A later `/v1/run` hit gets them back from
-/// the same lookup (`Engine::CachedRun::bytes`) and streams them without
-/// rendering; a hit on an entry with no bytes yet (inserted by a batch
-/// or promoted from disk) renders once and attaches them.
+/// bytes directly (`scenario::result_segments`, no result DOM), and the
+/// handler attaches the writer's buffers, uncopied, to the result's entry
+/// in the one `scenario::ResultCache`.  A later `/v1/run` hit gets them
+/// back from the same lookup (`Engine::CachedRun::bytes`) and streams
+/// them without rendering; a hit on an entry with no bytes yet (inserted
+/// by a batch or promoted from disk) renders once and attaches them.
+/// Either way the response body is the one copy of the bytes.
 ///
 /// Spec parse/validation failures answer 400 with the same
 /// offending-key-naming message the CLI prints; over-limit or malformed

@@ -352,6 +352,21 @@ TEST(Cli, RunParseErrorsNameThePathAndKey) {
        "fleet.regions.profile: "},
       {R"({"kind": "fleet", "fleet": {"services": [{"trace": ["x"]}]}})",
        "fleet.services.trace: "},
+      // Numeric chip and model-suite fields, and process-node list entries.
+      {R"({"kind": "compare", "platforms": ["asic", {"name": "x", "chip":)"
+       R"( {"kind": "fpga", "die_area_mm2": "a", "peak_power_w": 1}}]})",
+       "chip.die_area_mm2: "},
+      {R"({"kind": "compare", "platforms": ["asic", {"name": "x", "chip":)"
+       R"( {"kind": "fpga", "die_area_mm2": 100, "peak_power_w": [1]}}]})",
+       "chip.peak_power_w: "},
+      {R"({"kind": "compare", "suite": {"operation": {"duty_cycle": "x"}}})",
+       "suite.operation.duty_cycle: "},
+      {R"({"kind": "compare", "suite": {"fab": {"yield_model": 1}}})",
+       "suite.fab.yield_model: "},
+      {R"({"kind": "frontier", "frontier": {"axes": [{"variable": "node", "nodes": [7]},)"
+       R"( {"variable": "volume", "from": 1e4, "to": 1e6, "count": 3}]}})",
+       "frontier.axes.nodes: "},
+      {R"({"kind": "node_dse", "dse": {"nodes": [7]}})", "dse.nodes: "},
   };
   const std::string row_path = ::testing::TempDir() + "/greenfpga_cli_bad_row.json";
   for (const auto& [text, key] : rows) {

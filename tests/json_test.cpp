@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -344,6 +346,76 @@ TEST(JsonFormatNumber, MatchesThePrintfProbeLoopOverAMillionDoubles) {
   }
   EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
   EXPECT_EQ(unmemoised, 0u) << "of " << values.size() << " doubles";
+}
+
+/// The significant digits of the shortest round-trip form of `value`.
+int shortest_digit_count(double value) {
+  char buffer[64];
+  const char* const end =
+      std::to_chars(buffer, buffer + sizeof buffer, std::fabs(value), std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = buffer; c < end && *c != 'e'; ++c) {
+    digits += *c >= '0' && *c <= '9' ? 1 : 0;
+  }
+  return digits;
+}
+
+TEST(JsonFormatNumber, KernelEdgesMatchThePrintfProbeLoop) {
+  // The shortest-digits kernel at the edges of its table and its
+  // presentation rules, each value and its negative.
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {  // every power of two, subnormals included
+    values.push_back(std::ldexp(1.0, e));
+  }
+  for (int e = -323; e <= 308; ++e) {  // every power of ten and its neighbours
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, std::numeric_limits<double>::infinity()));
+  }
+  for (const double value : {DBL_MIN, DBL_MAX, std::numeric_limits<double>::denorm_min()}) {
+    values.push_back(value);
+  }
+  // Values whose shortest form has exactly 5, 6, 15, 16 and 17 digits:
+  // the %.6g fallback's edge, and the top of the digit range, at
+  // exponents across the fixed/scientific switch and the whole range.
+  std::mt19937_64 rng(5616);
+  for (const int digits : {5, 6, 15, 16, 17}) {
+    int found = 0;
+    for (int i = 0; found < 2000; ++i) {
+      std::string text = std::to_string(1 + rng() % 9) + ".";
+      for (int d = 1; d < digits; ++d) {
+        text += static_cast<char>('0' + rng() % 10);
+      }
+      const int exponent = i % 2 == 0 ? static_cast<int>(rng() % 40) - 20
+                                      : static_cast<int>(rng() % 600) - 300;
+      const double value = std::strtod((text + "e" + std::to_string(exponent)).c_str(), nullptr);
+      if (shortest_digit_count(value) == digits) {
+        values.push_back(value);
+        ++found;
+      }
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double magnitude : values) {
+    for (const double value : {magnitude, -magnitude}) {
+      const std::string expected = probe_loop_format(value);
+      const std::string fresh = format_number(value);
+      const std::string memoised = format_number(value);
+      if ((fresh != expected || memoised != expected) && ++mismatches <= 10) {
+        ADD_FAILURE() << std::hexfloat << value << ": expected " << expected << ", wrote "
+                      << fresh << ", then " << memoised;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << 2 * values.size() << " doubles";
+  EXPECT_EQ(format_number(std::numeric_limits<double>::denorm_min()), "4.94066e-324");
+  // Powers of two whose lopsided interval holds a 16-digit decimal that
+  // %.16g does not print: the canonical form is the 17-digit one.
+  EXPECT_EQ(format_number(0x1p-24), "5.9604644775390625e-08");
+  EXPECT_EQ(format_number(-0x1p-24), "-5.9604644775390625e-08");
+  EXPECT_EQ(format_number(0x1p-1017), "7.1202363472230444e-307");
 }
 
 TEST(JsonFormatNumber, MemoSlotCollisionsKeepEachNumbersBytes) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -601,6 +605,43 @@ TEST(JsonWriterChunks, ALargeGridWritesTheSameBytesAtEveryThreadCount) {
       out.end_array();
     });
     EXPECT_TRUE(streamed == nested) << "threads " << threads;
+  }
+}
+
+TEST(JsonWriterChunks, A50x50GridsSegmentsJoinToItsDocumentAndKeepNoSlack) {
+  // The serve render: the writer's buffers handed over as they are, one
+  // per spliced chunk plus the parent's stretches around them.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, device::Domain::dnn);
+  spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 50),
+               scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 2.5,
+                                          50)};
+  const scenario::ScenarioResult result =
+      scenario::Engine(scenario::EngineOptions{.threads = 1}).run(spec);
+  const std::string document = scenario::result_document(result);
+  for (const int threads : {1, 2, 4}) {
+    const io::ByteSegments segments = scenario::result_segments(result, threads);
+    std::string joined;
+    for (std::size_t i = 0; i < segments.segment_count(); ++i) {
+      const std::string_view segment = segments.segment(i);
+      EXPECT_FALSE(segment.empty()) << "threads " << threads << ", segment " << i;
+      joined.append(segment);
+#if defined(__GLIBC__)
+      // Shrunk to fit: what malloc keeps is the bytes, rounded up to its
+      // chunk granularity (a page at most), not the writer's doubling.
+      const std::size_t kept = malloc_usable_size(const_cast<char*>(segment.data()));
+      EXPECT_GE(kept, segment.size());
+      EXPECT_LT(kept - segment.size(), std::size_t{4096})
+          << "threads " << threads << ", segment " << i << " of " << segment.size()
+          << " bytes keeps " << kept;
+#endif
+    }
+    EXPECT_TRUE(joined == document) << "threads " << threads;
+    EXPECT_EQ(segments.size(), document.size()) << "threads " << threads;
+    EXPECT_TRUE(segments.str() == document) << "threads " << threads;
+    if (threads > 1) {
+      EXPECT_GT(segments.segment_count(), 1u) << "threads " << threads;
+    }
   }
 }
 

@@ -94,21 +94,21 @@ TEST(ResultCache, EvictedEntrySurvivesForHolders) {
 TEST(ResultCache, AttachedBytesComeBackWithTheHitAndLeaveWithTheEntry) {
   ResultCache cache(1);
   cache.insert("a", result_of(compare_spec(1)));
-  std::shared_ptr<const std::string> bytes;
+  std::shared_ptr<const io::ByteSegments> bytes;
   ASSERT_NE(cache.lookup("a", &bytes), nullptr);
   EXPECT_EQ(bytes, nullptr);  // nothing attached yet
-  auto attached = std::make_shared<const std::string>("rendered a");
+  auto attached = std::make_shared<const io::ByteSegments>("rendered a");
   cache.attach_bytes("a", attached);
   // First attach wins: the entry's bytes are never replaced.
-  cache.attach_bytes("a", std::make_shared<const std::string>("other"));
+  cache.attach_bytes("a", std::make_shared<const io::ByteSegments>("other"));
   ASSERT_NE(cache.lookup("a", &bytes), nullptr);
   EXPECT_EQ(bytes, attached);
   // Attaching to an absent key is a no-op.
-  cache.attach_bytes("missing", std::make_shared<const std::string>("x"));
+  cache.attach_bytes("missing", std::make_shared<const io::ByteSegments>("x"));
   EXPECT_EQ(cache.stats().size, 1u);
 
   // Evicting the entry frees its bytes once no reader holds them.
-  const std::weak_ptr<const std::string> watch = attached;
+  const std::weak_ptr<const io::ByteSegments> watch = attached;
   attached.reset();
   bytes.reset();
   EXPECT_FALSE(watch.expired());
@@ -140,7 +140,7 @@ TEST(ResultCache, AttachingBytesCountsNothingAndWritesNothingToTheStore) {
   ASSERT_EQ(files_before.size(), 1u);
   const ResultCacheStats before = cache.stats();
 
-  cache.attach_bytes("a", std::make_shared<const std::string>("rendered a"));
+  cache.attach_bytes("a", std::make_shared<const io::ByteSegments>("rendered a"));
 
   const ResultCacheStats after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
