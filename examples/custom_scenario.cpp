@@ -50,7 +50,7 @@ int main() {
   std::cout << "point  " << result.platform_names[0] << " [t]   "
             << result.platform_names[1] << " [t]   " << result.platform_names[2]
             << " [t]\n";
-  for (const scenario::EvalPoint& point : result.points) {
+  for (const scenario::EvalPoint point : result.points) {
     std::cout << point.coords[0];
     for (std::size_t i = 0; i < point.platforms.size(); ++i) {
       std::cout << "\t"

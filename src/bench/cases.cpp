@@ -195,6 +195,24 @@ std::vector<BenchCase> builtin_cases() {
 
   cases.push_back(BenchCase{
       .group = "engine",
+      .name = "grid_50x50_release",
+      .description = "Copy then destroy the 50x50 heat-map's ScenarioResult: the "
+                     "point allocations an execute makes plus the frees a cache "
+                     "eviction makes",
+      .setup = [] {
+        auto result = std::make_shared<const scenario::ScenarioResult>(
+            single_thread_engine().run(grid_spec()));
+        return PreparedCase{.op =
+                                [result] {
+                                  const scenario::ScenarioResult copy = *result;
+                                  g_sink = copy.points.size();
+                                },
+                            .iterations = 1,
+                            .bytes_per_op = 0.0};
+      }});
+
+  cases.push_back(BenchCase{
+      .group = "engine",
       .name = "registry_dispatch",
       .description = "Engine::run of one small spec per registered scenario kind "
                      "(every KindModule execute hook through the registry vtable, "
@@ -387,7 +405,7 @@ std::vector<BenchCase> builtin_cases() {
       .name = "format_number_misses",
       .description = "io::detail::format_number_to over 65536 distinct seeded doubles "
                      "shaped like result numbers (16-17 significant digits, 1e-4 .. "
-                     "1e8), 32x the per-thread memo's slots, so nearly every call "
+                     "1e8), 8x the per-thread memo's slots, so nearly every call "
                      "misses the memo and runs the shortest-digits kernel; divide by "
                      "65536 for the cost of one miss",
       .setup = [] {

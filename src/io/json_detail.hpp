@@ -67,13 +67,20 @@ static_assert(kMaxNumberBytes <= kNumberBufferSize);
 /// depend on volume alone, once per lifetime value.
 std::size_t format_number_to(char* buffer, double n);
 
-/// Slot count of the per-thread `format_number_to` memo: 2048 slots of
-/// 32 bytes, 64 KiB per thread.  A 50x50 grid result carries about 10.6k
+/// Slot count of the per-thread `format_number_to` memo: 8192 slots of
+/// 32 bytes, 256 KiB per thread.  A 50x50 grid result carries about 10.6k
 /// distinct numbers, and its embodied terms recur once per grid row; a
-/// bigger memo serves more of them (on that workload's serve path 1024
-/// slots served 50% of all calls, 2048 62% and 4096 70%), but every
-/// thread that formats pays for its memo in resident memory.
-inline constexpr int kNumberMemoBits = 11;
+/// bigger memo serves more of them, but every thread that formats pays
+/// for its memo in resident memory.  Replaying that document's 50,087
+/// numbers, 2048 direct-mapped slots miss 19.3k times, 2048 4-way 15.5k,
+/// 8192 direct-mapped 13.8k and 8192 4-way 11.6k.  A 4-way 64 KiB memo
+/// that moves each hit to the front ran slower than 2048 direct-mapped
+/// slots; 8192 direct-mapped slots keep the one-probe hit and read
+/// `json/result_write_grid50_chunked` at a median 1.84 ms against 2.04 ms
+/// and 2.09 ms for 2048, winning 10 of 10 alternating pairs in each
+/// order on a shared 4-vCPU VM, with `hot_small`'s peak RSS inside its
+/// run-to-run spread.
+inline constexpr int kNumberMemoBits = 13;
 inline constexpr std::size_t kNumberMemoSlots = std::size_t{1} << kNumberMemoBits;
 
 /// The memo's hash of a double's bit pattern (Fibonacci hashing: a

@@ -80,8 +80,12 @@ std::vector<double> MonteCarloUq::ratio_samples(std::size_t index) const {
 }
 
 double EvalPoint::ratio(std::size_t index, std::size_t baseline) const {
-  return platforms.at(index).total.total().canonical() /
-         platforms.at(baseline).total.total().canonical();
+  if (index >= platforms.size() || baseline >= platforms.size()) {
+    throw std::out_of_range("EvalPoint::ratio: no platform " +
+                            std::to_string(std::max(index, baseline)));
+  }
+  return platforms[index].total.total().canonical() /
+         platforms[baseline].total.total().canonical();
 }
 
 std::optional<std::size_t> ScenarioResult::platform_index(device::ChipKind kind) const {
@@ -121,7 +125,7 @@ SweepSeries ScenarioResult::sweep_series() const {
   series.x.reserve(points.size());
   series.asic.reserve(points.size());
   series.fpga.reserve(points.size());
-  for (const EvalPoint& point : points) {
+  for (const EvalPoint point : points) {
     series.x.push_back(point.coords.front());
     series.asic.push_back(point.platforms[*asic].total);
     series.fpga.push_back(point.platforms[*fpga].total);
@@ -150,7 +154,7 @@ Heatmap ScenarioResult::heatmap() const {
   }
   for (std::size_t iy = 0; iy < map.y.size(); ++iy) {
     for (std::size_t ix = 0; ix < map.x.size(); ++ix) {
-      const EvalPoint& point = points[iy * map.x.size() + ix];
+      const EvalPoint point = points[iy * map.x.size() + ix];
       map.ratio[iy][ix] = point.platforms[*fpga].total.total().canonical() /
                           point.platforms[*asic].total.total().canonical();
     }

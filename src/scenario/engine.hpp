@@ -28,8 +28,10 @@
 /// the primitives the kinds dispatch to.
 
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,14 +70,95 @@ struct EngineOptions {
   ResultCache* cache = nullptr;
 };
 
-/// One evaluated scenario point: axis coordinates plus every platform's
-/// lifecycle result (in `ScenarioSpec::platforms` order).
+/// One evaluated scenario point: a row of a `PointTable`, viewing its axis
+/// coordinates plus every platform's lifecycle result (in
+/// `ScenarioSpec::platforms` order).  Valid while its table is alive and
+/// not reassigned.
 struct EvalPoint {
-  std::vector<double> coords;
-  std::vector<core::PlatformCfp> platforms;
+  std::span<const double> coords;
+  std::span<const core::PlatformCfp> platforms;
 
-  /// Total-CFP ratio of platform `index` over platform `baseline`.
+  /// Total-CFP ratio of platform `index` over platform `baseline`; throws
+  /// std::out_of_range for an index past `platforms`.
   [[nodiscard]] double ratio(std::size_t index, std::size_t baseline = 0) const;
+};
+
+/// The evaluated points of a compare/sweep/grid result as one table: two
+/// contiguous row-major arrays, the axis coordinates (`size() x axes()`)
+/// and the platform cells (`size() x platform_count()`).  A 50x50 grid is
+/// then two allocations to make and free, not a pair per point.  Rows are
+/// `EvalPoint` views: `points[i].platforms[p]`, `front()`, `back()` and
+/// range-for read them.
+class PointTable {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using value_type = EvalPoint;
+    using difference_type = std::ptrdiff_t;
+
+    iterator() = default;
+    iterator(const PointTable* table, std::size_t row) : table_(table), row_(row) {}
+
+    [[nodiscard]] EvalPoint operator*() const { return (*table_)[row_]; }
+    iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++row_;
+      return before;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) { return a.row_ == b.row_; }
+
+   private:
+    const PointTable* table_ = nullptr;
+    std::size_t row_ = 0;
+  };
+
+  PointTable() = default;
+  /// `points` rows of `axes` zero coordinates and `platforms`
+  /// default-constructed cells, to be written in place.
+  PointTable(std::size_t points, std::size_t axes, std::size_t platforms)
+      : size_(points),
+        axes_(axes),
+        platforms_(platforms),
+        coords_(points * axes),
+        cells_(points * platforms) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t axes() const { return axes_; }
+  [[nodiscard]] std::size_t platform_count() const { return platforms_; }
+
+  [[nodiscard]] EvalPoint operator[](std::size_t i) const {
+    return EvalPoint{.coords = {coords_.data() + i * axes_, axes_},
+                     .platforms = {cells_.data() + i * platforms_, platforms_}};
+  }
+  [[nodiscard]] EvalPoint front() const { return (*this)[0]; }
+  [[nodiscard]] EvalPoint back() const { return (*this)[size_ - 1]; }
+  [[nodiscard]] iterator begin() const { return {this, 0}; }
+  [[nodiscard]] iterator end() const { return {this, size_}; }
+
+  /// Row `i`'s writable coordinates and cells, for filling in place.
+  [[nodiscard]] std::span<double> row_coords(std::size_t i) {
+    return {coords_.data() + i * axes_, axes_};
+  }
+  [[nodiscard]] std::span<core::PlatformCfp> row_platforms(std::size_t i) {
+    return {cells_.data() + i * platforms_, platforms_};
+  }
+
+  /// The two arrays themselves.
+  [[nodiscard]] const std::vector<double>& coords() const { return coords_; }
+  [[nodiscard]] const std::vector<core::PlatformCfp>& cells() const { return cells_; }
+
+ private:
+  std::size_t size_ = 0;
+  std::size_t axes_ = 0;
+  std::size_t platforms_ = 0;
+  std::vector<double> coords_;
+  std::vector<core::PlatformCfp> cells_;
 };
 
 /// Closed-form breakeven solves (nullopt = not requested or no crossover).
@@ -134,7 +217,7 @@ struct ScenarioResult {
 
   /// compare: 1 point; sweep: one per axis sample; grid: row-major with
   /// axis 1 (y) outer, axis 0 (x) inner.
-  std::vector<EvalPoint> points;
+  PointTable points;
 
   std::optional<TimelineSeries> timeline;       ///< timeline kind
   std::vector<NodeCandidate> candidates;        ///< node_dse kind, ranked

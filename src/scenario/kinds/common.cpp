@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "units/format.hpp"
@@ -35,6 +36,33 @@ void apply_axis(ScheduleSpec& schedule, SweepVariable variable, double value) {
   throw std::logic_error("Engine: unknown sweep variable");
 }
 
+/// Evaluate scenario point `i` into row `i` of `points`.  Pure in
+/// (spec, plan, chips, i): results never depend on which worker runs it,
+/// nor on the points its `model` and `schedule` served before.
+/// Per-application rows are built only when the plan keeps them.
+void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
+                    const std::vector<device::ChipSpec>& chips,
+                    core::LifecycleModel& model, ScheduleBuffer& schedule, std::size_t i,
+                    PointTable& points) {
+  ScheduleSpec schedule_spec = spec.schedule;
+  const std::span<double> coords = points.row_coords(i);
+  std::size_t remainder = i;
+  for (std::size_t a = 0; a < plan.axis_values.size(); ++a) {
+    const std::vector<double>& values = plan.axis_values[a];
+    coords[a] = values[remainder % values.size()];
+    remainder /= values.size();
+    apply_axis(schedule_spec, spec.axes[a].variable, coords[a]);
+  }
+  const workload::Schedule& applications = schedule.assign(schedule_spec, spec.domain);
+  const core::ApplicationRows rows = plan.keep_per_application
+                                         ? core::ApplicationRows::keep
+                                         : core::ApplicationRows::skip;
+  const std::span<core::PlatformCfp> platforms = points.row_platforms(i);
+  for (std::size_t p = 0; p < chips.size(); ++p) {
+    platforms[p] = model.evaluate(chips[p], applications, rows);
+  }
+}
+
 }  // namespace
 
 PointPlan plan_points(const ScenarioSpec& spec) {
@@ -49,36 +77,12 @@ PointPlan plan_points(const ScenarioSpec& spec) {
   return plan;
 }
 
-void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
-                    const std::vector<device::ChipSpec>& chips,
-                    core::LifecycleModel& model, ScheduleBuffer& schedule, std::size_t i,
-                    EvalPoint& point) {
-  ScheduleSpec schedule_spec = spec.schedule;
-  std::size_t remainder = i;
-  point.coords.reserve(plan.axis_values.size());
-  for (const std::vector<double>& values : plan.axis_values) {
-    const double value = values[remainder % values.size()];
-    remainder /= values.size();
-    point.coords.push_back(value);
-  }
-  for (std::size_t a = 0; a < plan.axis_values.size(); ++a) {
-    apply_axis(schedule_spec, spec.axes[a].variable, point.coords[a]);
-  }
-  const workload::Schedule& applications = schedule.assign(schedule_spec, spec.domain);
-  const core::ApplicationRows rows = plan.keep_per_application
-                                         ? core::ApplicationRows::keep
-                                         : core::ApplicationRows::skip;
-  point.platforms.reserve(chips.size());
-  for (const device::ChipSpec& chip : chips) {
-    point.platforms.push_back(model.evaluate(chip, applications, rows));
-  }
-}
-
 void points_execute(const KindRunContext& context, const core::ModelSuite& suite,
                     ScenarioResult& result) {
   // Coordinate grid: axis 0 is the inner (fastest) dimension.
   const PointPlan plan = plan_points(result.spec);
-  result.points.resize(plan.total);
+  result.points =
+      PointTable(plan.total, plan.axis_values.size(), result.resolved_chips.size());
   struct Worker {
     core::LifecycleModel model;
     ScheduleBuffer schedule;
@@ -88,7 +92,7 @@ void points_execute(const KindRunContext& context, const core::ModelSuite& suite
       [&suite] { return Worker{.model = core::LifecycleModel(suite), .schedule = {}}; },
       [&](Worker& worker, std::size_t i) {
         evaluate_point(result.spec, plan, result.resolved_chips, worker.model,
-                       worker.schedule, i, result.points[i]);
+                       worker.schedule, i, result.points);
       },
       result.resolved_chips.size());
 }
@@ -195,7 +199,7 @@ ResultFrame points_frame(const ScenarioResult& result, const std::string& name) 
     frame.columns.push_back(Column{.name = ratio_label(result, i), .unit = "",
                                    .precision = 4});
   }
-  for (const EvalPoint& point : result.points) {
+  for (const EvalPoint point : result.points) {
     std::vector<Cell> row;
     row.reserve(frame.columns.size());
     for (const double c : point.coords) {

@@ -45,17 +45,9 @@ struct PointPlan {
 
 [[nodiscard]] PointPlan plan_points(const ScenarioSpec& spec);
 
-/// Evaluate scenario point `i` into `point` (pre-sized slot).  Pure in
-/// (spec, plan, chips, i): results never depend on which worker runs it,
-/// nor on the points its `model` and `schedule` served before.
-/// Per-application rows are built only when the plan keeps them.
-void evaluate_point(const ScenarioSpec& spec, const PointPlan& plan,
-                    const std::vector<device::ChipSpec>& chips,
-                    core::LifecycleModel& model, ScheduleBuffer& schedule, std::size_t i,
-                    EvalPoint& point);
-
-/// The point kinds' `execute` hook: evaluate every point on the pool,
-/// each worker with its own model and schedule buffer.
+/// The point kinds' `execute` hook: size `result.points` once, then
+/// evaluate every point into its row on the pool, each worker with its own
+/// model and schedule buffer.
 void points_execute(const KindRunContext& context, const core::ModelSuite& suite,
                     ScenarioResult& result);
 

@@ -3,6 +3,8 @@
 /// Also owns the shared "points" result section, which sweep and grid
 /// results reuse (the result hooks run for every module on every result).
 
+#include <span>
+#include <string>
 #include <utility>
 
 #include "core/config_io.hpp"
@@ -36,7 +38,7 @@ void write_result(const ScenarioResult& result, std::string_view /*key*/,
   // The array is most of a grid's bytes: written in chunks on the pool.
   io::write_elements(out, result.points.size(), threads, result.platform_names.size(),
                      [&result](io::JsonWriter& writer, std::size_t i) {
-                       const EvalPoint& point = result.points[i];
+                       const EvalPoint point = result.points[i];
                        writer.begin_object();
                        writer.numbers("coords", point.coords);
                        writer.key("platforms");
@@ -54,14 +56,35 @@ void result_from_json(const Json& json, ScenarioResult& result) {
   if (!json.contains("points")) {
     return;
   }
-  for (const Json& entry : json.at("points").as_array()) {
-    core::check_known_keys(entry, "result point", {"coords", "platforms"});
-    EvalPoint point;
-    point.coords = doubles_from_json(entry.at("coords"));
-    for (const Json& platform : entry.at("platforms").as_array()) {
-      point.platforms.push_back(core::platform_cfp_from_json(platform));
+  const Json::Array& entries = json.at("points").as_array();
+  if (entries.empty()) {
+    return;
+  }
+  // Every point must have point 0's widths.  Checked before the table is
+  // sized, so its arrays never hold more cells than the document does.
+  const std::size_t axes = entries.front().at("coords").as_array().size();
+  const std::size_t platforms = entries.front().at("platforms").as_array().size();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    core::check_known_keys(entries[i], "result point", {"coords", "platforms"});
+    if (entries[i].at("coords").as_array().size() != axes ||
+        entries[i].at("platforms").as_array().size() != platforms) {
+      throw core::ConfigError("result point " + std::to_string(i) + ": expected " +
+                              std::to_string(axes) + " coords and " +
+                              std::to_string(platforms) + " platforms, like point 0");
     }
-    result.points.push_back(std::move(point));
+  }
+  result.points = PointTable(entries.size(), axes, platforms);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Json::Array& coords = entries[i].at("coords").as_array();
+    const std::span<double> row_coords = result.points.row_coords(i);
+    for (std::size_t a = 0; a < axes; ++a) {
+      row_coords[a] = coords[a].as_number_total();
+    }
+    const Json::Array& cells = entries[i].at("platforms").as_array();
+    const std::span<core::PlatformCfp> row_platforms = result.points.row_platforms(i);
+    for (std::size_t p = 0; p < platforms; ++p) {
+      row_platforms[p] = core::platform_cfp_from_json(cells[p]);
+    }
   }
 }
 
@@ -70,7 +93,7 @@ void result_from_json(const Json& json, ScenarioResult& result) {
 /// column each) plus a baseline-ratio column, so compare and `industry`
 /// speak identical column names.
 void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
-  const EvalPoint& point = result.points.front();
+  const EvalPoint point = result.points.front();
   std::vector<std::pair<std::string, core::CfpBreakdown>> rows;
   rows.reserve(point.platforms.size());
   for (std::size_t i = 0; i < point.platforms.size(); ++i) {

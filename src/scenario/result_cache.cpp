@@ -49,10 +49,11 @@ std::shared_ptr<const ScenarioResult> ResultCache::lookup(
   // file IO and must never serialize the shard.
   if (store_ != nullptr) {
     if (std::shared_ptr<const ScenarioResult> loaded = store_->load(key)) {
+      Entry displaced;  // declared first, so freed after the lock is released
       const std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.hits;
       ++shard.disk_hits;
-      insert_locked(shard, key, loaded);
+      displaced = insert_locked(shard, key, loaded);
       return loaded;
     }
   }
@@ -68,8 +69,9 @@ void ResultCache::insert(const std::string& key,
   }
   Shard& shard = shard_for(key);
   {
+    Entry displaced;  // declared first, so freed after the lock is released
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    insert_locked(shard, key, result);
+    displaced = insert_locked(shard, key, result);
   }
   if (store_ != nullptr) {
     store_->save(key, *result);  // best-effort; outside the lock
@@ -86,23 +88,26 @@ void ResultCache::attach_bytes(const std::string& key,
   }
 }
 
-void ResultCache::insert_locked(Shard& shard, const std::string& key,
-                                std::shared_ptr<const ScenarioResult> result) {
+ResultCache::Entry ResultCache::insert_locked(Shard& shard, const std::string& key,
+                                              std::shared_ptr<const ScenarioResult> result) {
+  Entry displaced;
   const auto it = shard.index.find(std::string_view(key));
   if (it != shard.index.end()) {
     // Same content key => same deterministic result (and bytes); refresh
     // recency only.
-    it->second->result = std::move(result);
+    displaced.result = std::exchange(it->second->result, std::move(result));
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+    return displaced;
   }
   shard.lru.push_front(Entry{key, std::move(result), nullptr});
   shard.index.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
   if (shard.lru.size() > shard_capacity_) {
     shard.index.erase(std::string_view(shard.lru.back().key));
+    displaced = std::move(shard.lru.back());
     shard.lru.pop_back();
     ++shard.evictions;
   }
+  return displaced;
 }
 
 void ResultCache::clear() {

@@ -36,8 +36,9 @@
 /// rendering again.  They are the writer's own buffers
 /// (`result_segments`), kept uncopied and shrunk to fit.  Entries
 /// inserted by `run_batch` or promoted from disk start without bytes;
-/// evicting an entry frees its bytes with it.
-/// Bytes never reach the store, whose format is the result alone.
+/// evicting an entry frees its bytes with it, after the shard lock is
+/// released.  Bytes never reach the store, whose format is the result
+/// alone.
 
 #include <cstdint>
 #include <list>
@@ -128,8 +129,11 @@ class ResultCache {
   [[nodiscard]] Shard& shard_for(const std::string& key);
 
   /// Insert/refresh under `shard.mutex` (already held by the caller).
-  void insert_locked(Shard& shard, const std::string& key,
-                     std::shared_ptr<const ScenarioResult> result);
+  /// Returns what left the shard -- the evicted entry, or a refreshed
+  /// entry's previous result -- for the caller to destroy after releasing
+  /// the lock, so a 2.9 MB result and its byte blocks never free under it.
+  [[nodiscard]] Entry insert_locked(Shard& shard, const std::string& key,
+                                    std::shared_ptr<const ScenarioResult> result);
 
   std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

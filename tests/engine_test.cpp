@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -445,7 +446,7 @@ TEST(EngineDeterminism, GridIsBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(four.points.size(), one.points.size());
   ASSERT_EQ(seven.points.size(), one.points.size());
   for (std::size_t i = 0; i < one.points.size(); ++i) {
-    EXPECT_EQ(one.points[i].coords, four.points[i].coords);
+    EXPECT_TRUE(std::ranges::equal(one.points[i].coords, four.points[i].coords));
     for (std::size_t p = 0; p < one.points[i].platforms.size(); ++p) {
       expect_same_breakdown(one.points[i].platforms[p].total,
                             four.points[i].platforms[p].total);
@@ -453,6 +454,96 @@ TEST(EngineDeterminism, GridIsBitIdenticalAcrossThreadCounts) {
                             seven.points[i].platforms[p].total);
     }
   }
+}
+
+// -- the point table -----------------------------------------------------------
+
+TEST(PointTable, CopiedResultOwnsItsRows) {
+  const ScenarioResult original = Engine(EngineOptions{.threads = 1}).run(grid_spec());
+  const std::string before = result_bytes(original);
+  ScenarioResult copy = original;
+  copy.points.row_coords(3)[1] = 42.0;
+  copy.points.row_platforms(5)[1].chips_manufactured += 1.0;
+  EXPECT_NE(result_bytes(copy), before);
+  EXPECT_EQ(result_bytes(original), before);
+}
+
+TEST(PointTable, RowsViewTheTwoArraysAtTheirStrides) {
+  ScenarioSpec spec = grid_spec(5, 4);
+  spec.platforms = {{.name = "asic"}, {.name = "fpga"}, {.name = "gpu"}};
+  const ScenarioResult result = Engine(EngineOptions{.threads = 2}).run(spec);
+  const PointTable& points = result.points;
+  ASSERT_EQ(points.size(), 20u);
+  ASSERT_EQ(points.axes(), 2u);
+  ASSERT_EQ(points.platform_count(), 3u);
+  EXPECT_EQ(points.coords().size(), 20u * 2u);
+  EXPECT_EQ(points.cells().size(), 20u * 3u);
+  std::size_t i = 0;
+  for (const EvalPoint point : points) {
+    EXPECT_EQ(point.coords.data(), points.coords().data() + i * 2);
+    EXPECT_EQ(point.coords.size(), 2u);
+    EXPECT_EQ(point.platforms.data(), points.cells().data() + i * 3);
+    EXPECT_EQ(point.platforms.size(), 3u);
+    EXPECT_EQ(points[i].coords.data(), point.coords.data());
+    ++i;
+  }
+  EXPECT_EQ(i, points.size());
+  EXPECT_EQ(points.front().coords.data(), points.coords().data());
+  EXPECT_EQ(points.back().platforms.data(), points.cells().data() + 19 * 3);
+}
+
+TEST(PointTable, ArraysAreBitwiseEqualAcrossThreadCounts) {
+  ScenarioSpec spec = grid_spec(9, 7);
+  spec.outputs.per_application = true;
+  const ScenarioResult one = Engine(EngineOptions{.threads = 1}).run(spec);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const int threads : {2, 4, 7}) {
+    const ScenarioResult other = Engine(EngineOptions{.threads = threads}).run(spec);
+    ASSERT_EQ(other.points.coords().size(), one.points.coords().size());
+    ASSERT_EQ(other.points.cells().size(), one.points.cells().size());
+    for (std::size_t k = 0; k < one.points.coords().size(); ++k) {
+      EXPECT_EQ(bits(other.points.coords()[k]), bits(one.points.coords()[k]));
+    }
+    for (std::size_t k = 0; k < one.points.cells().size(); ++k) {
+      const core::PlatformCfp& a = one.points.cells()[k];
+      const core::PlatformCfp& b = other.points.cells()[k];
+      EXPECT_EQ(a.kind, b.kind);
+      for (const auto& component :
+           {&core::CfpBreakdown::design, &core::CfpBreakdown::manufacturing,
+            &core::CfpBreakdown::packaging, &core::CfpBreakdown::eol,
+            &core::CfpBreakdown::operational, &core::CfpBreakdown::app_dev}) {
+        EXPECT_EQ(bits((a.total.*component).canonical()),
+                  bits((b.total.*component).canonical()));
+      }
+      EXPECT_EQ(bits(a.chips_manufactured), bits(b.chips_manufactured));
+      ASSERT_EQ(a.per_application.size(), b.per_application.size());
+      for (std::size_t r = 0; r < a.per_application.size(); ++r) {
+        EXPECT_EQ(a.per_application[r].application, b.per_application[r].application);
+        EXPECT_EQ(bits(a.per_application[r].cfp.total().canonical()),
+                  bits(b.per_application[r].cfp.total().canonical()));
+      }
+    }
+    EXPECT_EQ(result_bytes(other), result_bytes(one)) << threads << " threads";
+  }
+}
+
+TEST(PointTable, PointKindsRoundTripThroughJson) {
+  ScenarioSpec compare = ScenarioSpec::make(ScenarioKind::compare, device::Domain::crypto);
+  compare.platforms = {{.name = "asic"}, {.name = "fpga"}, {.name = "gpu"}};
+  for (const ScenarioSpec& spec : {compare, sweep_spec(), grid_spec()}) {
+    const ScenarioResult result = Engine(EngineOptions{.threads = 2}).run(spec);
+    const ScenarioResult reread = result_from_json(result_to_json(result));
+    EXPECT_TRUE(reread == result) << to_string(spec.kind);
+    EXPECT_EQ(reread.points.size(), result.points.size());
+    EXPECT_EQ(reread.points.axes(), result.points.axes());
+    EXPECT_EQ(reread.points.platform_count(), result.points.platform_count());
+  }
+}
+
+TEST(PointTable, RaggedPointsAreRejected) {
+  io::Json json = result_to_json(Engine(EngineOptions{.threads = 1}).run(sweep_spec()));
+  json["points"].as_array()[2]["coords"].as_array().push_back(io::Json(1.0));
+  EXPECT_THROW((void)result_from_json(json), core::ConfigError);
 }
 
 TEST(EngineDeterminism, InvalidSuiteReportsAsExceptionOnEveryThreadCount) {
