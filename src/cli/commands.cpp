@@ -20,7 +20,6 @@
 #include <iostream>
 #include <optional>
 #include <ranges>
-#include <regex>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -136,7 +135,8 @@ struct Preset {
 };
 
 /// A command's flag: an alias for one spec key (a dotted path into the
-/// spec JSON), or, with no key, `--json` / `--csv` naming an output file.
+/// spec JSON), or, with no key, `--json` / `--csv` / `--markdown` naming an
+/// output file.
 /// A `list` value is split at commas into JSON strings, or into the named
 /// `presets`' JSON; any other value is one JSON scalar (`7`, `1e2`,
 /// `true`), or a JSON string when it does not parse as one.
@@ -174,6 +174,7 @@ constexpr Preset kFrontierAxes[] = {
 constexpr KindFlag kSweepPositionals[] = {
     {.flag = "variable", .key = "axes", .list = true, .presets = kSweepAxes}};
 constexpr KindFlag kOutputFlags[] = {{.flag = "--json"}, {.flag = "--csv"}};
+constexpr KindFlag kCompareFlags[] = {{.flag = "--json"}, {.flag = "--markdown"}};
 constexpr KindFlag kMcFlags[] = {{.flag = "--samples", .key = "montecarlo.samples"},
                                  {.flag = "--seed", .key = "montecarlo.seed"},
                                  {.flag = "--json"},
@@ -244,6 +245,7 @@ struct Arguments {
   std::vector<FlagWrite> writes;  ///< in order, the last one given per key
   std::optional<std::string> json_out;
   std::optional<std::string> csv_out;
+  std::optional<std::string> markdown_out;
 };
 
 /// Record `flag` given as `text`, replacing an earlier write of its key.
@@ -294,7 +296,9 @@ bool parse_arguments(std::string_view command, std::span<const KindFlag> flags,
     }
     const std::string& value = args[++i];
     if (flag->key.empty()) {
-      (flag->flag == "--json" ? parsed.json_out : parsed.csv_out) = value;
+      (flag->flag == "--json"  ? parsed.json_out
+       : flag->flag == "--csv" ? parsed.csv_out
+                               : parsed.markdown_out) = value;
     } else if (!add_write(command, *flag, value, parsed.writes, err)) {
       return false;
     }
@@ -432,7 +436,7 @@ int print_usage(std::ostream& out, bool error) {
          "      result JSON per spec plus an aggregate index to the --output\n"
          "      directory (default batch_results); --validate re-reads every\n"
          "      emitted JSON and fails unless it round-trips canonically\n"
-         "  greenfpga bench [--filter RE] [--quick] [--list] [--out <path>]\n"
+         "  greenfpga bench [--filter PREFIX,...] [--quick] [--list] [--out <path>]\n"
          "                  [--compare <baseline>]... [--max-regression X]\n"
          "      run the built-in micro-benchmark cases (engine grid, Monte-Carlo\n"
          "      sampler, batch pool, JSON codec, result cache); --out writes one\n"
@@ -460,8 +464,11 @@ int print_usage(std::ostream& out, bool error) {
          "      24-hour traffic trace served across regional grid profiles, with\n"
          "      FPGA reconfiguration amortisation; --samples adds Table 1\n"
          "      Monte-Carlo bands over the fleet totals\n"
-         "  greenfpga compare <scenario.json> [--json <out.json>] [--markdown <out.md>]\n"
-         "      evaluate a scenario file (see `greenfpga dump-config` for the shape)\n"
+         "  greenfpga compare <spec.json> [--json <out.json>] [--markdown <out.md>]\n"
+         "      evaluate a compare spec with an ASIC and an FPGA platform: the\n"
+         "      component stack and verdict; --json writes the canonical result\n"
+         "      (the `run --format json` bytes), --markdown a sustainability\n"
+         "      report (`greenfpga dump-config` prints a spec to start from)\n"
          "  greenfpga sweep <dnn|imgproc|crypto> <apps|lifetime|volume>\n"
          "      run one of the paper's sweep experiments on a built-in testcase\n"
          "  greenfpga industry\n"
@@ -471,7 +478,8 @@ int print_usage(std::ostream& out, bool error) {
          "  greenfpga figures\n"
          "      run every paper experiment; print measured crossovers vs paper\n"
          "  greenfpga dump-config\n"
-         "      print the calibrated paper-default model suite as JSON\n"
+         "      print the DNN compare spec (paper-default suite, testcase chips,\n"
+         "      paper schedule) as JSON, the input `compare` and `run` take\n"
          "\n"
          "  --threads N sets the engine worker count (default: the\n"
          "  GREENFPGA_THREADS environment variable, else hardware concurrency).\n"
@@ -667,18 +675,17 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
     return 2;
   }
 
-  std::optional<std::regex> filter_re;
-  if (filter) {
-    try {
-      filter_re.emplace(*filter);
-    } catch (const std::regex_error& error) {
-      err << "bench: invalid --filter regex '" << *filter << "': " << error.what()
-          << "\n";
-      return 2;
+  // --filter: comma-separated case-id prefixes.
+  const auto matches = [&filter](const std::string& id) {
+    if (!filter) {
+      return true;
     }
-  }
-  const auto matches = [&filter_re](const std::string& id) {
-    return !filter_re || std::regex_search(id, *filter_re);
+    for (const auto prefix : std::views::split(std::string_view(*filter), ',')) {
+      if (!prefix.empty() && id.starts_with(std::string_view(prefix.begin(), prefix.end()))) {
+        return true;
+      }
+    }
+    return false;
   };
 
   std::vector<bench::BenchCase> cases;
@@ -848,72 +855,50 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
 int run_compare(const CommandContext& context, const std::vector<std::string>& args,
                std::ostream& out, std::ostream& err) {
   if (args.empty()) {
-    err << "compare: missing scenario file\n";
+    err << "compare: missing spec file\n";
     return 2;
   }
-  std::optional<std::string> json_out;
-  std::optional<std::string> markdown_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--json" && i + 1 < args.size()) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--markdown" && i + 1 < args.size()) {
-      markdown_out = args[i + 1];
-      ++i;
-    } else {
-      err << "compare: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
+  Arguments files;
+  if (!parse_arguments("compare", kCompareFlags, args, 1, files, err)) {
+    return 2;
   }
-
-  const core::ScenarioConfig scenario = core::load_scenario(args[0]);
-  scenario::ScenarioSpec spec;
-  spec.name = scenario.name;
-  spec.kind = scenario::ScenarioKind::compare;
-  spec.suite = scenario.suite;
-  spec.platforms = {scenario::PlatformRef{.name = "asic", .chip = scenario.asic},
-                    scenario::PlatformRef{.name = "fpga", .chip = scenario.fpga}};
-  spec.schedule.explicit_schedule = scenario.schedule;
+  const std::string& path = args[0];
+  const scenario::ScenarioSpec spec = scenario::load_spec(path);
+  if (spec.kind != scenario::ScenarioKind::compare) {
+    err << "compare: spec file '" << path << "' has kind " << to_string(spec.kind)
+        << "; evaluate it with `greenfpga run`\n";
+    return 2;
+  }
   const scenario::ScenarioResult result = make_engine(context).run(spec);
-  const core::Comparison comparison = result.comparison();
-
-  int code;
-  if (context.format == report::OutputFormat::text) {
-    // The classic component-stack view plus the verdict line.
-    code = emit(
-        context,
-        [&](std::ostream& stream) {
-          stream << "== " << scenario.name << " ==\n";
-          const std::vector<std::pair<std::string, core::CfpBreakdown>> platforms{
-              {"ASIC", comparison.asic.total},
-              {"FPGA", comparison.fpga.total},
-          };
-          stream << report::breakdown_table(platforms) << "FPGA:ASIC ratio "
-                 << units::format_significant(comparison.ratio(), 4)
-                 << " -> greener platform: " << to_string(comparison.verdict()) << "\n\n";
-        },
-        out, err);
-  } else {
-    code = emit_result(context, result, out, err);
+  if (!result.platform_index(device::ChipKind::asic) ||
+      !result.platform_index(device::ChipKind::fpga)) {
+    throw core::ConfigError("spec file '" + path +
+                            "': compare needs an ASIC and an FPGA platform");
   }
+  const core::Comparison comparison = result.comparison();
+  // The classic component-stack view plus the verdict line.
+  const auto stack_view = [&](std::ostream& stream) {
+    stream << "== " << spec.name << " ==\n";
+    const std::vector<std::pair<std::string, core::CfpBreakdown>> platforms{
+        {"ASIC", comparison.asic.total},
+        {"FPGA", comparison.fpga.total},
+    };
+    stream << report::breakdown_table(platforms) << "FPGA:ASIC ratio "
+           << units::format_significant(comparison.ratio(), 4)
+           << " -> greener platform: " << to_string(comparison.verdict()) << "\n\n";
+  };
+  const int code = context.format == report::OutputFormat::text
+                       ? emit(context, stack_view, out, err)
+                       : emit_result(context, result, out, err);
   if (code != 0) {
     return code;
   }
 
-  if (json_out) {
-    io::Json report = io::Json::object();
-    report["scenario"] = scenario.name;
-    report["asic"] = core::to_json(comparison.asic);
-    report["fpga"] = core::to_json(comparison.fpga);
-    report["ratio"] = comparison.ratio();
-    report["greener"] = to_string(comparison.verdict());
-    io::write_json_file(*json_out, report);
-    out << "wrote " << *json_out << "\n";
+  if (files.json_out) {
+    write_result_file(*files.json_out, result);
+    out << "wrote " << *files.json_out << "\n";
   }
-  if (markdown_out) {
-    report::MarkdownReportInputs inputs;
-    inputs.scenario = scenario;
-    inputs.comparison = comparison;
+  if (files.markdown_out) {
     // The same platforms and schedule as a sensitivity spec: 128
     // Monte-Carlo samples over the Table 1 ranges.
     scenario::ScenarioSpec uq = spec;
@@ -923,14 +908,15 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
                       .samples = 128,
                       .seed = 42,
                       .ranges = scenario::table1_ranges()};
-    inputs.uncertainty = *make_engine(context).run(uq).monte_carlo;
-    std::ofstream file(*markdown_out);
+    const report::MarkdownReportInputs inputs{
+        .result = result, .uncertainty = make_engine(context).run(uq).monte_carlo};
+    std::ofstream file(*files.markdown_out);
     if (!file) {
-      err << "compare: cannot write '" << *markdown_out << "'\n";
+      err << "compare: cannot write '" << *files.markdown_out << "'\n";
       return 1;
     }
     file << report::render_markdown_report(inputs);
-    out << "wrote " << *markdown_out << "\n";
+    out << "wrote " << *files.markdown_out << "\n";
   }
   return 0;
 }
@@ -941,29 +927,29 @@ int run_industry(const CommandContext& context, const std::vector<std::string>& 
     err << "industry: unexpected argument '" << args.front() << "'\n";
     return 2;
   }
-  const core::LifecycleModel model(core::industry_suite());
-
-  // Fig. 10 setup: each FPGA runs 6 years / 3 applications / 1M volume.
-  workload::Application fpga_app;
-  fpga_app.name = "industry-fpga-app";
-  fpga_app.lifetime = 2.0 * units::unit::years;
-  fpga_app.volume = 1e6;
-  const workload::Schedule fpga_schedule = workload::homogeneous_schedule(3, fpga_app);
-
-  // Fig. 11 setup: one 6-year application, never reprogrammed.
-  workload::Application asic_app;
-  asic_app.name = "industry-asic-app";
-  asic_app.lifetime = 6.0 * units::unit::years;
-  asic_app.volume = 1e6;
-  const workload::Schedule asic_schedule{asic_app};
-
+  // One compare spec per platform pair under the datacenter suite, each
+  // chip's application run at 1M volume.
+  const scenario::Engine engine = make_engine(context);
   std::vector<std::pair<std::string, core::CfpBreakdown>> rows;
-  for (const device::ChipSpec& fpga : {device::industry_fpga1(), device::industry_fpga2()}) {
-    rows.emplace_back(fpga.name, model.evaluate_fpga(fpga, fpga_schedule).total);
-  }
-  for (const device::ChipSpec& asic : {device::industry_asic1(), device::industry_asic2()}) {
-    rows.emplace_back(asic.name, model.evaluate_asic(asic, asic_schedule).total);
-  }
+  const auto evaluate = [&](std::vector<device::ChipSpec> chips, const std::string& app_name,
+                            int app_count, double lifetime_years) {
+    scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare);
+    spec.suite = core::industry_suite();
+    for (device::ChipSpec& chip : chips) {
+      spec.platforms.push_back({.name = chip.name, .chip = std::move(chip)});
+    }
+    spec.schedule.explicit_schedule = workload::homogeneous_schedule(
+        app_count, {.name = app_name, .lifetime = lifetime_years * units::unit::years});
+    const scenario::ScenarioResult result = engine.run(spec);
+    for (std::size_t i = 0; i < result.resolved_chips.size(); ++i) {
+      rows.emplace_back(result.resolved_chips[i].name, result.points[0].platforms[i].total);
+    }
+  };
+  // Fig. 10: each FPGA runs 3 applications of 2 years; Fig. 11: each ASIC
+  // runs one 6-year application, never reprogrammed.
+  evaluate({device::industry_fpga1(), device::industry_fpga2()}, "industry-fpga-app", 3, 2.0);
+  evaluate({device::industry_asic1(), device::industry_asic2()}, "industry-asic-app", 1, 6.0);
+
   const std::vector<report::ResultFrame> frames{
       report::breakdown_frame("industry", rows)};
   return emit(
@@ -1070,18 +1056,21 @@ int run_dump_config(const CommandContext& context, const std::vector<std::string
         << " not supported (the dump is JSON; use text or json)\n";
     return 2;
   }
-  io::Json scenario = io::Json::object();
-  scenario["name"] = "example scenario (edit me)";
-  scenario["suite"] = core::to_json(core::paper_suite());
+  // The DNN compare preset with its testcase chips written out, so every
+  // input the evaluation reads is in the file to edit.
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::compare, device::Domain::dnn);
+  spec.name = "example scenario (edit me)";
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  scenario["asic"] = core::to_json(testcase.asic);
-  scenario["fpga"] = core::to_json(testcase.fpga);
-  scenario["schedule"] = core::to_json(core::paper_schedule(device::Domain::dnn));
+  spec.platforms = {{.name = "asic", .chip = testcase.asic},
+                    {.name = "fpga", .chip = testcase.fpga}};
   return emit(context,
               [&](std::ostream& stream) {
                 std::string text;
-                scenario.dump_to(text);
-                text.push_back('\n');
+                io::JsonWriter writer(text, 2);
+                scenario::write_spec(spec, writer);
+                writer.newline();
+                writer.finish();
                 stream << text;
               },
               out, err);

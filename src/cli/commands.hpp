@@ -64,12 +64,14 @@ int run_spec(const CommandContext& context, const std::vector<std::string>& args
 int run_serve(const CommandContext& context, const std::vector<std::string>& args,
               std::ostream& out, std::ostream& err);
 
-/// `greenfpga bench [--filter RE] [--quick] [--list] [--out PATH]
+/// `greenfpga bench [--filter PREFIX,...] [--quick] [--list] [--out PATH]
 /// [--compare BASELINE]... [--max-regression X]` -- run the registered
 /// micro-benchmark cases (engine grid, Monte-Carlo sampler, batch pool,
 /// JSON codec, result cache) through the dependency-free harness in
-/// src/bench/.  `--out` writes one canonical BENCH_<group>.json per case
-/// group (a directory path, or a single .json file when one group ran);
+/// src/bench/; `--filter` keeps the cases whose id starts with one of its
+/// comma-separated prefixes.  `--out` writes one canonical
+/// BENCH_<group>.json per case group (a directory path, or a single .json
+/// file when one group ran);
 /// `--compare` loads baselines (file or directory of BENCH_*.json) and
 /// exits 1 naming every case whose median regressed beyond
 /// `--max-regression` (a factor; default 10).  `--quick` lowers
@@ -78,11 +80,17 @@ int run_serve(const CommandContext& context, const std::vector<std::string>& arg
 int run_bench(const CommandContext& context, const std::vector<std::string>& args,
               std::ostream& out, std::ostream& err);
 
-/// `greenfpga compare <scenario.json> [--json <out.json>] [--markdown <out.md>]`.
+/// `greenfpga compare <spec.json> [--json <out.json>] [--markdown <out.md>]` --
+/// evaluate a `compare` spec (loaded by `scenario::load_spec`, as `run`
+/// does) holding an ASIC and an FPGA platform; prints the component stack
+/// and verdict.  `--json` writes the canonical result (the `run --format
+/// json` bytes), `--markdown` the sustainability report.  Another kind
+/// is a usage error pointing to `run`.
 int run_compare(const CommandContext& context, const std::vector<std::string>& args,
                 std::ostream& out, std::ostream& err);
 
-/// `greenfpga industry`.
+/// `greenfpga industry` -- the Table 3 testcases as two compare specs on
+/// the datacenter suite.
 int run_industry(const CommandContext& context, const std::vector<std::string>& args,
                  std::ostream& out, std::ostream& err);
 
@@ -91,7 +99,9 @@ int run_industry(const CommandContext& context, const std::vector<std::string>& 
 int run_figures(const CommandContext& context, const std::vector<std::string>& args,
                 std::ostream& out, std::ostream& err);
 
-/// `greenfpga dump-config`.
+/// `greenfpga dump-config` -- print the canonical bytes of the DNN compare
+/// spec with its testcase chips written out: a file `compare` and `run`
+/// take as it is.
 int run_dump_config(const CommandContext& context, const std::vector<std::string>& args,
                     std::ostream& out, std::ostream& err);
 

@@ -396,33 +396,7 @@ workload::Schedule schedule_from_json(const Json& json) {
   return schedule;
 }
 
-ScenarioConfig scenario_from_json(const Json& json) {
-  check_keys(json, "scenario", {"name", "suite", "asic", "fpga", "schedule"});
-  ScenarioConfig config;
-  config.name = string_field_or(json, "scenario", "name", "scenario");
-  config.suite = json.contains("suite") ? suite_from_json(json.at("suite"), paper_suite())
-                                        : paper_suite();
-  if (!json.contains("asic") || !json.contains("fpga") || !json.contains("schedule")) {
-    throw ConfigError("scenario needs asic, fpga and schedule sections");
-  }
-  config.asic = chip_from_json(json.at("asic"));
-  config.fpga = chip_from_json(json.at("fpga"));
-  if (config.asic.kind != device::ChipKind::asic || !config.fpga.is_fpga()) {
-    throw ConfigError("scenario.asic must be an ASIC and scenario.fpga an FPGA");
-  }
-  config.schedule = schedule_from_json(json.at("schedule"));
-  return config;
-}
-
-ScenarioConfig load_scenario(const std::string& path) {
-  return scenario_from_json(io::parse_json_file(path));
-}
-
 // -- writers -------------------------------------------------------------------
-
-Json to_json(const ModelSuite& suite) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, suite); });
-}
 
 void write_json(io::JsonWriter& out, const ModelSuite& suite) {
   out.begin_object();
@@ -485,10 +459,6 @@ void write_json(io::JsonWriter& out, const ModelSuite& suite) {
   out.end_object();
 }
 
-Json to_json(const device::ChipSpec& chip) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, chip); });
-}
-
 void write_json(io::JsonWriter& out, const device::ChipSpec& chip) {
   out.begin_object();
   out.number("capacity_gates", chip.capacity_gates);
@@ -506,10 +476,6 @@ void write_json(io::JsonWriter& out, const device::ChipSpec& chip) {
   out.end_object();
 }
 
-Json to_json(const workload::Application& app) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, app); });
-}
-
 void write_json(io::JsonWriter& out, const workload::Application& app) {
   out.begin_object();
   out.string("domain", to_string(app.domain));
@@ -520,20 +486,12 @@ void write_json(io::JsonWriter& out, const workload::Application& app) {
   out.end_object();
 }
 
-Json to_json(const workload::Schedule& schedule) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, schedule); });
-}
-
 void write_json(io::JsonWriter& out, const workload::Schedule& schedule) {
   out.begin_array();
   for (const workload::Application& app : schedule) {
     write_json(out, app);
   }
   out.end_array();
-}
-
-Json to_json(const CfpBreakdown& breakdown) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, breakdown); });
 }
 
 void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown) {
@@ -601,10 +559,6 @@ PlatformCfp platform_cfp_from_json(const Json& json) {
     }
   }
   return platform;
-}
-
-Json to_json(const PlatformCfp& platform) {
-  return io::written_json([&](io::JsonWriter& out) { write_json(out, platform); });
 }
 
 void write_json(io::JsonWriter& out, const PlatformCfp& platform) {

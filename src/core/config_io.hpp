@@ -4,18 +4,16 @@
 /// \file config_io.hpp
 /// JSON (de)serialisation of the GreenFPGA configuration types.
 ///
-/// The CLI consumes scenario files shaped like:
+/// These are the readers and writers of the blocks a scenario spec
+/// (scenario/spec.hpp) is made of: the model suite, chips, applications
+/// and schedules, plus the breakdown and platform sections of a result.
+/// A spec's `suite` section looks like
 ///
-///     {
-///       // model parameters; any omitted field keeps its paper default
-///       "suite": { "design": {...}, "appdev": {...}, "fab": {...},
-///                  "operation": {...}, "package": {...}, "eol": {...} },
-///       "asic":  { "name": "...", "node": "10nm", "die_area_mm2": 150,
-///                  "peak_power_w": 2.0, ... },
-///       "fpga":  { ... },
-///       "schedule": [ { "name": "app-1", "lifetime_years": 2,
-///                       "volume": 1e6 }, ... ]
-///     }
+///     { "design": {...}, "appdev": {...}, "fab": {...},
+///       "operation": {...}, "package": {...}, "eol": {...} }
+///
+/// and a chip like `{ "name": "...", "kind": "asic", "node": "10nm",
+/// "die_area_mm2": 150, "peak_power_w": 2.0, ... }`.
 ///
 /// Quantities appear in config files as plain numbers with the unit in the
 /// key name (`die_area_mm2`, `lifetime_years`), the format used by the
@@ -41,15 +39,6 @@ namespace greenfpga::core {
 class ConfigError : public std::runtime_error {
  public:
   explicit ConfigError(const std::string& message) : std::runtime_error(message) {}
-};
-
-/// A fully-specified comparison scenario.
-struct ScenarioConfig {
-  std::string name = "scenario";
-  ModelSuite suite;
-  device::ChipSpec asic;
-  device::ChipSpec fpga;
-  workload::Schedule schedule;
 };
 
 /// Verifies a JSON object uses only `allowed` keys, raising ConfigError
@@ -94,17 +83,13 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] device::ChipSpec chip_from_json(const io::Json& json);
 [[nodiscard]] workload::Application application_from_json(const io::Json& json);
 [[nodiscard]] workload::Schedule schedule_from_json(const io::Json& json);
-[[nodiscard]] ScenarioConfig scenario_from_json(const io::Json& json);
 /// Inverse of `write_json(CfpBreakdown)`: reads the six component fields
 /// (derived embodied/total keys are accepted and ignored -- they are
-/// recomputed, so `to_json(breakdown_from_json(x)) == x` holds for any
-/// writer output).
+/// recomputed, so writing `breakdown_from_json(x)` gives back the bytes of
+/// any writer output `x`).
 [[nodiscard]] CfpBreakdown breakdown_from_json(const io::Json& json);
 /// Inverse of `write_json(PlatformCfp)`.
 [[nodiscard]] PlatformCfp platform_cfp_from_json(const io::Json& json);
-
-/// Load a scenario file (JSON with // comments allowed).
-[[nodiscard]] ScenarioConfig load_scenario(const std::string& path);
 
 // -- writers -------------------------------------------------------------------
 /// Streamed writers: the canonical bytes of each type, written as the next
@@ -116,15 +101,6 @@ void write_json(io::JsonWriter& out, const workload::Application& app);
 void write_json(io::JsonWriter& out, const workload::Schedule& schedule);
 void write_json(io::JsonWriter& out, const CfpBreakdown& breakdown);
 void write_json(io::JsonWriter& out, const PlatformCfp& platform);
-
-/// DOM forms of the same bytes (`io::written_json` of the writers above),
-/// for callers that edit or inspect a value rather than emit it.
-[[nodiscard]] io::Json to_json(const ModelSuite& suite);
-[[nodiscard]] io::Json to_json(const device::ChipSpec& chip);
-[[nodiscard]] io::Json to_json(const workload::Application& app);
-[[nodiscard]] io::Json to_json(const workload::Schedule& schedule);
-[[nodiscard]] io::Json to_json(const CfpBreakdown& breakdown);
-[[nodiscard]] io::Json to_json(const PlatformCfp& platform);
 
 }  // namespace greenfpga::core
 

@@ -291,10 +291,6 @@ void FrontierSpec::validate() const {
   }
 }
 
-io::Json frontier_spec_to_json(const FrontierSpec& spec) {
-  return io::written_json([&](io::JsonWriter& out) { core::write_json(out, spec); });
-}
-
 FrontierSpec frontier_spec_from_json(const io::Json& json, const std::string& context,
                                      FrontierSpec defaults) {
   core::check_known_keys(json, context,

@@ -116,9 +116,6 @@ struct FrontierSpec {
   void validate() const;
 };
 
-/// DOM form of `core::write_json(out, spec)`.
-[[nodiscard]] io::Json frontier_spec_to_json(const FrontierSpec& spec);
-
 /// Parse a frontier spec; absent fields keep the values in `defaults`
 /// (so a caller-seeded axis set survives a partial object).  Unknown
 /// keys raise core::ConfigError; `context` prefixes every error message.

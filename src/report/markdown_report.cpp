@@ -64,19 +64,23 @@ std::string markdown_breakdown_table(
 }
 
 std::string render_markdown_report(const MarkdownReportInputs& inputs) {
-  const core::Comparison& comparison = inputs.comparison;
+  const scenario::ScenarioResult& result = inputs.result;
+  const core::Comparison comparison = result.comparison();
+  const auto chip = [&result](device::ChipKind kind) {
+    return chip_line(result.resolved_chips[*result.platform_index(kind)]);
+  };
+  const workload::Schedule schedule = result.spec.schedule.materialise(result.spec.domain);
   std::string out;
   out += "# " + inputs.title + "\n\n";
-  out += "Scenario: **" + inputs.scenario.name + "**\n\n";
+  out += "Scenario: **" + result.spec.name + "**\n\n";
 
   // Devices and workload.
   out += "## Scenario\n\n";
-  out += "* ASIC platform: " + chip_line(inputs.scenario.asic) + "\n";
-  out += "* FPGA platform: " + chip_line(inputs.scenario.fpga) + "\n";
-  out += "* Schedule: " + std::to_string(inputs.scenario.schedule.size()) +
-         " application(s)";
-  if (!inputs.scenario.schedule.empty()) {
-    const workload::Application& first = inputs.scenario.schedule.front();
+  out += "* ASIC platform: " + chip(device::ChipKind::asic) + "\n";
+  out += "* FPGA platform: " + chip(device::ChipKind::fpga) + "\n";
+  out += "* Schedule: " + std::to_string(schedule.size()) + " application(s)";
+  if (!schedule.empty()) {
+    const workload::Application& first = schedule.front();
     out += " — e.g. `" + first.name + "`: " + units::format_time(first.lifetime) + " at " +
            units::format_significant(first.volume, 4) + " units";
   }

@@ -4,26 +4,25 @@
 /// \file markdown_report.hpp
 /// Markdown sustainability-report rendering.
 ///
-/// Turns a comparison into a self-contained markdown document (suitable
-/// for CI artifacts, PR comments or documentation pipelines): scenario
-/// summary, per-platform component tables, verdict, and optionally the
-/// Table 1 uncertainty band.  The CLI's `compare --markdown <file>`
-/// uses this writer.
+/// Turns a compare result into a self-contained markdown document
+/// (suitable for CI artifacts, PR comments or documentation pipelines):
+/// scenario summary, per-platform component tables, verdict, and
+/// optionally the Table 1 uncertainty band.  The CLI's
+/// `compare --markdown <file>` uses this writer.
 
 #include <optional>
 #include <string>
 
-#include "core/comparator.hpp"
-#include "core/config_io.hpp"
-#include "scenario/sensitivity.hpp"
+#include "scenario/engine.hpp"
 
 namespace greenfpga::report {
 
 /// Inputs of a rendered report.
 struct MarkdownReportInputs {
   std::string title = "GreenFPGA sustainability report";
-  core::ScenarioConfig scenario;
-  core::Comparison comparison;
+  /// A compare result with an ASIC and an FPGA platform: the report reads
+  /// the scenario name, both chips, the schedule and the totals from it.
+  scenario::ScenarioResult result;
   /// Optional Monte-Carlo band over the Table 1 ranges.
   std::optional<scenario::MonteCarloResult> uncertainty;
 };

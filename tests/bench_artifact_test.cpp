@@ -137,7 +137,7 @@ TEST(BenchCli, ListEnumeratesBuiltinCases) {
 }
 
 TEST(BenchCli, QuickFilteredJsonSmoke) {
-  const CliRun result = run_cli({"bench", "--quick", "--filter", "^json/"});
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "json/"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("json/parse_result"), std::string::npos);
   EXPECT_NE(result.out.find("json/dump_result"), std::string::npos);
@@ -148,7 +148,7 @@ TEST(BenchCli, QuickFilteredJsonSmoke) {
 TEST(BenchCli, OutWritesCanonicalArtifacts) {
   const std::string dir = temp_dir("greenfpga_bench_out");
   const CliRun result =
-      run_cli({"bench", "--quick", "--filter", "^cache/", "--out", dir});
+      run_cli({"bench", "--quick", "--filter", "cache/", "--out", dir});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   const std::string path = dir + "/" + artifact_filename("cache");
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -164,8 +164,8 @@ TEST(BenchCli, OutWritesCanonicalArtifacts) {
 TEST(BenchCli, CompareAgainstFreshBaselinePasses) {
   const std::string dir = temp_dir("greenfpga_bench_baseline");
   ASSERT_EQ(
-      run_cli({"bench", "--quick", "--filter", "^cache/", "--out", dir}).exit_code, 0);
-  const CliRun result = run_cli({"bench", "--quick", "--filter", "^cache/",
+      run_cli({"bench", "--quick", "--filter", "cache/", "--out", dir}).exit_code, 0);
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "cache/",
                                  "--compare", dir, "--max-regression", "1000"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("within"), std::string::npos);
@@ -175,14 +175,14 @@ TEST(BenchCli, CompareAgainstFreshBaselinePasses) {
 TEST(BenchCli, CompareFailsNamingTheRegressedCase) {
   const std::string dir = temp_dir("greenfpga_bench_regressed");
   ASSERT_EQ(
-      run_cli({"bench", "--quick", "--filter", "^cache/hit", "--out", dir}).exit_code, 0);
+      run_cli({"bench", "--quick", "--filter", "cache/hit", "--out", dir}).exit_code, 0);
   // Shrink the baseline median so the fresh run necessarily "regresses".
   const std::string path = dir + "/" + artifact_filename("cache");
   BenchArtifact baseline = read_artifact_file(path);
   ASSERT_EQ(baseline.cases.size(), 1u);
   baseline.cases[0].seconds.median = 1e-15;
   write_artifact_file(path, baseline);
-  const CliRun result = run_cli({"bench", "--quick", "--filter", "^cache/hit",
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "cache/hit",
                                  "--compare", dir, "--max-regression", "10"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("cache/hit"), std::string::npos);
@@ -193,7 +193,7 @@ TEST(BenchCli, CompareFailsNamingTheRegressedCase) {
 TEST(BenchCli, CompareFailsOnBaselineCaseGoneMissing) {
   const std::string dir = temp_dir("greenfpga_bench_missing");
   ASSERT_EQ(
-      run_cli({"bench", "--quick", "--filter", "^cache/", "--out", dir}).exit_code, 0);
+      run_cli({"bench", "--quick", "--filter", "cache/", "--out", dir}).exit_code, 0);
   // A baseline case the current registry does not produce (e.g. a rename).
   const std::string path = dir + "/" + artifact_filename("cache");
   BenchArtifact baseline = read_artifact_file(path);
@@ -201,7 +201,7 @@ TEST(BenchCli, CompareFailsOnBaselineCaseGoneMissing) {
   ghost.name = "renamed_away";
   baseline.cases.push_back(ghost);
   write_artifact_file(path, baseline);
-  const CliRun result = run_cli({"bench", "--quick", "--filter", "^cache/",
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "cache/",
                                  "--compare", dir, "--max-regression", "1000"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("cache/renamed_away"), std::string::npos);
@@ -211,23 +211,23 @@ TEST(BenchCli, CompareFailsOnBaselineCaseGoneMissing) {
 TEST(BenchCli, UsageErrors) {
   // --max-regression without --compare is a usage error.
   EXPECT_EQ(run_cli({"bench", "--max-regression", "10"}).exit_code, 2);
-  // Invalid regex.
+  // Prefixes that start no case id, or no prefix at all.
   EXPECT_EQ(run_cli({"bench", "--filter", "["}).exit_code, 2);
-  // Filter matching nothing.
-  EXPECT_EQ(run_cli({"bench", "--filter", "^nothing-matches$", "--quick"}).exit_code, 2);
+  EXPECT_EQ(run_cli({"bench", "--filter", "nothing-matches", "--quick"}).exit_code, 2);
+  EXPECT_EQ(run_cli({"bench", "--filter", ",", "--quick"}).exit_code, 2);
   // Non-numeric / non-positive threshold.
   EXPECT_EQ(run_cli({"bench", "--compare", "x.json", "--max-regression", "abc"})
                 .exit_code, 2);
   EXPECT_EQ(run_cli({"bench", "--compare", "x.json", "--max-regression", "0"})
                 .exit_code, 2);
   // Single-file --out with more than one group.
-  const CliRun multi = run_cli({"bench", "--quick", "--filter", "^(json|cache)/",
+  const CliRun multi = run_cli({"bench", "--quick", "--filter", "json/,cache/",
                                 "--out", ::testing::TempDir() + "/multi.json"});
   EXPECT_EQ(multi.exit_code, 2);
 }
 
 TEST(BenchCli, MissingBaselinePathFails) {
-  const CliRun result = run_cli({"bench", "--quick", "--filter", "^cache/hit",
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "cache/hit",
                                  "--compare",
                                  ::testing::TempDir() + "/no_such_baseline.json"});
   EXPECT_EQ(result.exit_code, 1);

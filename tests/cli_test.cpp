@@ -14,6 +14,8 @@
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
+#include "scenario/result_io.hpp"
 #include "scenario/spec.hpp"
 
 namespace greenfpga::cli {
@@ -32,15 +34,26 @@ CliRun run_cli(const std::vector<std::string>& args) {
   return {code, out.str(), err.str()};
 }
 
+std::string write_spec_file(const std::string& filename, greenfpga::scenario::ScenarioSpec spec) {
+  const std::string path = ::testing::TempDir() + "/" + filename;
+  io::write_json_file(path, scenario::spec_to_json(spec));
+  return path;
+}
+
+/// A compare spec of the crypto testcase with its chips written out.
 std::string write_scenario_file() {
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::crypto);
-  io::Json scenario = io::Json::object();
-  scenario["name"] = "cli test scenario";
-  scenario["asic"] = core::to_json(testcase.asic);
-  scenario["fpga"] = core::to_json(testcase.fpga);
-  scenario["schedule"] = core::to_json(core::paper_schedule(device::Domain::crypto));
-  const std::string path = ::testing::TempDir() + "/greenfpga_cli_scenario.json";
-  io::write_json_file(path, scenario);
+  auto spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare,
+                                           device::Domain::crypto);
+  spec.name = "cli test scenario";
+  spec.platforms = {{.name = "asic", .chip = testcase.asic},
+                    {.name = "fpga", .chip = testcase.fpga}};
+  return write_spec_file("greenfpga_cli_scenario.json", spec);
+}
+
+std::string write_text_file(const std::string& filename, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + filename;
+  std::ofstream(path) << text;
   return path;
 }
 
@@ -73,14 +86,93 @@ TEST(Cli, CompareEvaluatesScenarioFile) {
 }
 
 TEST(Cli, CompareWritesJsonReport) {
+  // --json writes the canonical result: the `run --format json` bytes.
+  const std::string spec_path = write_scenario_file();
   const std::string report_path = ::testing::TempDir() + "/greenfpga_cli_report.json";
-  const CliRun result = run_cli({"compare", write_scenario_file(), "--json", report_path});
+  const CliRun result = run_cli({"compare", spec_path, "--json", report_path});
   EXPECT_EQ(result.exit_code, 0) << result.err;
-  const io::Json report = io::parse_json_file(report_path);
-  EXPECT_EQ(report.at("greener").as_string(), "FPGA");
-  EXPECT_LT(report.at("ratio").as_number(), 1.0);
-  EXPECT_TRUE(report.contains("asic"));
-  EXPECT_TRUE(report.contains("fpga"));
+  std::ifstream file(report_path);
+  const std::string written((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+  const CliRun run = run_cli({"--format", "json", "run", spec_path});
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_EQ(written, run.out);
+  const scenario::ScenarioResult report =
+      scenario::result_from_json(io::parse_json(written));
+  EXPECT_EQ(report.comparison().verdict(), core::Verdict::fpga_lower);
+}
+
+TEST(Cli, DumpConfigThenComparePrintsTheDocumentedBlock) {
+  // The expected-output block of `compare` in docs/CLI.md.
+  const CliRun dump = run_cli({"dump-config"});
+  ASSERT_EQ(dump.exit_code, 0) << dump.err;
+  const CliRun result =
+      run_cli({"compare", write_text_file("greenfpga_cli_dump.json", dump.out)});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_EQ(result.out, R"(== example scenario (edit me) ==
++--------------------+---------+---------+
+| component [t CO2e] |    ASIC |    FPGA |
++--------------------+---------+---------+
+| design             |  3686.4 |  737.28 |
+| manufacturing      |   10847 |   12406 |
+| packaging          |    2250 |    1350 |
+| end-of-life        | -157.63 | -97.003 |
+| operational        |  1331.5 |  3994.6 |
+| app-dev            |       0 |  59.983 |
++--------------------+---------+---------+
+| embodied (EC)      |   16626 |   14396 |
+| deployment         |  1331.5 |  4054.5 |
+| total              |   17957 |   18451 |
++--------------------+---------+---------+
+FPGA:ASIC ratio 1.027 -> greener platform: ASIC
+
+)");
+}
+
+TEST(Cli, CompareRefusesOtherKindsPointingToRun) {
+  auto sweep = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep,
+                                            device::Domain::dnn);
+  sweep.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 3, 3)};
+  const std::string path = write_spec_file("greenfpga_cli_compare_sweep.json", sweep);
+  const CliRun result = run_cli({"compare", path});
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.err.find("'" + path + "' has kind sweep"), std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find("greenfpga run"), std::string::npos) << result.err;
+  EXPECT_TRUE(result.out.empty());
+}
+
+TEST(Cli, CompareNeedsAnAsicAndAnFpgaPlatform) {
+  // A compare spec `run` evaluates, but with no ASIC for the verdict.
+  auto spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare,
+                                           device::Domain::dnn);
+  spec.platforms = {{.name = "fpga"}, {.name = "gpu"}};
+  const std::string path = write_spec_file("greenfpga_cli_compare_no_asic.json", spec);
+  ASSERT_EQ(run_cli({"run", path}).exit_code, 0);
+  const CliRun result = run_cli({"compare", path});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_EQ(result.err, "error: spec file '" + path +
+                            "': compare needs an ASIC and an FPGA platform\n");
+}
+
+TEST(Cli, CompareRejectsTheRetiredScenarioFormat) {
+  // The old {name, suite, asic, fpga, schedule} file is not a spec.
+  const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
+  const auto written = [](const auto& value) {
+    return io::written_json([&value](io::JsonWriter& out) { core::write_json(out, value); });
+  };
+  io::Json old = io::Json::object();
+  old["name"] = "old scenario";
+  old["asic"] = written(testcase.asic);
+  old["fpga"] = written(testcase.fpga);
+  old["schedule"] = written(core::paper_schedule(device::Domain::dnn));
+  const std::string path = ::testing::TempDir() + "/greenfpga_cli_old_scenario.json";
+  io::write_json_file(path, old);
+  const CliRun result = run_cli({"compare", path});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("spec file '" + path + "': unknown key \"asic\""),
+            std::string::npos)
+      << result.err;
 }
 
 TEST(Cli, CompareMissingFileIsRuntimeError) {
@@ -138,17 +230,15 @@ TEST(Cli, NodesRanksFabricationNodes) {
 TEST(Cli, DumpConfigIsValidScenarioJson) {
   const CliRun result = run_cli({"dump-config"});
   EXPECT_EQ(result.exit_code, 0);
-  const io::Json parsed = io::parse_json(result.out);
-  // The dumped config must load back as a scenario.
-  const core::ScenarioConfig scenario = core::scenario_from_json(parsed);
-  EXPECT_EQ(scenario.schedule.size(), 5u);
-  EXPECT_TRUE(scenario.fpga.is_fpga());
-}
-
-std::string write_spec_file(const std::string& filename, greenfpga::scenario::ScenarioSpec spec) {
-  const std::string path = ::testing::TempDir() + "/" + filename;
-  io::write_json_file(path, scenario::spec_to_json(spec));
-  return path;
+  // The dump is a compare spec in its canonical bytes, chips written out.
+  const scenario::ScenarioSpec spec = scenario::spec_from_json(io::parse_json(result.out));
+  EXPECT_EQ(spec.kind, scenario::ScenarioKind::compare);
+  EXPECT_EQ(spec.schedule.materialise(spec.domain).size(), 5u);
+  ASSERT_EQ(spec.platforms.size(), 2u);
+  ASSERT_TRUE(spec.platforms[0].chip && spec.platforms[1].chip);
+  EXPECT_EQ(spec.platforms[0].chip->kind, device::ChipKind::asic);
+  EXPECT_TRUE(spec.platforms[1].chip->is_fpga());
+  EXPECT_EQ(scenario::spec_to_json(spec).dump() + "\n", result.out);
 }
 
 TEST(Cli, RunEvaluatesCompareSpec) {

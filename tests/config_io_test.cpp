@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
+#include "io/json_writer.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::core {
@@ -14,9 +18,15 @@ using io::Json;
 using io::parse_json;
 using namespace units::unit;
 
+/// The DOM of a value's canonical writer bytes.
+template <class T>
+Json written(const T& value) {
+  return io::written_json([&value](io::JsonWriter& out) { write_json(out, value); });
+}
+
 TEST(ConfigIo, SuiteRoundTripsThroughJson) {
   const ModelSuite original = paper_suite();
-  const ModelSuite loaded = suite_from_json(to_json(original), ModelSuite{});
+  const ModelSuite loaded = suite_from_json(written(original), ModelSuite{});
   EXPECT_DOUBLE_EQ(loaded.design.annual_energy.in(gwh), original.design.annual_energy.in(gwh));
   EXPECT_DOUBLE_EQ(loaded.design.product_team_size, original.design.product_team_size);
   EXPECT_DOUBLE_EQ(loaded.design.fpga_regularity_factor,
@@ -52,7 +62,7 @@ TEST(ConfigIo, UnknownKeysFailLoudly) {
 
 TEST(ConfigIo, ChipRoundTrip) {
   const device::ChipSpec original = device::industry_fpga2();
-  const device::ChipSpec loaded = chip_from_json(to_json(original));
+  const device::ChipSpec loaded = chip_from_json(written(original));
   EXPECT_EQ(loaded.name, original.name);
   EXPECT_EQ(loaded.kind, original.kind);
   EXPECT_EQ(loaded.node, original.node);
@@ -90,7 +100,7 @@ TEST(ConfigIo, ApplicationRoundTrip) {
   original.lifetime = 1.5 * years;
   original.volume = 3e5;
   original.size_gates = 1e9;
-  const workload::Application loaded = application_from_json(to_json(original));
+  const workload::Application loaded = application_from_json(written(original));
   EXPECT_EQ(loaded.name, original.name);
   EXPECT_EQ(loaded.domain, original.domain);
   EXPECT_DOUBLE_EQ(loaded.lifetime.in(years), 1.5);
@@ -100,7 +110,7 @@ TEST(ConfigIo, ApplicationRoundTrip) {
 
 TEST(ConfigIo, ScheduleRoundTrip) {
   const workload::Schedule original = paper_schedule(device::Domain::dnn);
-  const workload::Schedule loaded = schedule_from_json(to_json(original));
+  const workload::Schedule loaded = schedule_from_json(written(original));
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded[i].name, original[i].name);
@@ -108,40 +118,47 @@ TEST(ConfigIo, ScheduleRoundTrip) {
   }
 }
 
-TEST(ConfigIo, ScenarioRequiresAllSections) {
-  EXPECT_THROW(scenario_from_json(parse_json(R"({"name": "x"})")), ConfigError);
-}
-
 TEST(ConfigIo, ScenarioChecksPlatformKinds) {
-  Json scenario = Json::object();
-  scenario["asic"] = to_json(device::industry_fpga1());  // wrong kind on purpose
-  scenario["fpga"] = to_json(device::industry_fpga2());
-  scenario["schedule"] = to_json(paper_schedule(device::Domain::dnn));
-  EXPECT_THROW(scenario_from_json(scenario), ConfigError);
+  // A platform's kind is its chip section's, not its name's: this
+  // compare spec's "asic" slot holds an FPGA, so the result has no ASIC
+  // platform for `greenfpga compare` to set the FPGA against.
+  Json spec = Json::object();
+  spec["kind"] = "compare";
+  spec["platforms"] = Json::array();
+  for (const auto& [name, chip] : {std::pair{"asic", device::industry_fpga1()},
+                                   std::pair{"fpga", device::industry_fpga2()}}) {
+    Json platform = Json::object();
+    platform["name"] = name;
+    platform["chip"] = written(chip);
+    spec["platforms"].push_back(std::move(platform));
+  }
+  const scenario::ScenarioResult result =
+      scenario::Engine().run(scenario::spec_from_json(spec));
+  EXPECT_FALSE(result.platform_index(device::ChipKind::asic));
+  EXPECT_EQ(result.platform_index(device::ChipKind::fpga), 0u);
+  EXPECT_THROW(result.comparison(), std::logic_error);
 }
 
 TEST(ConfigIo, ScenarioLoadsFromFileWithComments) {
   const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  Json scenario = Json::object();
-  scenario["name"] = "file test";
-  scenario["asic"] = to_json(testcase.asic);
-  scenario["fpga"] = to_json(testcase.fpga);
-  scenario["schedule"] = to_json(paper_schedule(device::Domain::dnn));
+  auto spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare);
+  spec.name = "file test";
+  spec.platforms = {{.name = "asic", .chip = testcase.asic},
+                    {.name = "fpga", .chip = testcase.fpga}};
   const std::string path = ::testing::TempDir() + "/greenfpga_scenario.json";
-  const std::string text = "// scenario config\n" + scenario.dump();
-  io::write_json_file(path, scenario);
-  const ScenarioConfig loaded = load_scenario(path);
+  std::ofstream(path) << "// scenario config\n" << scenario::spec_to_json(spec).dump();
+  const scenario::ScenarioSpec loaded = scenario::load_spec(path);
   EXPECT_EQ(loaded.name, "file test");
-  EXPECT_EQ(loaded.schedule.size(), 5u);
-  EXPECT_EQ(loaded.asic.kind, device::ChipKind::asic);
-  (void)text;
+  EXPECT_EQ(loaded.schedule.materialise(loaded.domain).size(), 5u);
+  ASSERT_EQ(loaded.platforms.size(), 2u);
+  EXPECT_EQ(loaded.platforms[0].chip->kind, device::ChipKind::asic);
 }
 
 TEST(ConfigIo, BreakdownJsonHasDerivedFields) {
   core::CfpBreakdown b;
   b.design = 1.0 * t_co2e;
   b.operational = 2.0 * t_co2e;
-  const Json json = to_json(b);
+  const Json json = written(b);
   EXPECT_DOUBLE_EQ(json.at("design_kg").as_number(), 1000.0);
   EXPECT_DOUBLE_EQ(json.at("embodied_kg").as_number(), 1000.0);
   EXPECT_DOUBLE_EQ(json.at("total_kg").as_number(), 3000.0);
@@ -151,7 +168,7 @@ TEST(ConfigIo, SuiteEnumsSerializeSymbolically) {
   ModelSuite suite = paper_suite();
   suite.appdev.accounting = AppDevAccounting::per_year;
   suite.fab.yield.model = tech::YieldModel::poisson;
-  const Json json = to_json(suite);
+  const Json json = written(suite);
   EXPECT_EQ(json.at("appdev").at("accounting").as_string(), "per_year");
   EXPECT_EQ(json.at("fab").at("yield_model").as_string(), "poisson");
   const ModelSuite loaded = suite_from_json(json);

@@ -16,6 +16,7 @@
 #include "dse/frontier.hpp"
 #include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
+#include "io/json_writer.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/node_dse.hpp"
 #include "scenario/result_io.hpp"
@@ -44,6 +45,11 @@ FrontierProblem small_problem(int threads = 1) {
   return problem;
 }
 
+/// The DOM of a frontier spec's canonical writer bytes.
+io::Json written(const FrontierSpec& spec) {
+  return io::written_json([&spec](io::JsonWriter& out) { core::write_json(out, spec); });
+}
+
 // -- spec JSON contract -------------------------------------------------------
 
 TEST(FrontierSpecJson, RoundTripIsByteIdentical) {
@@ -51,9 +57,9 @@ TEST(FrontierSpecJson, RoundTripIsByteIdentical) {
   spec.objective = FrontierObjective::embodied;
   spec.confidence_samples = 32;
   spec.seed = 9;
-  const io::Json json = frontier_spec_to_json(spec);
+  const io::Json json = written(spec);
   const FrontierSpec parsed = frontier_spec_from_json(json, "frontier");
-  EXPECT_EQ(frontier_spec_to_json(parsed).dump(), json.dump());
+  EXPECT_EQ(written(parsed).dump(), json.dump());
 }
 
 TEST(FrontierSpecJson, NodeAxisRoundTripsAndRejectsNumericKeys) {
@@ -61,9 +67,9 @@ TEST(FrontierSpecJson, NodeAxisRoundTripsAndRejectsNumericKeys) {
   spec.axes = {FrontierAxisSpec::linear(FrontierVariable::volume, 1e4, 1e6, 3),
                FrontierAxisSpec::node_list({tech::ProcessNode::n28,
                                             tech::ProcessNode::n7})};
-  const io::Json json = frontier_spec_to_json(spec);
+  const io::Json json = written(spec);
   const FrontierSpec parsed = frontier_spec_from_json(json, "frontier");
-  EXPECT_EQ(frontier_spec_to_json(parsed).dump(), json.dump());
+  EXPECT_EQ(written(parsed).dump(), json.dump());
 
   // A node axis carrying numeric-axis keys is a config error.
   io::Json bad = io::parse_json(

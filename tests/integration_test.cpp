@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "core/comparator.hpp"
-#include "core/config_io.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "report/figure_writer.hpp"
@@ -45,23 +44,27 @@ scenario::TimelineSeries two_year_app_timeline(Domain domain, double horizon_yea
 }
 
 TEST(Integration, ScenarioFileToVerdict) {
-  // Write a scenario config to disk, load it, evaluate it, and check the
+  // Write a compare spec to disk, load it, evaluate it, and check the
   // verdict -- the full CLI `compare` path without the process boundary.
   const device::DomainTestcase testcase = device::domain_testcase(Domain::crypto);
-  io::Json scenario = io::Json::object();
-  scenario["name"] = "crypto appliance";
-  scenario["suite"] = core::to_json(core::paper_suite());
-  scenario["asic"] = core::to_json(testcase.asic);
-  scenario["fpga"] = core::to_json(testcase.fpga);
-  scenario["schedule"] = core::to_json(core::paper_schedule(Domain::crypto));
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::compare, Domain::crypto);
+  spec.name = "crypto appliance";
+  spec.platforms = {{.name = "asic", .chip = testcase.asic},
+                    {.name = "fpga", .chip = testcase.fpga}};
+  spec.schedule.explicit_schedule = core::paper_schedule(Domain::crypto);
   const std::string path = ::testing::TempDir() + "/gf_integration_scenario.json";
-  io::write_json_file(path, scenario);
+  io::write_json_file(path, scenario::spec_to_json(spec));
 
-  const core::ScenarioConfig loaded = core::load_scenario(path);
-  const core::LifecycleModel model(loaded.suite);
-  const core::Comparison comparison =
-      core::compare(model, loaded.asic, loaded.fpga, loaded.schedule);
+  const ScenarioSpec loaded = scenario::load_spec(path);
+  const core::Comparison comparison = scenario::Engine().run(loaded).comparison();
   EXPECT_EQ(comparison.verdict(), core::Verdict::fpga_lower);
+  // The same verdict straight from the lifecycle model.
+  const core::Comparison direct = core::compare(core::LifecycleModel(core::paper_suite()),
+                                                testcase, core::paper_schedule(Domain::crypto));
+  EXPECT_EQ(comparison.asic.total.total().canonical(),
+            direct.asic.total.total().canonical());
+  EXPECT_EQ(comparison.fpga.total.total().canonical(),
+            direct.fpga.total.total().canonical());
 }
 
 TEST(Integration, SweepMatchesPointwiseEvaluation) {

@@ -161,15 +161,17 @@ TEST(Bars, NegativeValuesRenderLeftward) {
 
 TEST(Bars, EmptyThrows) { EXPECT_THROW(render_bars({}), std::invalid_argument); }
 
+/// The compare result of `domain`'s testcase on the paper schedule.
+scenario::ScenarioResult compare_result(Domain domain, const std::string& name) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::compare, domain);
+  spec.name = name;
+  return scenario::Engine().run(spec);
+}
+
 TEST(MarkdownReport, RendersAllSections) {
-  const device::DomainTestcase testcase = device::domain_testcase(Domain::crypto);
   MarkdownReportInputs inputs;
-  inputs.scenario.name = "markdown test";
-  inputs.scenario.asic = testcase.asic;
-  inputs.scenario.fpga = testcase.fpga;
-  inputs.scenario.schedule = core::paper_schedule(Domain::crypto);
-  inputs.comparison = core::compare(core::LifecycleModel(core::paper_suite()), testcase,
-                                    inputs.scenario.schedule);
+  inputs.result = compare_result(Domain::crypto, "markdown test");
   const std::string markdown = render_markdown_report(inputs);
   EXPECT_NE(markdown.find("# GreenFPGA sustainability report"), std::string::npos);
   EXPECT_NE(markdown.find("**markdown test**"), std::string::npos);
@@ -181,13 +183,8 @@ TEST(MarkdownReport, RendersAllSections) {
 }
 
 TEST(MarkdownReport, IncludesUncertaintyWhenProvided) {
-  const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
   MarkdownReportInputs inputs;
-  inputs.scenario.asic = testcase.asic;
-  inputs.scenario.fpga = testcase.fpga;
-  inputs.scenario.schedule = core::paper_schedule(Domain::dnn);
-  inputs.comparison = core::compare(core::LifecycleModel(core::paper_suite()), testcase,
-                                    inputs.scenario.schedule);
+  inputs.result = compare_result(Domain::dnn, "uncertainty test");
   scenario::MonteCarloResult mc;
   mc.samples = 64;
   mc.mean = 1.05;
